@@ -12,12 +12,13 @@
 //!   (current/peak buffered nodes, text-arena bytes) from engines
 //!   mid-run, plus cache/budget/server counters.
 //! * A **fixed thread topology** (acceptor + epoll-driven connection
-//!   workers + a bounded [`gcx_service::EvaluatorPool`]) replaces
-//!   one-thread-per-session: each worker multiplexes its non-blocking
-//!   sockets over an `epoll(7)` readiness loop and drives sessions with
-//!   the non-blocking `try_feed` API. Blocked connections sleep until a
-//!   socket event or a session-progress eventfd wakeup — no polling
-//!   anywhere, so an idle server uses no CPU.
+//!   workers + a bounded [`gcx_service::EvaluatorPool`]): each worker
+//!   multiplexes its non-blocking sockets over an `epoll(7)` readiness
+//!   loop and drives sessions with the non-blocking `try_feed` / `drain`
+//!   pair. Blocked connections sleep until a socket event or a
+//!   session-progress eventfd wakeup (raised on edges: input consumed,
+//!   first output after a drain, termination) — no polling anywhere, so
+//!   an idle server uses no CPU.
 //!
 //! Hand-rolled over `std::net` — the build environment is offline (no
 //! hyper/tokio), the same constraint that produced `crates/compat`; even

@@ -26,9 +26,7 @@
 //! server sits in `epoll_wait` with an infinite timeout and burns no
 //! CPU. Evaluators run on the shared [`EvaluatorPool`]; sessions beyond
 //! its size queue (their input simply buffers until a pool thread frees
-//! up). This replaces the one-thread-per-session model `StreamSession`
-//! started with, and the run-queue + condvar-poll worker pool that
-//! followed it.
+//! up).
 //!
 //! ## Endpoints
 //!
@@ -52,7 +50,7 @@ use crate::metrics::{self, NetMetrics, ReqClass};
 use crate::stats_json;
 use gcx_buffer::LiveBufferStats;
 use gcx_obs::{log_debug, log_warn, FlightRecorder, SpanKind};
-use gcx_service::{EvaluatorPool, QueryService, ServiceConfig, StreamSession, TryFeed};
+use gcx_service::{EvaluatorPool, QueryService, ServiceConfig, StreamSession};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -144,18 +142,13 @@ pub struct NetConfig {
     /// with `Connection: close` (bounds per-connection state lifetime).
     /// Default 1000.
     pub max_requests_per_conn: u64,
-    /// Per-session output high-water mark: above this many undrained
-    /// result bytes the evaluator parks (backpressure). Default 1 MiB.
+    /// Per-session output bound: above this many undrained result bytes
+    /// the evaluator parks (backpressure). A client that stops reading
+    /// thus costs a parked session and a bounded backlog until the
+    /// connection level gives up on it — no progress for `idle_timeout`
+    /// with response bytes stuck in the send buffer, counted in `/stats`
+    /// as `sessions_output_capped`. Default 1 MiB.
     pub output_high_water: usize,
-    /// Per-session output hard cap: the session fails cleanly (422 or
-    /// aborted stream, counted in `/stats` as `sessions_output_capped`)
-    /// if undrained output ever exceeds this. The evaluator parks at
-    /// `output_high_water`, so the cap only trips when configured at or
-    /// below the high-water mark; a client that stops draining is
-    /// instead detected at the connection level — no progress for
-    /// `idle_timeout` with response bytes stuck in the send buffer —
-    /// and counted under the same counter. Default 4 MiB.
-    pub output_max_bytes: usize,
     /// Admission cap: with this many connections already open, new ones
     /// are answered `503 Service Unavailable` + `Retry-After` straight
     /// from the acceptor instead of queueing behind a saturated server
@@ -191,7 +184,6 @@ impl Default for NetConfig {
             keep_alive_timeout: Duration::from_secs(15),
             max_requests_per_conn: 1000,
             output_high_water: 1024 * 1024,
-            output_max_bytes: 4 * 1024 * 1024,
             max_connections: 4096,
             queue_wait_deadline: Duration::from_secs(2),
             trace_sample_every: 64,
@@ -223,8 +215,7 @@ pub struct ServerCounters {
     pub sessions_completed: AtomicU64,
     pub sessions_failed: AtomicU64,
     /// Sessions failed specifically because the client stopped draining:
-    /// either the per-session output cap (`output_max_bytes`) tripped,
-    /// or the connection idled out with response bytes stuck in its send
+    /// the connection idled out with response bytes stuck in its send
     /// buffer while the session sat parked on output backpressure.
     pub sessions_output_capped: AtomicU64,
     pub bytes_in: AtomicU64,
@@ -286,7 +277,6 @@ pub(crate) struct ServerShared {
     keep_alive_timeout: Duration,
     max_requests_per_conn: u64,
     output_high_water: usize,
-    output_max_bytes: usize,
     max_connections: usize,
     queue_wait_deadline: Duration,
     pub(crate) workers: usize,
@@ -375,7 +365,6 @@ impl GcxServer {
             keep_alive_timeout: config.keep_alive_timeout,
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             output_high_water: config.output_high_water,
-            output_max_bytes: config.output_max_bytes,
             max_connections: config.max_connections.max(1),
             queue_wait_deadline: config.queue_wait_deadline,
             workers,
@@ -1432,7 +1421,6 @@ impl Conn {
             let mailbox = self.mailbox.clone();
             let token = self.token;
             let output_high_water = shared.output_high_water;
-            let output_max_bytes = shared.output_max_bytes;
             let session_metrics = shared.metrics.sessions.clone();
             let stage_metrics = shared.metrics.engine_stages.clone();
             let recorder = shared.recorder.clone();
@@ -1443,7 +1431,6 @@ impl Conn {
                 cfg.pool = Some(pool);
                 cfg.charge_engine_buffer = charge;
                 cfg.output_high_water = output_high_water;
-                cfg.output_max_bytes = output_max_bytes;
                 // Progress wakeups route straight to the one worker that
                 // owns this connection, keyed by its epoll token.
                 cfg.progress_waker = Some(Arc::new(move || mailbox.note_progress(token)));
@@ -1628,39 +1615,21 @@ impl Conn {
         // 4. Feed decoded payload into the session. Non-blocking: a full
         //    queue parks the connection, not the worker thread. Slices
         //    are bounded so one offer can always fit the memory budget.
-        //    While our own send buffer is backed up (client not reading),
-        //    feeding continues but *undrained*: `try_feed` would move the
-        //    unread response into `send` without bound, whereas leaving
-        //    it in the session engages the per-session output
-        //    high-water/hard-cap machinery — the never-draining client
-        //    fails its session instead of growing the server.
-        let mut output = Vec::new();
-        let send_ok = self.send.len() - self.send_pos < SEND_HIGH_WATER;
+        //    Feeding never moves output: whether the response is taken
+        //    is step 6's decision alone, so with our send buffer backed
+        //    up (client not reading) the evaluator keeps running until
+        //    the session's own output bound parks it.
         while body.pending_pos < body.pending.len() {
             let chunk_end = (body.pending_pos + shared.feed_chunk_bytes).min(body.pending.len());
-            let chunk = &body.pending[body.pending_pos..chunk_end];
-            let fed = if send_ok {
-                body.session.try_feed(chunk).map(|r| match r {
-                    TryFeed::Fed(out) => (true, out),
-                    TryFeed::Busy(out) => (false, out),
-                })
-            } else {
-                body.session
-                    .try_feed_undrained(chunk)
-                    .map(|a| (a, Vec::new()))
-            };
-            match fed {
-                Ok((admitted, out)) => {
-                    if !out.is_empty() {
-                        output.extend_from_slice(&out);
-                        progress = true;
-                    }
-                    if !admitted {
-                        break;
-                    }
+            match body
+                .session
+                .try_feed(&body.pending[body.pending_pos..chunk_end])
+            {
+                Ok(true) => {
                     body.pending_pos = chunk_end;
                     progress = true;
                 }
+                Ok(false) => break,
                 Err(e) => {
                     self.session_failed(shared, &mut body, &e.to_string());
                     return StepResult::Progress; // body (and session) dropped here
@@ -1683,10 +1652,10 @@ impl Conn {
 
         // 6. Pull output the engine has produced meanwhile — unless our
         //    own send buffer is already backed up.
+        let mut output = Vec::new();
         if self.send.len() - self.send_pos < SEND_HIGH_WATER {
-            let drained = body.session.drain();
-            if !drained.is_empty() {
-                output.extend_from_slice(&drained);
+            output = body.session.drain();
+            if !output.is_empty() {
                 progress = true;
             }
             // 7. Completed? With the input freshly closed the verdict is
@@ -1796,12 +1765,6 @@ impl Conn {
             self.peer
         );
         finish_registry(shared, body.session_id, None);
-        if msg.contains(gcx_service::OUTPUT_CAP_ERROR) {
-            shared
-                .counters
-                .sessions_output_capped
-                .fetch_add(1, Ordering::Relaxed);
-        }
         if body.sent_head {
             self.state = ConnState::Flush { close: true };
         } else {
@@ -1827,9 +1790,8 @@ impl Conn {
         if let Some((session_id, sent_head)) = info {
             // Mid-response with undrained bytes stuck in `send`: the
             // *client* stopped reading, so its session sits parked on
-            // the output high-water mark. That is the connection-level
-            // face of the output cap — counted under the same counter
-            // as an `output_max_bytes` trip.
+            // the output high-water mark, and giving up on the client
+            // is this layer's call.
             if sent_head && self.send_pos < self.send.len() {
                 shared
                     .counters

@@ -1,7 +1,8 @@
 //! End-to-end wire tests: a real server on an ephemeral port, real
 //! sockets, concurrent clients, disconnects — asserting byte-identical
-//! output vs the in-process engine, clean cancellation, live `/stats`
-//! sampling, and a worker pool that does not leak threads.
+//! output vs the in-process engine, clean cancellation and live `/stats`
+//! sampling. (The fixed-thread-count check lives in `threads.rs`: it
+//! counts the whole process, so it needs a test binary to itself.)
 
 use gcx_net::{client, http, GcxServer, NetConfig};
 use gcx_xml::TagInterner;
@@ -33,11 +34,6 @@ fn make_doc(books: usize) -> Vec<u8> {
 
 fn query_path(query: &str) -> String {
     format!("/query?xq={}", http::percent_encode(query))
-}
-
-#[cfg(target_os = "linux")]
-fn process_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
 }
 
 #[test]
@@ -99,15 +95,10 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
     )
     .unwrap();
     let addr = server.local_addr();
-    #[cfg(target_os = "linux")]
-    let threads_before = process_threads();
-    #[cfg(not(target_os = "linux"))]
-    let threads_before = 0usize;
-
     let doc = make_doc(400);
     let expected_q1 = reference_output(QUERY, &doc);
     let expected_q2 = reference_output(QUERY2, &doc);
-    let (results, threads_during): (Vec<_>, usize) = std::thread::scope(|scope| {
+    let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 let doc = &doc;
@@ -126,15 +117,7 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
                 })
             })
             .collect();
-        // Sample the process thread count while clients are in flight.
-        #[cfg(target_os = "linux")]
-        let sampled = process_threads();
-        #[cfg(not(target_os = "linux"))]
-        let sampled = 0usize;
-        (
-            handles.into_iter().map(|h| h.join().unwrap()).collect(),
-            sampled,
-        )
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (i, resp) in results {
         assert_eq!(resp.status, 200, "client {i}");
@@ -148,17 +131,6 @@ fn eight_concurrent_clients_mixed_queries_and_chunked_uploads() {
             "client {i}: wire output must be byte-identical to run_gcx"
         );
     }
-    // No worker-pool leak: the server's thread count is fixed; the only
-    // extra threads during the burst are the 8 client threads this test
-    // spawned itself.
-    #[cfg(target_os = "linux")]
-    assert!(
-        threads_during <= threads_before + 8,
-        "server must not spawn per-session threads: {threads_before} before, \
-         {threads_during} during"
-    );
-    #[cfg(not(target_os = "linux"))]
-    let _ = (threads_before, threads_during);
     assert_eq!(server.active_sessions(), 0, "all sessions unregistered");
     assert_eq!(
         server

@@ -294,11 +294,10 @@ fn never_draining_client_hits_output_cap_without_hurting_others() {
         NetConfig {
             output_high_water: 16 * 1024,
             // The evaluator parks at the high-water mark, so undrained
-            // output never grows toward `output_max_bytes`; the dead
-            // client is instead detected at the connection level once it
-            // makes no progress for `idle_timeout` with response bytes
-            // stuck in the send buffer. Short timeout so the test is
-            // quick.
+            // output stays bounded; the dead client is detected at the
+            // connection level once it makes no progress for
+            // `idle_timeout` with response bytes stuck in the send
+            // buffer. Short timeout so the test is quick.
             idle_timeout: Duration::from_secs(2),
             ..Default::default()
         },

@@ -8,8 +8,7 @@
 //!
 //! Targets are module-path-like strings (`gcx_net::server`); an override
 //! applies to the most specific (longest) matching prefix. The default
-//! level is `warn`. Setting the legacy `GCX_DEBUG` variable (the engine's
-//! old ad-hoc probe) without `GCX_LOG` is honored as `GCX_LOG=debug`.
+//! level is `warn`.
 //!
 //! Each record is one line, written atomically to stderr:
 //!
@@ -112,13 +111,7 @@ impl Config {
 
 fn config() -> &'static Config {
     static CONFIG: OnceLock<Config> = OnceLock::new();
-    CONFIG.get_or_init(|| match std::env::var("GCX_LOG") {
-        Ok(spec) => Config::from_spec(&spec),
-        // Legacy escape hatch: GCX_DEBUG used to turn on the engine's
-        // ad-hoc eprintln! tracing.
-        Err(_) if std::env::var_os("GCX_DEBUG").is_some() => Config::from_spec("debug"),
-        Err(_) => Config::from_spec(""),
-    })
+    CONFIG.get_or_init(|| Config::from_spec(&std::env::var("GCX_LOG").unwrap_or_default()))
 }
 
 /// True when a record at `level` for `target` would be written. Cheap

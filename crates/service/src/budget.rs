@@ -5,7 +5,7 @@
 //! GCX buffer tree itself is already minimized by the engine (that is the
 //! point of the paper); the budget guards the part the service adds on
 //! top. Input reservations are **hard** — [`MemoryBudget::try_reserve`]
-//! fails and `feed` surfaces [`crate::ServiceError::BudgetExceeded`] —
+//! fails and the session refuses the chunk until bytes come back —
 //! while output accounting is **soft** ([`MemoryBudget::force_reserve`]):
 //! an evaluator thread mid-write cannot fail cleanly, so output may
 //! transiently overshoot the limit until the caller drains it.

@@ -5,9 +5,12 @@
 //!
 //! * [`StreamSession`] — a **push** API (`feed(&[u8])` → incremental
 //!   output bytes → `finish()` → [`SessionOutcome`] with per-session
-//!   `BufferStats`). A dedicated evaluator thread pulls from a bounded
-//!   chunk queue, so callers are never blocked on evaluation and the
-//!   engine's buffer-minimization machinery runs unmodified.
+//!   `BufferStats`) over the engine's resumable step machine. Chunks go
+//!   into a bounded queue and the engine runs in bounded slices — on a
+//!   shared [`EvaluatorPool`] when one is configured, on the caller's
+//!   own thread otherwise — with its buffer-minimization machinery
+//!   unmodified. `try_feed`/`drain` are the non-blocking primitives
+//!   event loops use; `feed`/`finish` are a waiting loop over them.
 //! * [`QueryService`] — an LRU **compiled-query cache** (keyed by
 //!   normalized query text, sharing one master `TagInterner`) so repeated
 //!   queries skip parse/rewriting/signOff/projection analysis, plus
@@ -30,16 +33,10 @@ pub use budget::MemoryBudget;
 pub use metrics::SessionMetrics;
 pub use pool::EvaluatorPool;
 pub use service::{normalize_query, BatchJob, QueryService, ServiceConfig, ServiceStats};
-pub use session::{ProgressWaker, SessionConfig, SessionOutcome, StreamSession, TryFeed};
+pub use session::{ProgressWaker, SessionConfig, SessionOutcome, StreamSession};
 
 use gcx_query::CompileError;
 use std::fmt;
-
-/// Marker substring of the session error produced when a session's
-/// undrained output exceeds its hard cap ([`SessionConfig::output_max_bytes`]).
-/// Session errors travel as strings (they cross the evaluator thread via
-/// `io::Error`), so drivers attribute cap failures by matching this.
-pub const OUTPUT_CAP_ERROR: &str = "session output hard cap exceeded";
 
 /// Everything the service layer can fail with.
 #[derive(Debug)]
@@ -49,9 +46,9 @@ pub enum ServiceError {
     /// The session's evaluator failed (malformed stream, engine error,
     /// or evaluator panic). Sticky: every later call returns it again.
     Session(String),
-    /// Admitting the chunk would exceed the global memory budget. Output
-    /// produced so far is handed back in `drained`; the caller may drain
-    /// other sessions and retry.
+    /// The chunk is larger than the entire global memory budget, so no
+    /// amount of draining could ever admit it (a chunk that merely does
+    /// not fit *right now* is backpressure, not an error).
     BudgetExceeded {
         /// Bytes the rejected chunk needed.
         requested: usize,
@@ -59,8 +56,6 @@ pub enum ServiceError {
         used: usize,
         /// The configured limit.
         limit: usize,
-        /// Output bytes drained from this session as a side effect.
-        drained: Vec<u8>,
     },
 }
 
@@ -73,7 +68,6 @@ impl fmt::Display for ServiceError {
                 requested,
                 used,
                 limit,
-                ..
             } => write!(
                 f,
                 "memory budget exceeded: chunk of {requested}B does not fit ({used}B used of {limit}B)"

@@ -1,13 +1,11 @@
 //! The evaluator scheduler: a ready-queue of runnable session tasks
 //! drained round-robin by a fixed set of worker threads.
 //!
-//! Historically this was a plain job pool — each session submitted one
-//! blocking closure that parked a worker thread inside evaluation
-//! whenever input ran dry or output backed up. A saturated pool then
-//! meant *queued sessions never ran at all*. The engine's resumable
-//! [`step`](gcx_core::GcxEngine::step) machine removes the need to park:
-//! a session is now a [`PoolTask`] whose `run_slice` advances evaluation
-//! by a bounded budget and reports what the scheduler should do next:
+//! The engine's resumable [`step`](gcx_core::GcxEngine::step) machine
+//! keeps all suspension state in the engine struct, so no thread ever
+//! has to wait inside evaluation. A session is a [`PoolTask`] whose
+//! `run_slice` advances evaluation by a bounded budget and reports what
+//! the scheduler should do next:
 //!
 //! - [`Slice::Again`] — more work is ready: the task goes to the *back*
 //!   of the ready queue, so N runnable sessions share M workers
@@ -15,13 +13,19 @@
 //!   query).
 //! - [`Slice::Park`] — blocked on input or output. The task leaves the
 //!   scheduler entirely until [`TaskHandle::wake`] re-enqueues it (the
-//!   session layer wakes on `feed`/`drain`/`close_input`/`cancel`).
+//!   session layer wakes on `try_feed`/`drain`/`close_input`/`cancel`).
 //! - [`Slice::Done`] — finished (or failed); never scheduled again.
 //!
 //! Wake-ups and slice completions race; a small per-task atomic state
 //! machine (idle → queued → running, with a "notified while running"
 //! side state) guarantees a task is queued at most once, runs on at most
 //! one worker, and never misses a wake-up that arrives mid-slice.
+//!
+//! A pool without workers — [`EvaluatorPool::inline`], or any pool after
+//! [`EvaluatorPool::shutdown`] — runs a woken task on the *waking*
+//! thread until it parks or retires. That is how a session without a
+//! shared pool is driven: by its own caller, through the same state
+//! machine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -36,20 +40,11 @@ const LOG_TARGET: &str = "gcx_service::pool";
 pub enum Slice {
     /// Progress was made and more work is ready: re-enqueue (fairness).
     Again,
-    /// Blocked until [`TaskHandle::wake`]; the reason is informational
-    /// (dedicated drivers pick a condvar by it, `/stats` counts it).
-    Park(ParkReason),
+    /// Blocked (input ran dry, or undrained output crossed the session's
+    /// high-water mark) until [`TaskHandle::wake`].
+    Park,
     /// The task is finished and must never be scheduled again.
     Done,
-}
-
-/// Why a task parked (see [`Slice::Park`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParkReason {
-    /// The input stream ran dry mid-evaluation.
-    NeedInput,
-    /// Undrained output crossed the session's high-water mark.
-    OutputBackpressure,
 }
 
 /// A schedulable unit of resumable work. `run_slice` must be bounded —
@@ -80,8 +75,7 @@ struct Scheduled {
 
 /// Handle for re-enqueueing a parked task; cloneable, held by the
 /// session layer. Outlives the pool safely: wakes after shutdown run
-/// the task inline on the waking thread (bounded slices make that
-/// cheap) so a parked session still completes.
+/// the task on the waking thread so a parked session still completes.
 #[derive(Clone)]
 pub struct TaskHandle {
     sched: Arc<Scheduled>,
@@ -160,11 +154,21 @@ pub struct EvaluatorPool {
 impl EvaluatorPool {
     /// Spawns `size` (min 1) workers named `gcx-eval-{i}`.
     pub fn new(size: usize) -> Self {
-        let size = size.max(1);
+        Self::with_workers(size.max(1))
+    }
+
+    /// A pool without workers: every wake runs the task on the waking
+    /// thread. One per pool-less session, so a caller drives its own
+    /// session and nothing is shared between callers.
+    pub(crate) fn inline() -> Self {
+        Self::with_workers(0)
+    }
+
+    fn with_workers(size: usize) -> Self {
         let inner = Arc::new(PoolInner {
             state: Mutex::new(SchedState {
                 ready: VecDeque::new(),
-                shutdown: false,
+                shutdown: size == 0,
             }),
             work: Condvar::new(),
             size,
@@ -236,10 +240,10 @@ impl EvaluatorPool {
         }
     }
 
-    /// Pushes a QUEUED task onto the ready queue — or, after shutdown,
-    /// runs it inline on the calling thread until it parks or finishes
-    /// (slices are bounded, and a task enqueued after shutdown would
-    /// otherwise never run: its session would hang in `finish`).
+    /// Pushes a QUEUED task onto the ready queue — or, with no workers
+    /// left to pop it, runs it on the calling thread until it parks or
+    /// finishes (it would otherwise never run: its session would hang
+    /// in `finish`).
     fn enqueue(inner: &Arc<PoolInner>, sched: Arc<Scheduled>) {
         {
             let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -296,7 +300,7 @@ impl EvaluatorPool {
                 sched.state.store(QUEUED, Ordering::Release);
                 true
             }
-            Ok(Slice::Park(_)) => {
+            Ok(Slice::Park) => {
                 match sched.state.compare_exchange(
                     RUNNING,
                     IDLE,
@@ -458,7 +462,7 @@ mod tests {
                 if self.open.load(Ordering::SeqCst) {
                     Slice::Done
                 } else {
-                    Slice::Park(ParkReason::NeedInput)
+                    Slice::Park
                 }
             }
         }

@@ -444,7 +444,7 @@ impl QueryService {
         let mut session = self.open_session(&job.query)?;
         let mut output = Vec::new();
         for chunk in job.input.chunks(chunk_size) {
-            output.extend_from_slice(&session.feed_blocking(chunk)?);
+            output.extend_from_slice(&session.feed(chunk)?);
         }
         let mut outcome = session.finish()?;
         output.extend_from_slice(&outcome.output);

@@ -1,39 +1,46 @@
 //! Push-based streaming sessions over the resumable GCX step machine.
 //!
 //! The engine ([`GcxEngine`]) evaluates in bounded **slices**
-//! ([`GcxEngine::step`]): all suspension state lives in the engine
-//! struct, so a session no longer needs a thread parked inside
-//! evaluation. A [`StreamSession`] wraps one engine as a schedulable
-//! task:
+//! ([`GcxEngine::step`]) and keeps all suspension state in its own
+//! struct, so no thread ever waits inside evaluation. A
+//! [`StreamSession`] wraps one engine as a schedulable [`PoolTask`]:
 //!
 //! ```text
-//!   caller thread                         scheduler worker
-//!   ─────────────                         ────────────────
-//!   feed(chunk) ──► bounded chunk queue ──► ChunkReader::read (WouldBlock when dry)
-//!        │ wake ──► ready queue          ──► GcxEngine::step(budget)
-//!   feed/drain ◄── shared output buffer ◄── SessionWriter::write
-//!   finish()   ──► close + wake + wait  ──► RunReport (BufferStats)
+//!   caller                                 evaluator (one slice at a time)
+//!   ──────                                 ───────────────────────────────
+//!   try_feed(chunk) ─► bounded chunk queue ─► ChunkReader::read (WouldBlock when dry)
+//!        │ wake     ─► scheduler           ─► GcxEngine::step(budget)
+//!   drain()         ◄─ shared output buffer ◄─ SessionWriter::write
+//!   take_outcome()  ◄─ RunReport (BufferStats) once the task retires
 //! ```
 //!
-//! In pooled mode ([`SessionConfig::pool`]) the session is a
-//! [`PoolTask`] on the shared [`EvaluatorPool`] scheduler: it runs one
-//! bounded step per slice, re-enqueues itself while runnable (fairness),
-//! and *parks* — leaves the scheduler entirely — when input runs dry
-//! ([`StepOutcome::NeedInput`]) or undrained output crosses the
-//! high-water mark ([`StepOutcome::OutputBackpressure`]). `feed`,
-//! `drain`, `close_input` and `cancel` wake it back up. M workers thus
-//! serve any number of open sessions, none of them ever blocked.
+//! There is one driver, the [`EvaluatorPool`] state machine. The task
+//! runs one bounded step per slice, re-enqueues itself while runnable
+//! (fairness), and *parks* — leaves the scheduler entirely — when input
+//! runs dry ([`StepOutcome::NeedInput`]) or undrained output reaches
+//! [`SessionConfig::output_high_water`]
+//! ([`StepOutcome::OutputBackpressure`]). `try_feed`, `drain`,
+//! `close_input` and `cancel` wake it. With a shared pool
+//! ([`SessionConfig::pool`]) the slices run on its M workers, which thus
+//! serve any number of open sessions; without one they run on the
+//! caller's own thread, inside the call that woke the task.
 //!
-//! Without a pool, a dedicated thread drives the same task, parking on
-//! the session's condvars instead of the scheduler.
+//! The caller-facing protocol has the same shape in both cases:
 //!
-//! The chunk queue applies backpressure (`feed` blocks once
-//! `input_queue_bytes` are pending), and output bytes are handed back
-//! incrementally — each `feed`/`drain` returns everything the engine
-//! has emitted so far, which the engine produces as early as the stream
-//! permits (the GCX property). Errors are isolated per session: a
-//! malformed stream fails this session and surfaces on the next call,
-//! nothing else.
+//! - [`StreamSession::try_feed`] and [`StreamSession::drain`] never
+//!   block; an event loop (gcx-net's connection workers) calls them and
+//!   sleeps on [`SessionConfig::progress_waker`] in between.
+//! - [`StreamSession::feed`] and [`StreamSession::finish`] are the
+//!   blocking convenience: a loop over those two that waits on the
+//!   session's condvar, and keeps draining while it waits — an
+//!   evaluator parked on the output bound needs its consumer to make
+//!   room, whether the consumer is waiting for queue space or for the
+//!   end of the run.
+//!
+//! Output is handed back incrementally, as early as the stream permits
+//! (the GCX property). Errors are isolated per session: a malformed
+//! stream fails this session and surfaces on the next call, nothing
+//! else.
 //!
 //! ## Session state machine
 //!
@@ -42,7 +49,7 @@
 
 use crate::budget::MemoryBudget;
 use crate::metrics::SessionMetrics;
-use crate::pool::{EvaluatorPool, ParkReason, PoolTask, Slice, TaskHandle};
+use crate::pool::{EvaluatorPool, PoolTask, Slice, TaskHandle};
 use crate::ServiceError;
 use gcx_buffer::LiveBufferStats;
 use gcx_core::{CancelFlag, EngineOptions, EngineStageMetrics, GcxEngine, RunReport, StepOutcome};
@@ -53,8 +60,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Log target for session lifecycle events.
 const LOG_TARGET: &str = "gcx_service::session";
@@ -67,15 +73,17 @@ pub const DEFAULT_STEP_BUDGET: u32 = 4096;
 #[derive(Clone)]
 pub struct SessionConfig {
     /// Maximum bytes of fed-but-unconsumed input queued per session;
-    /// `feed` blocks (backpressure) once the queue is full. A single
-    /// chunk larger than the bound is admitted alone rather than
+    /// `try_feed` refuses (and `feed` waits) once the queue is full. A
+    /// single chunk larger than the bound is admitted alone rather than
     /// deadlocking.
     pub input_queue_bytes: usize,
     /// Engine strategy (GC on by default), including the lexer options
     /// for the input stream (`engine.lexer`).
     pub engine: EngineOptions,
-    /// Optional global budget shared with sibling sessions; `feed` fails
-    /// with [`ServiceError::BudgetExceeded`] instead of queueing past it.
+    /// Optional global budget shared with sibling sessions; a chunk that
+    /// does not fit right now is refused like one that finds the queue
+    /// full, and only a chunk larger than the whole budget fails with
+    /// [`ServiceError::BudgetExceeded`].
     pub budget: Option<Arc<MemoryBudget>>,
     /// Charge the engine buffer (nodes + text-arena payload) against
     /// `budget` as *hard* reservations: a document needing more buffer
@@ -87,36 +95,34 @@ pub struct SessionConfig {
     /// published by the evaluator after every footprint change so
     /// observability planes (`/stats`) can sample it mid-stream.
     pub live_stats: Option<Arc<LiveBufferStats>>,
-    /// Output-side high-water mark: once this many produced-but-undrained
-    /// output bytes are pending, the engine's output gate closes and the
+    /// The output bound: once this many produced-but-undrained output
+    /// bytes are pending, the engine's output gate closes and the
     /// session *parks* at the next step boundary until the caller drains
     /// — backpressure that suspends the engine at the consumer's pace
     /// instead of buffering its result. A slice already running can
     /// overshoot the mark by at most one step budget's worth of output.
+    /// A consumer that never drains therefore holds a parked session and
+    /// a bounded backlog; whoever owns the consumer decides when to give
+    /// up on it (gcx-net: the connection's idle timeout).
     pub output_high_water: usize,
-    /// Output-side hard cap: a push that would leave more than this many
-    /// undrained bytes fails the session cleanly (error message contains
-    /// [`crate::OUTPUT_CAP_ERROR`]). The gate parks at `output_high_water`
-    /// *between* steps, so the cap is the in-slice overshoot backstop:
-    /// set it below the high-water mark (or within one slice's output
-    /// above it) to fail never-draining consumers instead of parking
-    /// them. `usize::MAX` disables the cap.
-    pub output_max_bytes: usize,
     /// Engine step budget (frame executions) per scheduler slice.
     /// Smaller slices tighten fairness and the output-overshoot bound;
     /// larger slices amortize scheduling overhead. Clamped to ≥ 1.
     pub step_budget: u32,
-    /// Run the session on this shared scheduler instead of spawning a
-    /// dedicated thread: the process thread count stays fixed no matter
-    /// how many sessions are open, and parked sessions cost no thread at
-    /// all. `None` keeps the one-thread-per-session behaviour.
+    /// Run the session's slices on this shared scheduler: the process
+    /// thread count stays fixed no matter how many sessions are open,
+    /// and evaluation overlaps the caller's own work. `None` runs them
+    /// on the caller's thread, inside `try_feed`/`drain`/`close_input`
+    /// — no thread is spawned either way.
     pub pool: Option<EvaluatorPool>,
-    /// Called from the evaluator side whenever the session makes
-    /// progress a parked caller could act on: input consumed (queue
-    /// space freed), output produced, or the evaluator terminating.
-    /// Drivers that park backpressured sessions (gcx-net's connection
-    /// loop) hang their readiness wakeup here instead of sleep-polling.
-    /// Must be cheap and must not call back into the session.
+    /// Called from the evaluator side at the transitions a sleeping
+    /// caller can act on: input consumed (queue space freed), output
+    /// going from empty to non-empty, and the evaluator terminating.
+    /// Output appended to a backlog the caller has not taken yet is not
+    /// news and raises nothing. Drivers that park backpressured sessions
+    /// (gcx-net's connection loop) hang their readiness wakeup here
+    /// instead of sleep-polling. Must be cheap and must not call back
+    /// into the session.
     pub progress_waker: Option<ProgressWaker>,
     /// Optional shared session lifecycle metrics (queue wait, run time,
     /// outcome counters); one instance is typically shared by every
@@ -156,7 +162,6 @@ impl Default for SessionConfig {
             charge_engine_buffer: false,
             live_stats: None,
             output_high_water: 4 * 1024 * 1024,
-            output_max_bytes: usize::MAX,
             step_budget: DEFAULT_STEP_BUDGET,
             pool: None,
             progress_waker: None,
@@ -170,38 +175,10 @@ impl Default for SessionConfig {
     }
 }
 
-/// Result of a [`StreamSession::try_feed`] attempt. Both variants carry
-/// every output byte the engine has produced so far (drained exactly
-/// once).
-#[derive(Debug)]
-pub enum TryFeed {
-    /// The chunk was admitted (or discarded because evaluation already
-    /// completed — one-shot semantics, matching [`StreamSession::feed`]).
-    Fed(Vec<u8>),
-    /// The input queue or budget is full; the chunk was **not** admitted.
-    /// Re-offer it after draining — parking the session meanwhile — or
-    /// fall back to the blocking [`StreamSession::feed`].
-    Busy(Vec<u8>),
-}
-
-impl TryFeed {
-    /// The drained output, whichever variant.
-    pub fn output(self) -> Vec<u8> {
-        match self {
-            TryFeed::Fed(out) | TryFeed::Busy(out) => out,
-        }
-    }
-
-    /// True when the chunk was admitted (or the session had completed).
-    pub fn accepted(&self) -> bool {
-        matches!(self, TryFeed::Fed(_))
-    }
-}
-
 /// Everything a finished session hands back.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
-    /// Output bytes not yet drained by earlier `feed`/`drain` calls.
+    /// Output bytes not handed out by earlier `feed`/`drain` calls.
     pub output: Vec<u8>,
     /// The engine's run report: per-session [`gcx_buffer::BufferStats`],
     /// timing, token counts, role accounting.
@@ -231,20 +208,12 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    /// Signaled when input arrives or the session closes/cancels (a
-    /// dedicated evaluator thread parked on need-input re-checks).
-    data_available: Condvar,
-    /// Signaled when the evaluator consumes input, produces output, or
-    /// terminates — anything a caller blocked in `feed` can act on.
-    space_available: Condvar,
-    /// Signaled when the caller drains output (a dedicated evaluator
-    /// thread parked on output backpressure re-checks the mark).
-    output_drained: Condvar,
+    /// What a caller blocked in `feed`/`finish`/`cancel` waits on; see
+    /// [`Shared::signal`] for when it is raised.
+    progress: Condvar,
     /// See [`SessionConfig::output_high_water`].
     output_high_water: usize,
-    /// See [`SessionConfig::output_max_bytes`].
-    output_max_bytes: usize,
-    /// External wakeup for parked drivers (see
+    /// The same signal for callers that sleep elsewhere (see
     /// [`SessionConfig::progress_waker`]).
     progress_waker: Option<ProgressWaker>,
 }
@@ -257,27 +226,35 @@ impl Shared {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn set_done(&self, result: Result<RunReport, String>) {
-        let mut st = self.lock();
-        if st.done.is_none() {
-            st.done = Some(result);
+    /// Tells a sleeping caller that the state changed in a way it can
+    /// act on. Raised by the evaluator side only, at edges: input
+    /// consumed, output empty → non-empty, and the task retiring (which
+    /// is also how a cancellation completes). Called **after** the
+    /// state lock is released — the waker may take its own locks — which
+    /// is safe because every waiter re-checks its predicate under the
+    /// lock before sleeping.
+    fn signal(&self) {
+        self.progress.notify_all();
+        if let Some(w) = &self.progress_waker {
+            w();
         }
-        self.data_available.notify_all();
-        self.space_available.notify_all();
-        self.output_drained.notify_all();
-        drop(st);
-        self.wake_progress();
     }
 
-    /// Takes the undrained output, returning its bytes to the budget and
-    /// waking an evaluator parked on the output high-water mark.
+    fn set_done(&self, result: Result<RunReport, String>) {
+        {
+            let mut st = self.lock();
+            if st.done.is_none() {
+                st.done = Some(result);
+            }
+        }
+        self.signal();
+    }
+
+    /// Takes the undrained output, returning its bytes to the budget.
     fn take_output(&self, st: &mut State, budget: &Option<Arc<MemoryBudget>>) -> Vec<u8> {
         let out = std::mem::take(&mut st.output);
         if let Some(b) = budget {
             b.release(out.len());
-        }
-        if !out.is_empty() {
-            self.output_drained.notify_all();
         }
         out
     }
@@ -288,14 +265,6 @@ impl Shared {
     fn reclaim(&self, st: &mut State, budget: &Option<Arc<MemoryBudget>>) {
         let _ = self.take_output(st, budget);
         StreamSession::release_input(st, budget);
-    }
-
-    /// Notifies an external parked driver, if one registered. Called
-    /// outside the state lock (the waker may take its own locks).
-    fn wake_progress(&self) {
-        if let Some(w) = &self.progress_waker {
-            w();
-        }
     }
 }
 
@@ -311,7 +280,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// The evaluator-side `Read`: pops fed chunks, **never blocking** — an
 /// empty queue surfaces as `WouldBlock`, which the lexer's non-blocking
 /// contract turns into [`StepOutcome::NeedInput`] (the session parks
-/// until `feed`/`close_input` wakes it).
+/// until `try_feed`/`close_input` wakes it).
 struct ChunkReader {
     shared: Arc<Shared>,
     budget: Option<Arc<MemoryBudget>>,
@@ -340,11 +309,9 @@ impl Read for ChunkReader {
             if let Some(b) = &self.budget {
                 b.release(n);
             }
-            self.shared.space_available.notify_all();
             drop(st);
-            // Queue space freed: a parked driver can re-offer its
-            // pending chunk.
-            self.shared.wake_progress();
+            // Queue space freed: the caller can re-offer its chunk.
+            self.shared.signal();
             return Ok(n);
         }
         if st.closed {
@@ -363,12 +330,11 @@ impl Read for ChunkReader {
 /// shared buffer on *tag boundaries* — whenever the staged bytes end with
 /// `>`, which escaped character data never does — so the lock is taken
 /// once per tag while incremental delivery (every complete tag is
-/// immediately visible to `feed`/`drain`) is preserved.
+/// immediately visible to `drain`) is preserved.
 ///
 /// The writer never parks: output backpressure is the engine's output
 /// *gate* (checked between steps), not a blocking write. A push only
-/// fails on cancellation or on the [`SessionConfig::output_max_bytes`]
-/// hard cap.
+/// fails on cancellation.
 struct SessionWriter {
     shared: Arc<Shared>,
     budget: Option<Arc<MemoryBudget>>,
@@ -381,9 +347,9 @@ struct SessionWriter {
 const STAGE_FLUSH_BYTES: usize = 8 * 1024;
 
 impl SessionWriter {
-    /// Pushes staged bytes to the shared output buffer, enforcing the
-    /// hard cap (the high-water mark is enforced by the engine's output
-    /// gate between steps, never here).
+    /// Pushes staged bytes to the shared output buffer (the high-water
+    /// mark is enforced by the engine's output gate between steps, never
+    /// here).
     fn push_staged(&mut self) -> io::Result<()> {
         if self.staged.is_empty() {
             return Ok(());
@@ -392,17 +358,7 @@ impl SessionWriter {
         if st.cancelled {
             return Err(io::Error::other("session cancelled"));
         }
-        let backlog = st.output.len();
-        if backlog.saturating_add(self.staged.len()) > self.shared.output_max_bytes {
-            return Err(io::Error::other(format!(
-                "{}: {} B undrained + {} B staged exceed the {} B cap \
-                 (client not draining)",
-                crate::OUTPUT_CAP_ERROR,
-                backlog,
-                self.staged.len(),
-                self.shared.output_max_bytes,
-            )));
-        }
+        let first = st.output.is_empty();
         st.output.extend_from_slice(&self.staged);
         if let Some(b) = &self.budget {
             // Soft accounting: an engine mid-emit cannot fail cleanly, so
@@ -410,14 +366,17 @@ impl SessionWriter {
             b.force_reserve(self.staged.len());
         }
         self.staged.clear();
-        // Fresh output can also unblock a caller waiting for queue space
-        // in `feed`: it wakes, drains, the gate reopens, the evaluator
-        // consumes input (the amplifying-query case: gate closed while
-        // the input queue is full).
-        self.shared.space_available.notify_all();
         drop(st);
-        // Fresh output: a parked driver can drain it.
-        self.shared.wake_progress();
+        if first {
+            // Only the first bytes after a drain are news: a caller that
+            // sleeps with output pending has chosen not to take it yet
+            // (its own downstream is full), and one that took it will
+            // see the next push as a fresh edge. This also covers the
+            // amplifying query — gate closed while the input queue is
+            // full — because a caller waiting for queue space drains
+            // before it sleeps.
+            self.shared.signal();
+        }
         Ok(())
     }
 }
@@ -440,7 +399,7 @@ impl Drop for SessionWriter {
     fn drop(&mut self) {
         // An engine that errors out mid-emit never flushes; hand over
         // whatever was staged so diagnostics see the partial output. A
-        // cap/cancel error here is already being reported elsewhere.
+        // cancel error here is already being reported elsewhere.
         let _ = self.push_staged();
     }
 }
@@ -518,9 +477,7 @@ impl Drop for EngineTask {
     }
 }
 
-/// The schedulable session task: one engine step per slice, shared by
-/// pooled mode (as a [`PoolTask`]) and dedicated-thread mode (driven by
-/// [`dedicated_loop`]).
+/// The schedulable session task: one engine step per slice.
 struct EvalTask {
     shared: Arc<Shared>,
     budget: Option<Arc<MemoryBudget>>,
@@ -532,7 +489,7 @@ struct EvalTask {
     step_budget: u32,
     metrics: Option<Arc<SessionMetrics>>,
     /// For panic accounting ([`EvaluatorPool::note_panic`]) only.
-    pool: Option<EvaluatorPool>,
+    pool: EvaluatorPool,
     label: Option<String>,
     flight: Option<Arc<gcx_obs::FlightRecorder>>,
     trace_id: u64,
@@ -557,8 +514,8 @@ impl EvalTask {
             }
         }
         if let Err(msg) = &result {
-            // Per-client failures (malformed streams, budget/cap trips)
-            // are expected under hostile input: info, not warn, so a
+            // Per-client failures (malformed streams, budget trips) are
+            // expected under hostile input: info, not warn, so a
             // default-level server stays quiet.
             log_info!(LOG_TARGET, "session failed: {msg}");
         }
@@ -630,8 +587,7 @@ impl PoolTask for EvalTask {
         }));
         match outcome {
             Ok(StepOutcome::Yielded) => Slice::Again,
-            Ok(StepOutcome::NeedInput) => Slice::Park(ParkReason::NeedInput),
-            Ok(StepOutcome::OutputBackpressure) => Slice::Park(ParkReason::OutputBackpressure),
+            Ok(StepOutcome::NeedInput | StepOutcome::OutputBackpressure) => Slice::Park,
             Ok(StepOutcome::Finished(report)) => {
                 *slot = None; // final writer flush lands before `done`
                 self.finish_with(Ok(report));
@@ -646,9 +602,7 @@ impl PoolTask for EvalTask {
             Err(payload) => {
                 let msg = panic_message(payload.as_ref()).to_string();
                 *slot = None;
-                if let Some(p) = &self.pool {
-                    p.note_panic();
-                }
+                self.pool.note_panic();
                 log_error!(
                     LOG_TARGET,
                     "evaluator panicked (session {}): {msg}",
@@ -661,50 +615,21 @@ impl PoolTask for EvalTask {
     }
 }
 
-/// Dedicated-thread driver: the same slice loop the scheduler runs, with
-/// the session's condvars standing in for park/wake.
-fn dedicated_loop(task: EvalTask, shared: Arc<Shared>) {
-    loop {
-        match task.run_slice() {
-            Slice::Again => continue,
-            Slice::Done => return,
-            Slice::Park(ParkReason::NeedInput) => {
-                let mut st = shared.lock();
-                while st.input.is_empty() && !st.closed && !st.cancelled {
-                    st = shared
-                        .data_available
-                        .wait(st)
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-            }
-            Slice::Park(ParkReason::OutputBackpressure) => {
-                let mut st = shared.lock();
-                while st.output.len() >= shared.output_high_water && !st.cancelled {
-                    st = shared
-                        .output_drained
-                        .wait(st)
-                        .unwrap_or_else(|p| p.into_inner());
-                }
-            }
-        }
-    }
-}
-
-/// How the session's task is driven.
-enum Evaluator {
-    /// One thread per session, parked on the session condvars.
-    Dedicated(Option<JoinHandle<()>>),
-    /// A task on the shared [`EvaluatorPool`] scheduler; the handle
-    /// re-enqueues it after a park.
-    Pooled(TaskHandle),
-}
+/// How long a blocked `feed` sleeps before re-offering a chunk the
+/// *budget* refused: sibling sessions return bytes to the shared budget
+/// without knowing who is waiting for them, so that one wait cannot be
+/// purely event-driven.
+const BUDGET_RETRY: Duration = Duration::from_millis(1);
 
 /// A push-driven evaluation of one compiled query over one input stream.
 /// See the module docs for the control-flow picture.
 pub struct StreamSession {
     shared: Arc<Shared>,
     cancel: CancelFlag,
-    evaluator: Evaluator,
+    /// Re-schedules the parked task. Only ever woken **outside** the
+    /// state lock: without pool workers the wake runs the task on the
+    /// calling thread, and the task takes that lock.
+    task: TaskHandle,
     input_queue_bytes: usize,
     budget: Option<Arc<MemoryBudget>>,
     /// The session has been finished/cancelled and its resources
@@ -714,12 +639,11 @@ pub struct StreamSession {
 
 impl StreamSession {
     /// Builds the session task for `compiled` over a fresh chunk queue
-    /// and hands it to the shared [`EvaluatorPool`] scheduler when
-    /// `config.pool` is set (fixed process thread count; a parked
-    /// session costs no thread), or to a dedicated thread otherwise.
-    /// `tags` must be (a snapshot/overlay of) the interner the query was
-    /// compiled against — [`crate::QueryService`] hands out matching
-    /// overlays; tags the document adds on top stay session-local.
+    /// and registers it with `config.pool`, or with a worker-less pool
+    /// of its own that runs it on the caller's thread. `tags` must be (a
+    /// snapshot/overlay of) the interner the query was compiled against
+    /// — [`crate::QueryService`] hands out matching overlays; tags the
+    /// document adds on top stay session-local.
     pub fn new(compiled: Arc<CompiledQuery>, tags: TagInterner, config: SessionConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -732,11 +656,8 @@ impl StreamSession {
                 output: Vec::new(),
                 done: None,
             }),
-            data_available: Condvar::new(),
-            space_available: Condvar::new(),
-            output_drained: Condvar::new(),
+            progress: Condvar::new(),
             output_high_water: config.output_high_water.max(STAGE_FLUSH_BYTES),
-            output_max_bytes: config.output_max_bytes.max(STAGE_FLUSH_BYTES),
             progress_waker: config.progress_waker.clone(),
         });
         let cancel = CancelFlag::new();
@@ -779,243 +700,83 @@ impl StreamSession {
                 st.cancelled || st.output.len() < gate_shared.output_high_water
             }));
         }
-        let task = EvalTask {
+        let pool = config.pool.clone().unwrap_or_else(EvaluatorPool::inline);
+        let task = pool.spawn_task(Box::new(EvalTask {
             shared: shared.clone(),
             budget: budget.clone(),
             engine: Mutex::new(Some(engine)),
             step_budget: config.step_budget.max(1),
             metrics: config.metrics.clone(),
-            pool: config.pool.clone(),
+            pool: pool.clone(),
             label: config.label.clone(),
             flight: config.flight_recorder.clone(),
             trace_id: config.trace_id,
             created: Instant::now(),
             run_started: Mutex::new(None),
-        };
-        let evaluator = match &config.pool {
-            Some(pool) => Evaluator::Pooled(pool.spawn_task(Box::new(task))),
-            None => {
-                let shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name("gcx-session".to_string())
-                    .spawn(move || {
-                        let shared2 = shared;
-                        dedicated_loop(task, shared2)
-                    })
-                    .expect("spawn session evaluator thread");
-                Evaluator::Dedicated(Some(handle))
-            }
-        };
+        }));
         StreamSession {
             shared,
             cancel,
-            evaluator,
+            task,
             input_queue_bytes: config.input_queue_bytes,
             budget,
             terminated: false,
         }
     }
 
-    /// Re-schedules a parked pooled task. Dedicated threads wake through
-    /// the session condvars, notified at every mutation site. Must be
-    /// called **outside** the state lock: after pool shutdown a wake
-    /// runs the task inline, and the task takes that lock.
-    fn wake_evaluator(&self) {
-        if let Evaluator::Pooled(handle) = &self.evaluator {
-            handle.wake();
-        }
+    /// Admission test for a `len`-byte chunk: there is room — or the
+    /// queue is empty (a single oversized chunk must not deadlock).
+    fn queue_has_room(&self, st: &State, len: usize) -> bool {
+        st.input_bytes == 0 || st.input_bytes + len <= self.input_queue_bytes
     }
 
-    /// Pushes one input chunk and returns every output byte produced so
-    /// far. Blocks while the input queue is full (backpressure) —
-    /// draining output meanwhile, since an amplifying query may be
-    /// parked on *output* backpressure while the input queue is full.
-    /// Chunks fed after the evaluator already completed are discarded,
-    /// matching one-shot semantics (the pull engine never reads past the
-    /// data it needs). Returns the session's error if evaluation has
-    /// failed.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<u8>, ServiceError> {
-        let mut collected = Vec::new();
-        let mut st = self.shared.lock();
-        loop {
-            if let Some(done) = &st.done {
-                if let Err(msg) = done {
-                    return Err(ServiceError::Session(msg.clone()));
-                }
-                break; // completed: drop the chunk, hand back output
+    /// Offers one input chunk without ever waiting and without touching
+    /// the output. `false` means the input queue or the budget is full
+    /// and the chunk was **not** admitted: re-offer it after the session
+    /// signals progress. A chunk offered after evaluation completed is
+    /// discarded (`true`), matching one-shot semantics — the engine
+    /// never reads past the data it needs. Fails with the session's
+    /// error if evaluation has failed, and with
+    /// [`ServiceError::BudgetExceeded`] for a chunk larger than the
+    /// entire budget, which no amount of waiting could admit.
+    pub fn try_feed(&mut self, chunk: &[u8]) -> Result<bool, ServiceError> {
+        {
+            let mut st = self.shared.lock();
+            match &st.done {
+                Some(Err(msg)) => return Err(ServiceError::Session(msg.clone())),
+                Some(Ok(_)) => return Ok(true),
+                None => {}
             }
             if chunk.is_empty() {
-                break;
+                return Ok(true);
             }
-            // Admit when there is room — or the queue is empty (a single
-            // oversized chunk must not deadlock).
-            if st.input_bytes == 0 || st.input_bytes + chunk.len() <= self.input_queue_bytes {
-                if let Some(b) = &self.budget {
-                    if !b.try_reserve(chunk.len()) {
-                        collected
-                            .extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
-                        drop(st);
-                        self.wake_evaluator();
-                        return Err(ServiceError::BudgetExceeded {
-                            requested: chunk.len(),
-                            used: b.used(),
-                            limit: b.limit(),
-                            drained: collected,
-                        });
-                    }
+            if let Some(b) = &self.budget {
+                if chunk.len() > b.limit() {
+                    return Err(ServiceError::BudgetExceeded {
+                        requested: chunk.len(),
+                        used: b.used(),
+                        limit: b.limit(),
+                    });
                 }
-                st.input_bytes += chunk.len();
-                st.input.push_back(chunk.to_vec());
-                self.shared.data_available.notify_all();
-                break;
             }
-            // Queue full: drain whatever output is pending (reopening
-            // the gate if the engine parked on it), wake the evaluator,
-            // and wait for space. The predicate is re-checked under the
-            // re-acquired lock, so a consume/push/done between the wake
-            // and the wait cannot be lost (all three notify
-            // `space_available`).
-            collected.extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
-            drop(st);
-            self.wake_evaluator();
-            st = self.shared.lock();
-            if st.done.is_some()
-                || st.input_bytes == 0
-                || st.input_bytes + chunk.len() <= self.input_queue_bytes
-                || !st.output.is_empty()
-            {
-                continue;
+            // Queue first: a reservation is only taken for a chunk that
+            // is then actually queued.
+            let admitted = self.queue_has_room(&st, chunk.len())
+                && self
+                    .budget
+                    .as_ref()
+                    .is_none_or(|b| b.try_reserve(chunk.len()));
+            if !admitted {
+                return Ok(false);
             }
-            st = self
-                .shared
-                .space_available
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
+            st.input_bytes += chunk.len();
+            st.input.push_back(chunk.to_vec());
         }
-        collected.extend_from_slice(&self.shared.take_output(&mut st, &self.budget));
-        drop(st);
-        self.wake_evaluator();
-        Ok(collected)
+        self.task.wake();
+        Ok(true)
     }
 
-    /// As [`feed`](Self::feed), but treats a budget rejection as
-    /// *backpressure*: the budget drains as sibling evaluators consume
-    /// queued input and callers drain output, so this waits and retries
-    /// until the chunk fits. A chunk that can **never** fit (larger than
-    /// the entire budget) fails immediately instead of livelocking;
-    /// callers who want bounded waits should size their chunks at or
-    /// below the budget limit.
-    pub fn feed_blocking(&mut self, chunk: &[u8]) -> Result<Vec<u8>, ServiceError> {
-        let mut output = Vec::new();
-        loop {
-            match self.feed(chunk) {
-                Ok(out) => {
-                    output.extend_from_slice(&out);
-                    return Ok(output);
-                }
-                Err(ServiceError::BudgetExceeded {
-                    requested,
-                    used,
-                    limit,
-                    drained,
-                }) => {
-                    output.extend_from_slice(&drained);
-                    if requested > limit {
-                        return Err(ServiceError::BudgetExceeded {
-                            requested,
-                            used,
-                            limit,
-                            drained: output,
-                        });
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Non-blocking [`feed`](Self::feed): never waits for queue space or
-    /// the budget. The session's output produced so far is always handed
-    /// back; [`TryFeed::Busy`] means the chunk was **not** admitted and
-    /// should be re-offered once siblings drain — the connection-loop
-    /// shape of gcx-net, where a worker parks a backpressured session
-    /// and serves other connections instead of blocking a thread on it.
-    pub fn try_feed(&mut self, chunk: &[u8]) -> Result<TryFeed, ServiceError> {
-        self.try_feed_inner(chunk, true)
-    }
-
-    /// As [`try_feed`](Self::try_feed), but **leaves produced output in
-    /// the session**: `true` means the chunk was admitted, `false` means
-    /// the queue/budget is full. For drivers whose own downstream is
-    /// backed up (a client that stopped reading): feeding must continue
-    /// so the evaluator keeps running, but draining would just move the
-    /// unread response into the driver's buffers — undrained, the
-    /// session's output high-water/hard-cap machinery applies instead.
-    pub fn try_feed_undrained(&mut self, chunk: &[u8]) -> Result<bool, ServiceError> {
-        Ok(self.try_feed_inner(chunk, false)?.accepted())
-    }
-
-    fn try_feed_inner(&mut self, chunk: &[u8], drain: bool) -> Result<TryFeed, ServiceError> {
-        let result = {
-            let mut st = self.shared.lock();
-            let take = |st: &mut State| {
-                if drain {
-                    self.shared.take_output(st, &self.budget)
-                } else {
-                    Vec::new()
-                }
-            };
-            if let Some(done) = &st.done {
-                if let Err(msg) = done {
-                    return Err(ServiceError::Session(msg.clone()));
-                }
-                // Completed: drop the chunk (one-shot semantics), hand
-                // back whatever output is left.
-                let out = take(&mut st);
-                TryFeed::Fed(out)
-            } else if chunk.is_empty() {
-                let out = take(&mut st);
-                TryFeed::Fed(out)
-            } else if st.input_bytes != 0 && st.input_bytes + chunk.len() > self.input_queue_bytes {
-                let out = take(&mut st);
-                TryFeed::Busy(out)
-            } else {
-                let admit = match &self.budget {
-                    Some(b) if !b.try_reserve(chunk.len()) => {
-                        let out = take(&mut st);
-                        if chunk.len() > b.limit() {
-                            // Can never fit: retrying would livelock.
-                            return Err(ServiceError::BudgetExceeded {
-                                requested: chunk.len(),
-                                used: b.used(),
-                                limit: b.limit(),
-                                drained: out,
-                            });
-                        }
-                        Some(TryFeed::Busy(out))
-                    }
-                    _ => None,
-                };
-                match admit {
-                    Some(busy) => busy,
-                    None => {
-                        st.input_bytes += chunk.len();
-                        st.input.push_back(chunk.to_vec());
-                        self.shared.data_available.notify_all();
-                        let out = take(&mut st);
-                        TryFeed::Fed(out)
-                    }
-                }
-            }
-        };
-        // Admitted input and drained output both make a parked session
-        // runnable again.
-        self.wake_evaluator();
-        Ok(result)
-    }
-
-    /// Takes the output produced so far without feeding anything.
+    /// Takes the output produced so far. Never waits.
     pub fn drain(&mut self) -> Vec<u8> {
         let out = {
             let mut st = self.shared.lock();
@@ -1023,9 +784,57 @@ impl StreamSession {
         };
         if !out.is_empty() {
             // The gate may have reopened.
-            self.wake_evaluator();
+            self.task.wake();
         }
         out
+    }
+
+    /// The blocking protocol: retries the non-blocking `ready` until it
+    /// holds, draining into `out` and sleeping on the condvar in
+    /// between. `room_for` is the queue space `ready` is after (0 when
+    /// it only waits for the run to end).
+    ///
+    /// Draining is part of waiting, not a courtesy: the evaluator may be
+    /// parked on the output bound, and then nothing moves until this
+    /// caller makes room.
+    fn block_until(
+        &mut self,
+        room_for: usize,
+        out: &mut Vec<u8>,
+        mut ready: impl FnMut(&mut Self) -> Result<bool, ServiceError>,
+    ) -> Result<(), ServiceError> {
+        while !ready(self)? {
+            out.extend_from_slice(&self.drain());
+            // `ready` and `drain` both released the lock (and, without
+            // pool workers, ran the evaluator right here), so the state
+            // is re-checked under the lock before sleeping: a signal
+            // raised in between had no waiter to reach.
+            let st = self.shared.lock();
+            if st.done.is_some() || !st.output.is_empty() {
+                continue;
+            }
+            if room_for > 0 && self.queue_has_room(&st, room_for) {
+                // Either the evaluator consumed input since `ready`
+                // looked, or it was the budget that refused.
+                if self.budget.is_some() {
+                    drop(self.shared.progress.wait_timeout(st, BUDGET_RETRY));
+                }
+                continue;
+            }
+            drop(self.shared.progress.wait(st));
+        }
+        Ok(())
+    }
+
+    /// Pushes one input chunk and returns every output byte produced so
+    /// far. Waits while the input queue or the budget is full
+    /// (backpressure), draining output meanwhile. Errors as
+    /// [`try_feed`](Self::try_feed) does.
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<u8>, ServiceError> {
+        let mut out = Vec::new();
+        self.block_until(chunk.len(), &mut out, |s| s.try_feed(chunk))?;
+        out.extend_from_slice(&self.drain());
+        Ok(out)
     }
 
     /// True once the evaluator has terminated (successfully or not).
@@ -1035,15 +844,10 @@ impl StreamSession {
 
     /// Signals end of input without waiting for the evaluator (the
     /// non-blocking half of [`finish`](Self::finish)); poll
-    /// [`is_finished`](Self::is_finished) / [`take_outcome`](Self::take_outcome)
-    /// afterwards. Idempotent.
+    /// [`take_outcome`](Self::take_outcome) afterwards. Idempotent.
     pub fn close_input(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            st.closed = true;
-            self.shared.data_available.notify_all();
-        }
-        self.wake_evaluator();
+        self.shared.lock().closed = true;
+        self.task.wake();
     }
 
     /// Non-blocking completion poll: `None` while the evaluator is still
@@ -1057,7 +861,6 @@ impl StreamSession {
         Self::release_input(&mut st, &self.budget);
         let done = st.done.take().expect("checked above");
         drop(st);
-        self.reap_evaluator();
         self.terminated = true;
         Some(match done {
             Ok(report) => Ok(SessionOutcome { output, report }),
@@ -1066,16 +869,16 @@ impl StreamSession {
     }
 
     /// Signals end of input, waits for the evaluator to complete, and
-    /// returns the remaining output together with the run report (which
-    /// carries this session's `BufferStats`).
+    /// returns the output not handed out yet together with the run
+    /// report (which carries this session's `BufferStats`).
     pub fn finish(mut self) -> Result<SessionOutcome, ServiceError> {
         self.close_input();
-        self.wait_done();
-        self.take_outcome().unwrap_or_else(|| {
-            Err(ServiceError::Session(
-                "evaluator terminated without a result (bug)".to_string(),
-            ))
-        })
+        let mut output = Vec::new();
+        self.block_until(0, &mut output, |s| Ok(s.is_finished()))?;
+        let mut outcome = self.take_outcome().expect("finished above")?;
+        output.append(&mut outcome.output);
+        outcome.output = output;
+        Ok(outcome)
     }
 
     /// Aborts the session: cancels the engine cooperatively, wakes the
@@ -1090,48 +893,25 @@ impl StreamSession {
             let mut st = self.shared.lock();
             st.cancelled = true;
             st.closed = true;
-            self.shared.data_available.notify_all();
-            self.shared.space_available.notify_all();
-            self.shared.output_drained.notify_all();
         }
-        // Waiting for `done` is bounded in every mode now that slices
-        // are bounded: a parked or queued task's next slice observes
-        // `cancelled` and retires immediately; after pool shutdown the
-        // wake below runs that slice inline on this thread.
-        self.wake_evaluator();
-        self.wait_done();
-        // The engine (and its writer) are gone — nothing can charge the
-        // budget anymore. Reclaim whatever the task's own cancelled-path
-        // reclaim did not cover (idempotent).
-        {
-            let mut st = self.shared.lock();
-            self.shared.reclaim(&mut st, &self.budget);
-        }
-        self.reap_evaluator();
-        self.terminated = true;
-    }
-
-    /// Blocks until the evaluator has set `done`.
-    fn wait_done(&self) {
+        // The wait is bounded because slices are: a parked or queued
+        // task's next slice observes `cancelled` (the gate opens for it)
+        // and retires; without pool workers the wake below runs that
+        // slice on this thread.
+        self.task.wake();
         let mut st = self.shared.lock();
         while st.done.is_none() {
             st = self
                 .shared
-                .space_available
+                .progress
                 .wait(st)
                 .unwrap_or_else(|p| p.into_inner());
         }
-    }
-
-    /// Joins the dedicated evaluator thread, if any (pool workers are
-    /// never joined here — they outlive sessions by design).
-    fn reap_evaluator(&mut self) {
-        if let Evaluator::Dedicated(handle) = &mut self.evaluator {
-            if let Some(handle) = handle.take() {
-                // The loop exits once the task retires (`done` is set).
-                let _ = handle.join();
-            }
-        }
+        // The engine (and its writer) are gone — nothing can charge the
+        // budget anymore. Reclaim whatever the task's own cancelled-path
+        // reclaim did not cover (idempotent).
+        self.shared.reclaim(&mut st, &self.budget);
+        self.terminated = true;
     }
 
     fn release_input(st: &mut State, budget: &Option<Arc<MemoryBudget>>) {
@@ -1343,10 +1123,10 @@ mod tests {
     }
 
     #[test]
-    fn try_feed_reports_busy_when_backpressured_and_recovers() {
+    fn try_feed_refuses_when_backpressured_and_recovers() {
         // Identity-ish query: output ≈ input, so an undrained consumer
         // closes the output gate quickly; the engine parks, the tiny
-        // input queue fills, and try_feed reports Busy without blocking.
+        // input queue fills, and try_feed refuses without blocking.
         let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
         let config = SessionConfig {
             input_queue_bytes: 64,
@@ -1363,38 +1143,20 @@ mod tests {
         }
         doc.push_str("</bib>");
         let expected = format!("<r>{body}</r>");
-        let mut chunks = doc.as_bytes().chunks(32);
-        let mut saw_busy = false;
-        let mut pending: Option<&[u8]> = None;
-        // Phase 1: feed without draining until the session pushes back.
-        for chunk in chunks.by_ref() {
-            if !session.try_feed_undrained(chunk).unwrap() {
-                saw_busy = true;
-                pending = Some(chunk);
-                break;
-            }
-        }
-        assert!(saw_busy, "gate closed + full queue must report Busy");
-        // Phase 2: drain-and-re-offer until everything is through.
+        // Feed without draining until the session pushes back, then
+        // drain and re-offer: with no pool the evaluator runs inside
+        // these calls, so a refusal followed by a drain must admit.
         let mut out = Vec::new();
-        let offer = |session: &mut StreamSession, chunk: &[u8], out: &mut Vec<u8>| loop {
-            match session.try_feed(chunk).unwrap() {
-                TryFeed::Fed(o) => {
-                    out.extend_from_slice(&o);
-                    break;
-                }
-                TryFeed::Busy(o) => {
-                    out.extend_from_slice(&o);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
+        let mut refusals = 0;
+        for chunk in doc.as_bytes().chunks(32) {
+            while !session.try_feed(chunk).unwrap() {
+                refusals += 1;
+                let drained = session.drain();
+                assert!(!drained.is_empty(), "refused with nothing to drain");
+                out.extend_from_slice(&drained);
             }
-        };
-        if let Some(chunk) = pending {
-            offer(&mut session, chunk, &mut out);
         }
-        for chunk in chunks {
-            offer(&mut session, chunk, &mut out);
-        }
+        assert!(refusals > 0, "gate closed + full queue must refuse");
         out.extend_from_slice(&session.finish().unwrap().output);
         assert_eq!(String::from_utf8(out).unwrap(), expected);
     }
@@ -1487,7 +1249,7 @@ mod tests {
         doc.push_str("</bib>");
         let mut failed = None;
         for chunk in doc.as_bytes().chunks(256) {
-            match session.feed_blocking(chunk) {
+            match session.feed(chunk) {
                 Ok(_) => {}
                 Err(e) => {
                     failed = Some(e);
@@ -1513,62 +1275,16 @@ mod tests {
     }
 
     #[test]
-    fn output_cap_fails_never_draining_session() {
-        // A consumer that never drains must not grow the session's
-        // output without bound. With the hard cap *below* the high-water
-        // mark, the gate never parks the engine first: the writer's push
-        // trips the cap and fails the session with a clean, attributable
-        // error.
-        let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
-        let config = SessionConfig {
-            output_high_water: 64 * 1024,
-            output_max_bytes: 32 * 1024,
-            ..Default::default()
-        };
-        let mut session = StreamSession::new(compiled, tags, config);
-        let mut doc = String::from("<bib>");
-        for i in 0..4000 {
-            doc.push_str(&format!("<book><title>Padding title {i}</title></book>"));
-        }
-        doc.push_str("</bib>");
-        // One oversized feed (admitted alone, drains nothing of note),
-        // then never drain again: every `feed`/`drain` call empties the
-        // output buffer, so the never-draining consumer is modeled by
-        // simply not calling them while the evaluator produces ~170 KB
-        // against a 32 KB cap.
-        let _ = session.feed(doc.as_bytes()).expect("admitted alone");
-        session.close_input();
-        // Stop draining entirely; the evaluator must fail the session.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let outcome = loop {
-            if let Some(r) = session.take_outcome() {
-                break r;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "session did not hit the output cap in time"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-        let err = outcome.expect_err("never-draining session must fail");
-        assert!(
-            err.to_string().contains(crate::OUTPUT_CAP_ERROR),
-            "got: {err}"
-        );
-    }
-
-    #[test]
     fn output_gate_parks_never_draining_session_bounded() {
-        // With the cap disabled, a never-draining consumer must *park*
-        // the session at the high-water mark — bounded backlog, no
-        // creeping growth (the old timed-park writer grew ~8 KB per
-        // 20 ms park slice; the gate holds the line exactly).
+        // A never-draining consumer must *park* the session at the
+        // high-water mark — bounded backlog, no creeping growth.
         let budget = Arc::new(MemoryBudget::new(1 << 30));
+        let pool = EvaluatorPool::new(1);
         let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
         let config = SessionConfig {
             budget: Some(budget.clone()),
+            pool: Some(pool.clone()),
             output_high_water: 16 * 1024,
-            output_max_bytes: usize::MAX,
             step_budget: 64, // small slices: tight overshoot bound
             ..Default::default()
         };
@@ -1594,6 +1310,38 @@ mod tests {
         assert!(!session.is_finished());
         session.cancel();
         assert_eq!(budget.used(), 0, "cancel reclaims the backlog");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn progress_is_signalled_on_edges_not_per_tag() {
+        // A consumer that never drains gains nothing from hearing about
+        // every tag appended to a backlog it is not taking. 500 titles =
+        // 1000 emitted tags, all far below the output bound, fed as one
+        // chunk smaller than a single lexer read: the waker fires for
+        // the input being consumed, for the first output bytes, and for
+        // the task retiring.
+        let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (compiled, tags) = compile(QUERY);
+        let config = SessionConfig {
+            progress_waker: Some(Arc::new({
+                let fired = fired.clone();
+                move || {
+                    fired.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }
+            })),
+            ..Default::default()
+        };
+        let mut session = StreamSession::new(compiled, tags, config);
+        let doc = format!("<bib>{}</bib>", "<book><title>T</title></book>".repeat(500));
+        assert!(session.try_feed(doc.as_bytes()).unwrap());
+        session.close_input();
+        let outcome = session.take_outcome().expect("ran on this thread").unwrap();
+        assert_eq!(
+            outcome.output.len(),
+            "<r></r>".len() + 500 * "<title>T</title>".len()
+        );
+        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 3);
     }
 
     #[test]
@@ -1603,7 +1351,6 @@ mod tests {
         let (compiled, tags) = compile(QUERY);
         let config = SessionConfig {
             output_high_water: 64, // absurdly small: park constantly
-            output_max_bytes: usize::MAX,
             ..Default::default()
         };
         let mut session = StreamSession::new(compiled, tags, config);

@@ -418,7 +418,7 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 
     // Clamp the chunk so one reservation always fits the whole budget;
-    // rejected chunks then wait (feed_blocking backpressure) instead of
+    // rejected chunks then wait (`feed` backpressure) instead of
     // failing.
     let chunk_size = cli.budget.map_or(cli.chunk, |b| cli.chunk.min(b.max(1)));
 
@@ -449,15 +449,13 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), String> {
                     if n == 0 {
                         break;
                     }
-                    let out = session
-                        .feed_blocking(&buf[..n])
-                        .map_err(|e| e.to_string())?;
+                    let out = session.feed(&buf[..n]).map_err(|e| e.to_string())?;
                     push(&mut sink, &out)?;
                 }
             }
             InputSrc::Mem(data) => {
                 for chunk in data.chunks(chunk_size) {
-                    let out = session.feed_blocking(chunk).map_err(|e| e.to_string())?;
+                    let out = session.feed(chunk).map_err(|e| e.to_string())?;
                     push(&mut sink, &out)?;
                 }
             }

@@ -5,12 +5,17 @@
 //! one-shot [`gcx::run_gcx`] — with the same reported peak buffer size —
 //! under *any* chunking of the input: one byte at a time, random split
 //! points (which land mid-tag, mid-entity and mid-text), and the whole
-//! document as a single chunk. Also exercises a concurrent run of ≥ 8
-//! sessions through one `QueryService` with measured cache hits.
+//! document as a single chunk — and under any *schedule*: evaluator on
+//! the caller's thread or on a shared pool, any step budget, output
+//! bound binding or not. Also exercises a concurrent run of ≥ 8 sessions
+//! through one `QueryService` with measured cache hits.
 
 use gcx::query::CompileOptions;
+use gcx::service::{EvaluatorPool, MemoryBudget, SessionConfig};
 use gcx::xml::TagInterner;
-use gcx::{BatchJob, QueryService, ServiceConfig};
+use gcx::{BatchJob, QueryService, ServiceConfig, StreamSession};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The differential corpus (kept in sync with `tests/differential.rs`).
 const DOC_BIB: &str = "<bib>\
@@ -248,4 +253,165 @@ fn eight_concurrent_sessions_share_cache() {
     assert_eq!(stats.sessions_opened, 12);
     assert_eq!(stats.cache_misses, 6, "six distinct queries");
     assert!(stats.cache_hits >= 6, "repeats hit the cache: {stats:?}");
+}
+
+/// One session over `chunks` with every scheduling knob explicit.
+/// Returns the output, the run report and what is still charged to the
+/// session's budget afterwards.
+fn scheduled(
+    query: &str,
+    chunks: &[&[u8]],
+    pool: Option<&EvaluatorPool>,
+    step_budget: u32,
+    output_high_water: usize,
+) -> (Vec<u8>, gcx::RunReport, usize) {
+    let mut tags = TagInterner::new();
+    let compiled = gcx::compile(query, &mut tags, CompileOptions::default()).expect("compile");
+    let budget = Arc::new(MemoryBudget::new(usize::MAX));
+    let mut session = StreamSession::new(
+        Arc::new(compiled),
+        tags,
+        SessionConfig {
+            pool: pool.cloned(),
+            budget: Some(budget.clone()),
+            step_budget,
+            output_high_water,
+            ..Default::default()
+        },
+    );
+    let mut out = Vec::new();
+    for chunk in chunks {
+        out.extend_from_slice(&session.feed(chunk).expect("feed"));
+    }
+    let outcome = session.finish().expect("finish");
+    out.extend_from_slice(&outcome.output);
+    (out, outcome.report, budget.used())
+}
+
+#[test]
+fn every_schedule_matches_one_shot() {
+    // The corpus outputs are all smaller than the 8 KiB floor of the
+    // output bound; this one is not, so under the floor setting the
+    // evaluator really parks on the bound and is resumed by drains.
+    let big_doc = format!(
+        "<bib>{}</bib>",
+        "<book><title>Padding title</title><price>7</price></book>".repeat(600)
+    );
+    let mut cases = corpus();
+    cases.push(("<r>{ for $b in /bib/book return $b }</r>", &big_doc));
+
+    let pools = [
+        None,
+        Some(EvaluatorPool::new(1)),
+        Some(EvaluatorPool::new(2)),
+    ];
+    let default_high_water = SessionConfig::default().output_high_water;
+    for (ci, (query, doc)) in cases.iter().enumerate() {
+        let (want, want_peak) = one_shot(query, doc);
+        let doc = doc.as_bytes();
+        let chunkings = [
+            vec![doc],
+            doc.chunks(1).collect(),
+            random_chunking(doc, &mut Lcg(0xC0FFEE ^ ci as u64)),
+        ];
+        for (pi, pool) in pools.iter().enumerate() {
+            for (ki, chunks) in chunkings.iter().enumerate() {
+                for step_budget in [1, 7, 4096] {
+                    for high_water in [8 * 1024, default_high_water] {
+                        let what = format!(
+                            "{query}: driver {pi}, chunking {ki}, step budget {step_budget}, \
+                             high water {high_water}"
+                        );
+                        let (got, report, charged) =
+                            scheduled(query, chunks, pool.as_ref(), step_budget, high_water);
+                        assert_eq!(want.as_bytes(), got, "output differs for {what}");
+                        assert_eq!(want_peak, report.stats.peak_nodes, "peak for {what}");
+                        assert_eq!(
+                            report.stats.roles_assigned, report.stats.roles_removed,
+                            "roles unbalanced for {what}"
+                        );
+                        assert_eq!(charged, 0, "budget not returned for {what}");
+                    }
+                }
+            }
+        }
+    }
+    for pool in pools.into_iter().flatten() {
+        pool.shutdown();
+    }
+}
+
+/// Runs `body` on its own thread and fails the test if it is still
+/// running after a minute: the failure mode under test is a hang.
+fn within_a_minute<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(body()));
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| panic!("{what} hung (or its thread panicked)"))
+}
+
+/// A document whose copy-all result is larger than the default output
+/// bound (4 MiB): the evaluator parks on the bound before the end.
+fn copy_all_doc() -> String {
+    let doc = format!(
+        "<r>{}</r>",
+        "<a><k>key</k><v>some padding text for the value</v></a>".repeat(100_000)
+    );
+    assert!(doc.len() > SessionConfig::default().output_high_water);
+    doc
+}
+
+const COPY_ALL: &str = "<o>{ for $a in /r/a return $a }</o>";
+
+#[test]
+fn finish_takes_the_output_a_single_feed_left_behind() {
+    // One feed, then finish: whoever waits for the end of the run is the
+    // only consumer left, so it has to keep taking output or the
+    // evaluator stays parked on the output bound forever.
+    let doc = copy_all_doc();
+    let (want, _) = one_shot(COPY_ALL, &doc);
+    for workers in [0, 1] {
+        let doc = doc.clone();
+        let got = within_a_minute("feed + finish", move || {
+            let pool = (workers > 0).then(|| EvaluatorPool::new(workers));
+            let (out, _, charged) = scheduled(
+                COPY_ALL,
+                &[doc.as_bytes()],
+                pool.as_ref(),
+                4096,
+                SessionConfig::default().output_high_water,
+            );
+            assert_eq!(charged, 0);
+            if let Some(pool) = pool {
+                pool.shutdown();
+            }
+            out
+        });
+        assert!(
+            got == want.as_bytes(),
+            "output differs with {workers} pool workers"
+        );
+    }
+}
+
+#[test]
+fn run_batch_with_one_chunk_per_document_completes() {
+    let doc = copy_all_doc();
+    let (want, _) = one_shot(COPY_ALL, &doc);
+    let chunk_size = doc.len();
+    let outcome = within_a_minute("run_batch", move || {
+        let jobs = [BatchJob {
+            query: COPY_ALL.to_string(),
+            input: doc.as_bytes().into(),
+            label: "copy-all".to_string(),
+        }];
+        QueryService::with_defaults()
+            .run_batch(&jobs, chunk_size)
+            .remove(0)
+            .expect("job succeeds")
+    });
+    assert!(
+        outcome.output == want.as_bytes(),
+        "run_batch output differs"
+    );
 }
