@@ -25,6 +25,14 @@
 //! engine holding only its frames + buffer — a few KB. The classic
 //! blocking [`GcxEngine::run`] is a thin loop over `step`.
 //!
+//! **A suspended engine holds no output.** `step` flushes the sink
+//! before it returns from any slice that ran, and once right after the
+//! output root's open tag, so the slice is the unit of output exchange:
+//! a sink may stage what a slice writes and hand it over on `flush`,
+//! and everything decided before a suspension point is visible to the
+//! consumer at that point — as early as a consumer on another thread
+//! could act on it.
+//!
 //! The same evaluator also powers two baselines (paper §7 comparisons):
 //! with `gc: false` signOffs are ignored (static analysis only), and with
 //! `preload: true` the whole projected document is materialized before
@@ -213,7 +221,7 @@ enum Frame<'q> {
     Preload,
     /// Open the output root element.
     Begin,
-    /// Close the output root and flush the sink.
+    /// Close the output root.
     End,
     /// Evaluate an expression (dispatches to the frames below).
     Eval(&'q Expr),
@@ -448,10 +456,12 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// `false`, [`Self::step`] returns
     /// [`StepOutcome::OutputBackpressure`] without running — the
     /// scheduler parks the session until the net layer drains the sink.
-    /// The probe is checked only at step boundaries, so a step that was
-    /// already running can overshoot by at most one budget's worth of
-    /// output. Do not combine with the blocking [`Self::run`] (which
-    /// would spin on a closed gate).
+    /// The probe is checked only at step boundaries, where the sink has
+    /// just been flushed (see [`Self::step`]): it sees every byte
+    /// produced so far, and a step that was already running can
+    /// overshoot by at most one budget's worth of output. Do not combine
+    /// with the blocking [`Self::run`] (which would spin on a closed
+    /// gate).
     pub fn set_output_gate(&mut self, gate: Box<dyn Fn() -> bool + Send>) {
         self.output_gate = Some(gate);
     }
@@ -460,6 +470,11 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// what stopped the slice. All evaluation state lives in the engine
     /// struct between calls — no thread ever parks inside. `budget` is
     /// clamped to ≥ 1 so every step makes progress.
+    ///
+    /// The sink is flushed before every return from a slice that ran
+    /// (`Yielded`, `NeedInput`, `Finished`; best-effort on `Err`), so no
+    /// output stays inside a suspended engine. A failing flush fails the
+    /// run ([`StepOutcome::Err`]).
     pub fn step(&mut self, budget: u32) -> StepOutcome {
         if self.complete {
             return StepOutcome::Err(EngineError::MissingData(
@@ -474,6 +489,15 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         let budget = budget.max(1);
         let t0 = Instant::now();
         let result = self.drive(budget);
+        // A suspended engine holds no output: whatever this slice wrote
+        // is handed to the sink before the caller regains control. After
+        // an evaluation error the flush is best-effort (the partial
+        // output is diagnostics) and the first error is the one reported.
+        let result = match (result, self.writer.flush()) {
+            (Err(e), _) if !e.is_need_input() => Err(e),
+            (_, Err(e)) => Err(e.into()),
+            (r, Ok(())) => r,
+        };
         let slice = t0.elapsed();
         self.run_elapsed += slice;
         match result {
@@ -750,13 +774,15 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             Frame::Begin => {
                 let root_tag = self.compiled.rewritten.root_tag;
                 self.writer.open(root_tag, self.projector.tags())?;
+                // Commit the response as evaluation starts: the first
+                // slice may run long before it suspends.
+                self.writer.flush()?;
                 self.trace("output root open");
                 Ok(())
             }
             Frame::End => {
                 let root_tag = self.compiled.rewritten.root_tag;
                 self.writer.close(root_tag, self.projector.tags())?;
-                self.writer.flush()?;
                 Ok(())
             }
             Frame::Eval(e) => self.eval_frame(e),

@@ -914,12 +914,13 @@ struct BodyState {
     pending_pos: usize,
     /// All input fed and `close_input` called.
     input_closed: bool,
-    /// Output produced after the upload completed, held back until the
-    /// session's verdict: emitting it would commit us to a 200, and with
-    /// the input already closed the verdict is at most one evaluation
-    /// away — so completed uploads that fail get a clean 4xx instead of
-    /// a racy truncated 200. (Mid-upload output streams immediately;
-    /// that is the whole point of the engine.)
+    /// Output held back while a clean 4xx is still possible: the upload
+    /// is complete (the verdict is at most one evaluation away) and the
+    /// head is unsent, so a session that fails now gets a 4xx instead of
+    /// a truncated 200. Never more than [`SEND_HIGH_WATER`]: past that —
+    /// or once the head is out, which mid-upload output forces at once —
+    /// the response is committed and streams, and the session's output
+    /// gate and the socket do the bounding.
     held: Vec<u8>,
     /// Socket saw EOF.
     saw_eof: bool,
@@ -1651,12 +1652,20 @@ impl Conn {
         }
 
         // 6. Pull output the engine has produced meanwhile — unless our
-        //    own send buffer is already backed up.
-        let mut output = Vec::new();
+        //    own send buffer is already backed up. Each drained block
+        //    goes out as one chunk.
         if self.send.len() - self.send_pos < SEND_HIGH_WATER {
-            output = body.session.drain();
+            let output = body.session.drain();
             if !output.is_empty() {
                 progress = true;
+                let hold = body.input_closed
+                    && !body.sent_head
+                    && body.held.len() + output.len() <= SEND_HIGH_WATER;
+                if hold {
+                    body.held.extend_from_slice(&output);
+                } else {
+                    self.emit_output(&mut body, &output);
+                }
             }
             // 7. Completed? With the input freshly closed the verdict is
             //    usually microseconds away (small requests evaluate in
@@ -1679,10 +1688,7 @@ impl Conn {
                 if let Some(outcome) = outcome {
                     match outcome {
                         Ok(ok) => {
-                            let mut full = std::mem::take(&mut body.held);
-                            full.extend_from_slice(&output);
-                            full.extend_from_slice(&ok.output);
-                            self.emit_output(&mut body, &full);
+                            self.emit_output(&mut body, &ok.output);
                             if body.chunked_response {
                                 self.send.extend_from_slice(http::FINAL_CHUNK);
                             }
@@ -1701,15 +1707,6 @@ impl Conn {
                 }
             }
         }
-        if !output.is_empty() {
-            if body.input_closed {
-                // Upload complete, verdict pending: hold (see `held`).
-                body.held.extend_from_slice(&output);
-            } else {
-                self.emit_output(&mut body, &output);
-            }
-            progress = true;
-        }
 
         self.state = ConnState::Body(body);
         if progress {
@@ -1719,10 +1716,12 @@ impl Conn {
         }
     }
 
-    /// Appends engine output to the response, sending the lazy 200 head
-    /// first when needed (always called at completion, even with empty
-    /// output, so the terminating chunk never goes out headless).
+    /// Appends engine output to the response as one chunk. This commits
+    /// to the 200: the lazy head and whatever was held go out first
+    /// (always called at completion, even with empty output, so the
+    /// terminating chunk never goes out headless).
     fn emit_output(&mut self, body: &mut BodyState, output: &[u8]) {
+        let held = std::mem::take(&mut body.held);
         if !body.sent_head {
             body.sent_head = true;
             if body.chunked_response {
@@ -1745,10 +1744,12 @@ impl Conn {
                 ));
             }
         }
-        if body.chunked_response {
-            http::encode_chunk(output, &mut self.send);
-        } else {
-            self.send.extend_from_slice(output);
+        for block in [&held[..], output] {
+            if body.chunked_response {
+                http::encode_chunk(block, &mut self.send);
+            } else {
+                self.send.extend_from_slice(block);
+            }
         }
     }
 

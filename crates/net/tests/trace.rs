@@ -1,6 +1,12 @@
 //! End-to-end tests for request-scoped tracing: the `/trace` endpoint,
 //! head-based sampling, retroactive slow-request keeps, and the
 //! `tracing` section of `/stats` (schema `gcx-net-stats/5`).
+//!
+//! A trace's keep decision lands right *after* the last response byte is
+//! on the wire, so a scrape over another connection (possibly another
+//! worker) can race it. Each test therefore scrapes over the keep-alive
+//! connection that carried the query: the server parses the next request
+//! on a connection only once the previous one is fully finished.
 
 mod support;
 use support::validate_json;
@@ -37,11 +43,12 @@ fn trace_export_holds_stage_spans_and_buffer_events() {
     )
     .unwrap();
     let addr = server.local_addr();
+    let mut conn = client::HttpClient::connect(addr).unwrap();
     let doc = make_doc(400);
-    let resp = client::post(addr, &query_path(QUERY), &doc).unwrap();
+    let resp = conn.post(&query_path(QUERY), &doc).unwrap();
     assert_eq!(resp.status, 200, "body: {}", resp.text());
 
-    let trace = client::get(addr, "/trace").unwrap();
+    let trace = conn.get("/trace").unwrap();
     assert_eq!(trace.status, 200);
     assert_eq!(
         trace.header("content-type").map(str::trim),
@@ -69,7 +76,7 @@ fn trace_export_holds_stage_spans_and_buffer_events() {
     assert!(text.contains("\"offset\":"), "{text}");
 
     // /stats reports the capture under the additive `tracing` section.
-    let stats = client::get(addr, "/stats").unwrap().text();
+    let stats = conn.get("/stats").unwrap().text();
     validate_json(&stats).unwrap_or_else(|e| panic!("/stats not JSON: {e}\n{stats}"));
     assert!(stats.contains("\"schema\": \"gcx-net-stats/5\""), "{stats}");
     assert!(stats.contains("\"tracing\": {"), "{stats}");
@@ -95,10 +102,11 @@ fn first_query_is_kept_despite_interleaved_requests() {
         assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
         assert_eq!(client::get(addr, "/stats").unwrap().status, 200);
     }
+    let mut conn = client::HttpClient::connect(addr).unwrap();
     let doc = make_doc(50);
-    let resp = client::post(addr, &query_path(QUERY), &doc).unwrap();
+    let resp = conn.post(&query_path(QUERY), &doc).unwrap();
     assert_eq!(resp.status, 200);
-    let text = client::get(addr, "/trace").unwrap().text();
+    let text = conn.get("/trace").unwrap().text();
     assert!(
         text.contains("\"name\":\"request\""),
         "first query not kept at sample_every=1000: {text}"
@@ -120,27 +128,14 @@ fn slow_requests_are_kept_even_when_sampling_is_off() {
     )
     .unwrap();
     let addr = server.local_addr();
+    let mut conn = client::HttpClient::connect(addr).unwrap();
     let doc = make_doc(50);
-    let resp = client::post(addr, &query_path(QUERY), &doc).unwrap();
+    let resp = conn.post(&query_path(QUERY), &doc).unwrap();
     assert_eq!(resp.status, 200);
-
-    // The keep decision lands right *after* the last response byte is on
-    // the wire, so an immediate scrape (different connection, possibly a
-    // different worker) can race it — poll briefly.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let text = client::get(addr, "/trace").unwrap().text();
-        validate_json(&text).unwrap_or_else(|e| panic!("/trace not JSON: {e}\n{text}"));
-        if text.contains("[slow]") {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "slow trace not kept: {text}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let stats = client::get(addr, "/stats").unwrap().text();
+    let text = conn.get("/trace").unwrap().text();
+    validate_json(&text).unwrap_or_else(|e| panic!("/trace not JSON: {e}\n{text}"));
+    assert!(text.contains("[slow]"), "slow trace not kept: {text}");
+    let stats = conn.get("/stats").unwrap().text();
     assert!(stats.contains("\"sample_every\": 0"), "{stats}");
     assert!(!stats.contains("\"slow_requests\": 0,"), "{stats}");
     server.shutdown();
@@ -159,13 +154,14 @@ fn unsampled_fast_requests_leave_no_kept_traces() {
     )
     .unwrap();
     let addr = server.local_addr();
+    let mut conn = client::HttpClient::connect(addr).unwrap();
     let doc = make_doc(20);
-    let resp = client::post(addr, &query_path(QUERY), &doc).unwrap();
+    let resp = conn.post(&query_path(QUERY), &doc).unwrap();
     assert_eq!(resp.status, 200);
-    let text = client::get(addr, "/trace").unwrap().text();
+    let text = conn.get("/trace").unwrap().text();
     validate_json(&text).unwrap_or_else(|e| panic!("/trace not JSON: {e}\n{text}"));
     assert!(!text.contains("\"name\":\"request\""), "{text}");
-    let stats = client::get(addr, "/stats").unwrap().text();
+    let stats = conn.get("/stats").unwrap().text();
     assert!(stats.contains("\"traces_captured\": 0,"), "{stats}");
     server.shutdown();
 }

@@ -10,7 +10,7 @@
 //!   ──────                                 ───────────────────────────────
 //!   try_feed(chunk) ─► bounded chunk queue ─► ChunkReader::read (WouldBlock when dry)
 //!        │ wake     ─► scheduler           ─► GcxEngine::step(budget)
-//!   drain()         ◄─ shared output buffer ◄─ SessionWriter::write
+//!   drain()         ◄─ shared output buffer ◄─ SessionWriter (one block per slice)
 //!   take_outcome()  ◄─ RunReport (BufferStats) once the task retires
 //! ```
 //!
@@ -38,9 +38,10 @@
 //!   end of the run.
 //!
 //! Output is handed back incrementally, as early as the stream permits
-//! (the GCX property). Errors are isolated per session: a malformed
-//! stream fails this session and surfaces on the next call, nothing
-//! else.
+//! (the GCX property): the engine flushes its sink whenever a slice
+//! ends, and that flush publishes the slice's output to `drain`. Errors
+//! are isolated per session: a malformed stream fails this session and
+//! surfaces on the next call, nothing else.
 //!
 //! ## Session state machine
 //!
@@ -185,6 +186,7 @@ pub struct SessionOutcome {
     pub report: RunReport,
 }
 
+#[derive(Default)]
 struct State {
     /// Fed chunks not yet consumed by the evaluator; the front chunk may
     /// be partially consumed (`head_offset` bytes already read).
@@ -321,36 +323,40 @@ impl Read for ChunkReader {
     }
 }
 
-/// The evaluator-side `Write`: appends to the shared output buffer so
-/// callers see results incrementally.
+/// The evaluator-side `Write`: stages one **block** of output and
+/// publishes it to the shared buffer when the engine flushes.
 ///
-/// `XmlWriter` emits several tiny writes per tag (`<`, name, `>`); taking
-/// the session mutex for each would triple lock traffic for no benefit.
-/// Writes are staged in a lock-free local micro-buffer and pushed to the
-/// shared buffer on *tag boundaries* — whenever the staged bytes end with
-/// `>`, which escaped character data never does — so the lock is taken
-/// once per tag while incremental delivery (every complete tag is
-/// immediately visible to `drain`) is preserved.
+/// The unit of exchange is the scheduler slice. [`GcxEngine::step`]
+/// flushes its sink before it returns from every slice (and once after
+/// the root's open tag), so publishing on `flush()` makes everything the
+/// engine has decided visible to `drain` at each point where the engine
+/// can suspend — no consumer on another thread could act on it earlier —
+/// while the session mutex, the budget charge and the empty → non-empty
+/// edge test run once per slice, not once per tag. A slice that writes
+/// more than [`BLOCK_BYTES`] publishes full blocks as it goes, so a
+/// single enormous text node (or a large step budget) cannot sit
+/// invisible in the staging area.
 ///
 /// The writer never parks: output backpressure is the engine's output
-/// *gate* (checked between steps), not a blocking write. A push only
-/// fails on cancellation.
+/// *gate* (checked between steps, when nothing is staged), not a
+/// blocking write. A publish only fails on cancellation.
 struct SessionWriter {
     shared: Arc<Shared>,
     budget: Option<Arc<MemoryBudget>>,
-    /// Locally staged bytes not yet pushed to the shared buffer.
+    /// The block being staged; not yet visible to `drain`.
     staged: Vec<u8>,
 }
 
-/// Safety valve: push even mid-tag once this much is staged (a single
-/// enormous text node must not sit invisible in the micro-buffer).
-const STAGE_FLUSH_BYTES: usize = 8 * 1024;
+/// Staged output is published without waiting for a flush once it
+/// reaches this size — the unit the input direction already moves in
+/// (the lexer's read buffer, gcx-net's `io_chunk_bytes`).
+const BLOCK_BYTES: usize = 64 * 1024;
 
 impl SessionWriter {
-    /// Pushes staged bytes to the shared output buffer (the high-water
-    /// mark is enforced by the engine's output gate between steps, never
-    /// here).
-    fn push_staged(&mut self) -> io::Result<()> {
+    /// Moves the staged block to the shared output buffer (the
+    /// high-water mark is enforced by the engine's output gate between
+    /// steps, never here).
+    fn publish(&mut self) -> io::Result<()> {
         if self.staged.is_empty() {
             return Ok(());
         }
@@ -371,7 +377,7 @@ impl SessionWriter {
             // Only the first bytes after a drain are news: a caller that
             // sleeps with output pending has chosen not to take it yet
             // (its own downstream is full), and one that took it will
-            // see the next push as a fresh edge. This also covers the
+            // see the next publish as a fresh edge. This also covers the
             // amplifying query — gate closed while the input queue is
             // full — because a caller waiting for queue space drains
             // before it sleeps.
@@ -384,23 +390,14 @@ impl SessionWriter {
 impl Write for SessionWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.staged.extend_from_slice(buf);
-        if self.staged.last() == Some(&b'>') || self.staged.len() >= STAGE_FLUSH_BYTES {
-            self.push_staged()?;
+        if self.staged.len() >= BLOCK_BYTES {
+            self.publish()?;
         }
         Ok(buf.len())
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.push_staged()
-    }
-}
-
-impl Drop for SessionWriter {
-    fn drop(&mut self) {
-        // An engine that errors out mid-emit never flushes; hand over
-        // whatever was staged so diagnostics see the partial output. A
-        // cancel error here is already being reported elsewhere.
-        let _ = self.push_staged();
+        self.publish()
     }
 }
 
@@ -482,7 +479,7 @@ struct EvalTask {
     shared: Arc<Shared>,
     budget: Option<Arc<MemoryBudget>>,
     /// `Some` while the engine is alive; consumed on completion, error,
-    /// panic or cancellation (dropping the engine flushes its writer).
+    /// panic or cancellation.
     /// The scheduler guarantees at most one slice runs at a time, so
     /// this mutex is uncontended — it exists to make the task `Sync`.
     engine: Mutex<Option<EngineTask>>,
@@ -500,8 +497,8 @@ struct EvalTask {
 impl EvalTask {
     /// Records final metrics, logs, publishes the result and (if the
     /// session was cancelled meanwhile) reclaims its accounting. The
-    /// engine must already be dropped — its writer's final flush has to
-    /// land in `output` before `done` is set.
+    /// engine's last `step` has returned, so its output is already in
+    /// `output` (a panicked slice's staged bytes are dropped with it).
     fn finish_with(&self, result: Result<RunReport, String>) {
         if let Some(m) = &self.metrics {
             if let Some(start) = *self.run_started.lock().unwrap_or_else(|p| p.into_inner()) {
@@ -546,8 +543,6 @@ impl PoolTask for EvalTask {
                 }
                 self.shared.reclaim(&mut st, &self.budget);
                 drop(st);
-                // Dropping the engine flushes its writer, which fails on
-                // the cancelled flag — nothing re-charges the budget.
                 *slot = None;
                 self.shared.set_done(Err("session cancelled".to_string()));
                 return Slice::Done;
@@ -589,7 +584,7 @@ impl PoolTask for EvalTask {
             Ok(StepOutcome::Yielded) => Slice::Again,
             Ok(StepOutcome::NeedInput | StepOutcome::OutputBackpressure) => Slice::Park,
             Ok(StepOutcome::Finished(report)) => {
-                *slot = None; // final writer flush lands before `done`
+                *slot = None;
                 self.finish_with(Ok(report));
                 Slice::Done
             }
@@ -646,18 +641,9 @@ impl StreamSession {
     /// document adds on top stay session-local.
     pub fn new(compiled: Arc<CompiledQuery>, tags: TagInterner, config: SessionConfig) -> Self {
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                input: VecDeque::new(),
-                head_offset: 0,
-                input_bytes: 0,
-                closed: false,
-                cancelled: false,
-                started: false,
-                output: Vec::new(),
-                done: None,
-            }),
+            state: Mutex::new(State::default()),
             progress: Condvar::new(),
-            output_high_water: config.output_high_water.max(STAGE_FLUSH_BYTES),
+            output_high_water: config.output_high_water.max(1),
             progress_waker: config.progress_waker.clone(),
         });
         let cancel = CancelFlag::new();
@@ -1130,7 +1116,7 @@ mod tests {
         let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
         let config = SessionConfig {
             input_queue_bytes: 64,
-            output_high_water: 8 * 1024, // clamped to STAGE_FLUSH_BYTES
+            output_high_water: 8 * 1024,
             ..Default::default()
         };
         let mut session = StreamSession::new(compiled, tags, config);
@@ -1314,34 +1300,84 @@ mod tests {
     }
 
     #[test]
-    fn progress_is_signalled_on_edges_not_per_tag() {
-        // A consumer that never drains gains nothing from hearing about
-        // every tag appended to a backlog it is not taking. 500 titles =
-        // 1000 emitted tags, all far below the output bound, fed as one
-        // chunk smaller than a single lexer read: the waker fires for
-        // the input being consumed, for the first output bytes, and for
-        // the task retiring.
+    fn writer_publishes_per_flush_or_full_block_not_per_tag() {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::default()),
+            progress: Condvar::new(),
+            output_high_water: 1,
+            progress_waker: None,
+        });
+        let mut writer = SessionWriter {
+            shared: shared.clone(),
+            budget: None,
+            staged: Vec::new(),
+        };
+        for _ in 0..1000 {
+            // The write pattern of `XmlWriter` for `<t>x</t>`.
+            for piece in [&b"<"[..], b"t", b">", b"x", b"</", b"t", b">"] {
+                writer.write_all(piece).unwrap();
+            }
+        }
+        assert!(
+            shared.lock().output.is_empty(),
+            "tags alone publish nothing"
+        );
+        writer.flush().unwrap();
+        assert_eq!(shared.lock().output.len(), 1000 * "<t>x</t>".len());
+        // One oversized text node must not wait for the slice to end.
+        shared.lock().output.clear();
+        writer.write_all(&vec![b'x'; 200 * 1024]).unwrap();
+        assert_eq!(shared.lock().output.len(), 200 * 1024);
+    }
+
+    #[test]
+    fn progress_is_signalled_per_slice_not_per_tag() {
+        // The worst case for the signalling rule is a consumer that
+        // takes the output on every wake-up: each publish then finds the
+        // shared buffer empty and is an edge. 1500 titles = 3000 emitted
+        // tags, fed as one chunk smaller than a single lexer read, on a
+        // pool worker while this thread drains: the waker fires for the
+        // input being consumed, for the root tag, for the task retiring,
+        // and at most once per slice or full block in between.
         let fired = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (woken, wakeups) = std::sync::mpsc::channel();
+        let pool = EvaluatorPool::new(1);
         let (compiled, tags) = compile(QUERY);
         let config = SessionConfig {
+            pool: Some(pool.clone()),
             progress_waker: Some(Arc::new({
                 let fired = fired.clone();
                 move || {
                     fired.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    let _ = woken.send(());
                 }
             })),
             ..Default::default()
         };
         let mut session = StreamSession::new(compiled, tags, config);
-        let doc = format!("<bib>{}</bib>", "<book><title>T</title></book>".repeat(500));
+        let doc = format!(
+            "<bib>{}</bib>",
+            "<book><title>T</title></book>".repeat(1500)
+        );
         assert!(session.try_feed(doc.as_bytes()).unwrap());
         session.close_input();
-        let outcome = session.take_outcome().expect("ran on this thread").unwrap();
+        let mut output = Vec::new();
+        let outcome = loop {
+            wakeups.recv().expect("waker alive while the session runs");
+            output.extend_from_slice(&session.drain());
+            if let Some(outcome) = session.take_outcome() {
+                break outcome.unwrap();
+            }
+        };
+        output.extend_from_slice(&outcome.output);
         assert_eq!(
-            outcome.output.len(),
-            "<r></r>".len() + 500 * "<title>T</title>".len()
+            output.len(),
+            "<r></r>".len() + 1500 * "<title>T</title>".len()
         );
-        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 3);
+        let fired = fired.load(std::sync::atomic::Ordering::SeqCst);
+        let bound = pool.steps() as usize + output.len() / BLOCK_BYTES + 3;
+        assert!(fired <= bound, "{fired} wake-ups for {bound} allowed");
+        pool.shutdown();
     }
 
     #[test]

@@ -17,112 +17,8 @@ use gcx::{BatchJob, QueryService, ServiceConfig, StreamSession};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The differential corpus (kept in sync with `tests/differential.rs`).
-const DOC_BIB: &str = "<bib>\
-    <book><title>T1</title><author>A</author><price>12</price></book>\
-    <book><title>T2</title><author>B</author></book>\
-    <cd><title>T3</title><label>L</label></cd>\
-    <book><title>T4</title><price>7</price><price>9</price></book>\
-</bib>";
-
-const DOC_NESTED: &str =
-    "<a><a><b><b>x</b></b><c><b>y</b></c></a><b>z</b><d><e><b>w</b></e></d></a>";
-
-const DOC_PEOPLE: &str = "<db>\
-    <person><id>1</id><name>Ann</name><age>34</age></person>\
-    <person><id>2</id><name>Bob</name></person>\
-    <sale><buyer>2</buyer><sum>10</sum></sale>\
-    <sale><buyer>1</buyer><sum>20</sum></sale>\
-    <sale><buyer>2</buyer><sum>30</sum></sale>\
-</db>";
-
-const DOC_MIXED: &str = "<a>\n  <b> x </b>\n  <b>y<c/>z</b>\n</a>";
-
-const DOC_VALUES: &str = "<l><v>9</v><v>10</v><v>x10</v><v>02</v></l>";
-
-fn corpus() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("<r>{ for $b in /bib/book return $b/title }</r>", DOC_BIB),
-        ("<r>{ for $b in /bib/book return $b }</r>", DOC_BIB),
-        ("<r>{ for $x in /bib/* return $x/title }</r>", DOC_BIB),
-        ("<r>{ for $b in //b return $b }</r>", DOC_NESTED),
-        (
-            "<r>{ for $a in //a return for $b in $a//b return <hit/> }</r>",
-            DOC_NESTED,
-        ),
-        ("<r>{ for $t in /bib//title return $t/text() }</r>", DOC_BIB),
-        (
-            r#"<r>{ for $b in /bib/book return
-                if (exists($b/price)) then $b/title else () }</r>"#,
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ for $b in /bib/book return
-                if (not(exists($b/price))) then $b else () }</r>"#,
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ for $b in /bib/book return
-                if ($b/price >= 9 and exists($b/author)) then $b/title else <cheap/> }</r>"#,
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ for $b in /bib/book return
-                if ($b/title = "T2" or $b/price < 8) then $b/author else () }</r>"#,
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ for $p in /db/person return
-                <row>{ ($p/name, for $s in /db/sale return
-                    if ($s/buyer = $p/id) then $s/sum else ()) }</row> }</r>"#,
-            DOC_PEOPLE,
-        ),
-        (
-            r#"<r>{ for $s in /db/sale return for $p in /db/person return
-                if ($p/id = $s/buyer) then <pair>{ $p/name }</pair> else () }</r>"#,
-            DOC_PEOPLE,
-        ),
-        (
-            r#"<r>{ for $b in /bib/book return
-                <entry><head>{ $b/title }</head><tail>{ ($b/author, $b/price) }</tail></entry> }</r>"#,
-            DOC_BIB,
-        ),
-        ("<r><empty/>{ () }<also/></r>", DOC_BIB),
-        (
-            "<r>{ for $x in /bib/* return <k>{ $x/text() }</k> }</r>",
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ (for $b in /bib/book return $b/title,
-                    for $b in /bib/book return $b/author,
-                    for $c in /bib/cd return $c/label) }</r>"#,
-            DOC_BIB,
-        ),
-        (
-            r#"<r>{ for $a in /a/a return
-                     for $x in $a/* return
-                       for $b in $x/b return <leaf>{ $b/text() }</leaf> }</r>"#,
-            DOC_NESTED,
-        ),
-        ("<r>{ for $z in /bib/zzz return $z }</r>", DOC_BIB),
-        ("<r>{ for $b in //nothing return $b }</r>", "<a/>"),
-        ("<r>{ for $b in /a/b return $b }</r>", DOC_MIXED),
-        ("<r>{ for $b in /a/b return $b/text() }</r>", DOC_MIXED),
-        (
-            r#"<r>{ for $v in /l/v return if ($v/text() < 10) then $v else () }</r>"#,
-            DOC_VALUES,
-        ),
-        ("<r>{ for $b in $root/bib return $b/cd }</r>", DOC_BIB),
-        (
-            "<r>{ let $books := /bib/book return for $b in $books/title return $b }</r>",
-            DOC_BIB,
-        ),
-        (
-            "<r>{ for $a in //a return for $b in $a//b return <x/> }</r>",
-            "<a><a><a><b><b/></b></a></a><b/></a>",
-        ),
-    ]
-}
+mod corpus;
+use corpus::corpus;
 
 fn one_shot(query: &str, doc: &str) -> (String, usize) {
     let mut tags = TagInterner::new();
@@ -290,9 +186,10 @@ fn scheduled(
 
 #[test]
 fn every_schedule_matches_one_shot() {
-    // The corpus outputs are all smaller than the 8 KiB floor of the
-    // output bound; this one is not, so under the floor setting the
-    // evaluator really parks on the bound and is resumed by drains.
+    // The corpus outputs are a few hundred bytes; this one is 35 KB, so
+    // under both small bounds the evaluator really parks and is resumed
+    // by drains. The bound is independent of the writer's block size:
+    // 512 B parks after every slice that emitted anything.
     let big_doc = format!(
         "<bib>{}</bib>",
         "<book><title>Padding title</title><price>7</price></book>".repeat(600)
@@ -317,7 +214,7 @@ fn every_schedule_matches_one_shot() {
         for (pi, pool) in pools.iter().enumerate() {
             for (ki, chunks) in chunkings.iter().enumerate() {
                 for step_budget in [1, 7, 4096] {
-                    for high_water in [8 * 1024, default_high_water] {
+                    for high_water in [512, 8 * 1024, default_high_water] {
                         let what = format!(
                             "{query}: driver {pi}, chunking {ki}, step budget {step_budget}, \
                              high water {high_water}"
