@@ -88,11 +88,6 @@ pub struct EngineOptions {
     /// Materialize the full projected document before evaluating
     /// (Galax-style static projection \[13\]).
     pub preload: bool,
-    /// Skip dead subtrees with the lexer's raw byte scanner instead of
-    /// pumping them event by event (on by default; the per-event path is
-    /// kept for differential tests and ablations — both produce
-    /// identical output and buffer states).
-    pub skip_lexing: bool,
     /// Lexer options for the input stream.
     pub lexer: LexerOptions,
 }
@@ -102,7 +97,6 @@ impl Default for EngineOptions {
         EngineOptions {
             gc: true,
             preload: false,
-            skip_lexing: true,
             lexer: LexerOptions::default(),
         }
     }
@@ -145,7 +139,7 @@ pub struct RunReport {
     pub tokens_read: u64,
     pub tokens_skipped: u64,
     /// Input bytes consumed by skip-mode lexing (dead subtrees scanned
-    /// as raw bytes; 0 when `skip_lexing` is off or nothing was dead).
+    /// as raw bytes; 0 when nothing was dead).
     pub bytes_skipped: u64,
     /// `Some(true)` when GC ran and every assigned role instance was
     /// removed (paper safety requirement 2 + Theorem 1 precondition).
@@ -330,8 +324,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     ) -> Self {
         let mut buffer = BufferTree::new(compiled.roles.len(), &compiled.projection.aggregates);
         let lexer = XmlLexer::with_options(input, tags, options.lexer);
-        let mut projector = Preprojector::new(lexer, &compiled.projection.tree, &mut buffer);
-        projector.set_skip_lexing(options.skip_lexing);
+        let projector = Preprojector::new(lexer, &compiled.projection.tree, &mut buffer);
         let writer = XmlWriter::new(output);
         let bindings = vec![None; compiled.rewritten.vars.len()];
         GcxEngine {
@@ -1810,14 +1803,9 @@ mod tests {
         }
     }
 
-    /// `NeedInput` suspends evaluation wherever it was (mid-construct,
-    /// mid-skip, mid-pump) and a retried step resumes it losslessly.
-    #[test]
-    fn need_input_steps_resume_losslessly() {
-        let query = "<r>{ for $b in /bib/book return $b/title }</r>";
-        let doc = "<bib><book><title>A</title></book><junk><x/><deep><y/></deep></junk>\
-                   <book><title>B</title></book></bib>";
-        let (reference, _) = gcx_output(query, doc);
+    /// Steps `query` over `doc` behind a [`BlockyReader`]; returns the
+    /// output, the report and how often the engine asked for input.
+    fn run_blocky(query: &str, doc: &str) -> (String, RunReport, u64) {
         let mut tags = TagInterner::new();
         let compiled = compile_default(query, &mut tags).unwrap();
         let input = BlockyReader {
@@ -1843,8 +1831,46 @@ mod tests {
             }
         };
         drop(engine);
-        assert_eq!(String::from_utf8(out).unwrap(), reference);
+        (String::from_utf8(out).unwrap(), report, need_input)
+    }
+
+    /// `NeedInput` suspends evaluation wherever it was (mid-construct,
+    /// mid-skip, mid-pump) and a retried step resumes it losslessly.
+    #[test]
+    fn need_input_steps_resume_losslessly() {
+        let query = "<r>{ for $b in /bib/book return $b/title }</r>";
+        let doc = "<bib><book><title>A</title></book><junk><x/><deep><y/></deep></junk>\
+                   <book><title>B</title></book></bib>";
+        let (reference, _) = gcx_output(query, doc);
+        let (out, report, need_input) = run_blocky(query, doc);
+        assert_eq!(out, reference);
         assert!(need_input > 0, "the blocky reader must surface NeedInput");
+        assert_eq!(report.safety, Some(true));
+    }
+
+    /// A dead subtree far larger than the reader's chunk: the raw skip
+    /// blocks hundreds of times mid-subtree and every retried step must
+    /// resume *that skip* — the matcher is already inside the subtree —
+    /// rather than lex a fresh token.
+    #[test]
+    fn blocked_raw_skip_resumes_inside_the_dead_subtree() {
+        let query = "<r>{ for $b in /bib/book return $b/title }</r>";
+        let mut doc = String::from("<bib><book><title>A</title></book><junk>");
+        for i in 0..40 {
+            doc.push_str(&format!(
+                "<item n='{i}>'><!-- > --><![CDATA[</junk>]]><deep><y/>text</deep></item>"
+            ));
+        }
+        doc.push_str("</junk><book><title>B</title></book></bib>");
+        let (reference, ref_report) = gcx_output(query, &doc);
+        assert!(ref_report.bytes_skipped > 2_000, "junk must be raw-skipped");
+        let (out, report, need_input) = run_blocky(query, &doc);
+        assert_eq!(out, reference);
+        assert_eq!(out, "<r><title>A</title><title>B</title></r>");
+        assert!(need_input as usize > doc.len() / 4, "got {need_input}");
+        assert_eq!(report.bytes_skipped, ref_report.bytes_skipped);
+        assert_eq!(report.tokens_read, ref_report.tokens_read);
+        assert_eq!(report.tokens_skipped, ref_report.tokens_skipped);
         assert_eq!(report.safety, Some(true));
     }
 

@@ -14,9 +14,7 @@
 //! raw skip scanner ([`XmlLexer::skip_subtree`]): the bytes are consumed
 //! without copying text, decoding entities, interning attribute names or
 //! materializing events, and are reported by
-//! [`Preprojector::bytes_skipped`]. The per-event skip loop is kept
-//! behind [`Preprojector::set_skip_lexing`] so differential tests (and
-//! ablations) can prove the two paths equivalent.
+//! [`Preprojector::bytes_skipped`].
 
 use crate::error::EngineError;
 use crate::metrics::EngineStageMetrics;
@@ -50,20 +48,6 @@ struct OpenEntry {
     attach: BufNodeId,
 }
 
-/// A dead-subtree skip that blocked mid-way on a non-blocking input.
-///
-/// The matcher consumed the subtree's `Open` *before* the skip started,
-/// so a blocked skip must be **resumed** on the next pump — re-lexing a
-/// fresh token would run it against a matcher that is already one level
-/// deep into the dead subtree.
-enum SkipResume {
-    /// The lexer's raw skip blocked; the lexer's own resume state holds
-    /// the position and depth.
-    Raw,
-    /// The per-event fallback blocked at this element depth.
-    Events(usize),
-}
-
 /// Streaming projector over a lexer. See module docs.
 pub struct Preprojector<'t, 'q, R: Read> {
     lexer: XmlLexer<'t, R>,
@@ -76,9 +60,6 @@ pub struct Preprojector<'t, 'q, R: Read> {
     pub tokens_read: u64,
     /// Tokens skipped without buffering (statistics).
     pub tokens_skipped: u64,
-    /// Use skip-mode lexing for dead subtrees (default). Off = pump the
-    /// lexer per event, matching the historical behaviour exactly.
-    skip_lexing: bool,
     /// Sampled per-stage timing sink (see [`crate::metrics`]). `None`
     /// keeps the hot path free of any timing work.
     stage_metrics: Option<Arc<EngineStageMetrics>>,
@@ -89,9 +70,12 @@ pub struct Preprojector<'t, 'q, R: Read> {
     /// Pump steps between timed samples, and the running tick.
     sample_every: u32,
     sample_tick: u32,
-    /// A dead-subtree skip that blocked on `WouldBlock`; resumed by the
-    /// next [`Self::pump`] before anything new is lexed.
-    pending_skip: Option<SkipResume>,
+    /// A dead-subtree skip blocked on `WouldBlock` (the lexer holds the
+    /// position and depth). The matcher consumed the subtree's `Open`
+    /// *before* the skip started, so the next [`Self::pump`] must resume
+    /// the skip — lexing a fresh token would run it against a matcher
+    /// that is already one level deep into the dead subtree.
+    pending_skip: bool,
 }
 
 /// Records `t0.elapsed()` into the stage picked by `pick` when this pump
@@ -140,12 +124,11 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
             eof: false,
             tokens_read: 0,
             tokens_skipped: 0,
-            skip_lexing: true,
             stage_metrics: None,
             flight: None,
             sample_every: crate::metrics::DEFAULT_STAGE_SAMPLE_EVERY,
             sample_tick: 0,
-            pending_skip: None,
+            pending_skip: false,
         }
     }
 
@@ -170,13 +153,6 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
     /// lexer owns the counter; this is its only skip-driving caller).
     pub fn bytes_skipped(&self) -> u64 {
         self.lexer.bytes_skipped()
-    }
-
-    /// Toggles skip-mode lexing for dead subtrees (on by default). The
-    /// per-event fallback exists for differential tests and ablation
-    /// runs; both paths produce identical buffers and output.
-    pub fn set_skip_lexing(&mut self, on: bool) {
-        self.skip_lexing = on;
     }
 
     /// Access to the tag interner (for output rendering).
@@ -225,20 +201,10 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         // A dead-subtree skip blocked mid-way last pump: finish it before
         // lexing anything new, then do the matcher close + accounting
         // that the original skip never reached (exactly once).
-        if let Some(resume) = self.pending_skip.take() {
+        if self.pending_skip {
             let tok_offset = self.lexer.offset();
             let t_skip = sampled.then(Instant::now);
-            match resume {
-                SkipResume::Raw => {
-                    if let Err(e) = self.lexer.skip_subtree() {
-                        if e.is_would_block() {
-                            self.pending_skip = Some(SkipResume::Raw);
-                        }
-                        return Err(e.into());
-                    }
-                }
-                SkipResume::Events(depth) => self.skip_subtree_events(depth)?,
-            }
+            self.skip_dead_subtree()?;
             record_stage(
                 &self.stage_metrics,
                 &self.flight,
@@ -308,27 +274,17 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                     Ok(PumpEvent::Buffered(node))
                 } else if self.matcher.is_dead() {
                     // Nothing inside this subtree can match: skip to the
-                    // matching close without per-token matching — as a
-                    // raw byte scan when skip-mode lexing is on.
-                    if self.skip_lexing {
-                        let t_skip = sampled.then(Instant::now);
-                        if let Err(e) = self.lexer.skip_subtree() {
-                            if e.is_would_block() {
-                                self.pending_skip = Some(SkipResume::Raw);
-                            }
-                            return Err(e.into());
-                        }
-                        record_stage(
-                            &self.stage_metrics,
-                            &self.flight,
-                            |m| &m.skip,
-                            SpanKind::Skip,
-                            t_skip,
-                            tok_offset,
-                        );
-                    } else {
-                        self.skip_subtree_events(0)?;
-                    }
+                    // matching close as a raw byte scan.
+                    let t_skip = sampled.then(Instant::now);
+                    self.skip_dead_subtree()?;
+                    record_stage(
+                        &self.stage_metrics,
+                        &self.flight,
+                        |m| &m.skip,
+                        SpanKind::Skip,
+                        t_skip,
+                        tok_offset,
+                    );
                     self.matcher.close();
                     self.tokens_skipped += 1;
                     Ok(PumpEvent::Skipped)
@@ -410,39 +366,13 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         }
     }
 
-    /// Consumes tokens until the current element's closing tag, without
-    /// matching (the matcher has proven the subtree dead). Per-event
-    /// fallback for [`XmlLexer::skip_subtree`]; see
-    /// [`Self::set_skip_lexing`]. On `WouldBlock` the reached depth is
-    /// parked in [`Self::pending_skip`] so the next pump resumes here.
-    fn skip_subtree_events(&mut self, mut depth: usize) -> Result<(), EngineError> {
-        loop {
-            let event = match self.lexer.next_event() {
-                Ok(ev) => ev,
-                Err(e) => {
-                    if e.is_would_block() {
-                        self.pending_skip = Some(SkipResume::Events(depth));
-                    }
-                    return Err(e.into());
-                }
-            };
-            let Some(event) = event else {
-                // Unbalanced input is caught by the lexer itself.
-                return Ok(());
-            };
-            self.tokens_read += 1;
-            self.tokens_skipped += 1;
-            match event {
-                XmlEvent::Open(_) => depth += 1,
-                XmlEvent::Close(_) => {
-                    if depth == 0 {
-                        return Ok(());
-                    }
-                    depth -= 1;
-                }
-                XmlEvent::Text(_) => {}
-            }
-        }
+    /// Raw-skips to the current element's closing tag, starting or
+    /// resuming. On `WouldBlock` the skip stays pending for the next pump.
+    fn skip_dead_subtree(&mut self) -> Result<(), EngineError> {
+        let result = self.lexer.skip_subtree();
+        self.pending_skip = matches!(&result, Err(e) if e.is_would_block());
+        result?;
+        Ok(())
     }
 
     /// Pumps until end of input (used by the static-projection baseline).

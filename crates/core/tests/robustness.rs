@@ -2,7 +2,7 @@
 //! engine must return errors (never panic, never corrupt accounting) on
 //! bad I/O, and handle extreme document shapes within reasonable cost.
 
-use gcx_core::{run_gcx, EngineError, EngineOptions, GcxEngine};
+use gcx_core::{run_dom, run_gcx, EngineError};
 use gcx_query::compile_default;
 use gcx_xml::TagInterner;
 use std::io::{self, Read, Write};
@@ -207,21 +207,16 @@ fn early_termination_skips_input_tail() {
     );
     assert!(report.stats.peak_nodes < 8);
 
-    // Differential: the per-event skip path (skip-mode lexing off) is
-    // byte-identical, with identical buffer peaks.
+    // Differential: the DOM baseline tokenizes every junk body and must
+    // agree byte for byte.
     let mut tags2 = TagInterner::new();
     let compiled2 = compile_default("<r>{ for $f in /a/first return $f }</r>", &mut tags2).unwrap();
     let mut out2 = Vec::new();
-    let opts = EngineOptions {
-        skip_lexing: false,
-        ..Default::default()
-    };
-    let report2 = GcxEngine::new(&compiled2, &mut tags2, doc.as_bytes(), &mut out2, opts)
-        .run()
-        .unwrap();
-    assert_eq!(out, out2, "skip-mode output identical to per-event skip");
-    assert_eq!(report.stats.peak_nodes, report2.stats.peak_nodes);
-    assert_eq!(report2.bytes_skipped, 0, "per-event path raw-skips nothing");
+    run_dom(&compiled2, &mut tags2, doc.as_bytes(), &mut out2).unwrap();
+    assert_eq!(
+        out, out2,
+        "raw-skip output identical to full-document evaluation"
+    );
 }
 
 #[test]

@@ -11,19 +11,7 @@
 use crate::http::{self, ChunkedDecoder};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
-
-/// Per-request wall-clock timings, as measured by the client (the other
-/// side of the server's own histograms — see `GET /metrics`).
-#[derive(Debug, Clone, Copy)]
-pub struct RequestTiming {
-    /// Request sent → first response bytes observed (time to first byte).
-    /// For pipelined keep-alive requests whose response head was already
-    /// carried over from a previous read, this is effectively zero.
-    pub ttfb: Duration,
-    /// Request sent → response fully read.
-    pub total: Duration,
-}
+use std::time::Duration;
 
 /// A fully read response.
 #[derive(Debug)]
@@ -59,18 +47,6 @@ pub fn get(addr: impl ToSocketAddrs, path: &str) -> io::Result<HttpResponse> {
 
 /// `POST path` with a `Content-Length` body.
 pub fn post(addr: impl ToSocketAddrs, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
-    post_timed(addr, path, body).map(|(resp, _)| resp)
-}
-
-/// As [`post`], also reporting [`RequestTiming`]. The clock starts
-/// before the connect: on a fresh (`Connection: close`) request the TCP
-/// handshake *is* part of the per-request latency.
-pub fn post_timed(
-    addr: impl ToSocketAddrs,
-    path: &str,
-    body: &[u8],
-) -> io::Result<(HttpResponse, RequestTiming)> {
-    let start = Instant::now();
     let mut stream = connect(addr)?;
     let head = format!(
         "POST {path} HTTP/1.1\r\nHost: gcx\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -78,13 +54,7 @@ pub fn post_timed(
     );
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
-    let mut carry = Vec::new();
-    let (resp, first_byte) = read_response_buffered_timed(&mut stream, &mut carry)?;
-    let timing = RequestTiming {
-        ttfb: first_byte.duration_since(start),
-        total: start.elapsed(),
-    };
-    Ok((resp, timing))
+    read_response(&mut stream)
 }
 
 /// An in-flight chunked `POST`: send the body piecewise, then collect the
@@ -187,23 +157,7 @@ pub fn read_response_buffered(
     stream: &mut TcpStream,
     carry: &mut Vec<u8>,
 ) -> io::Result<HttpResponse> {
-    read_response_buffered_timed(stream, carry).map(|(resp, _)| resp)
-}
-
-/// As [`read_response_buffered`], also reporting the instant the first
-/// bytes of this response were observed (the TTFB mark). Bytes already
-/// sitting in `carry` from a previous read count as observed *now* — a
-/// pipelined response that has fully arrived has no first-byte wait left.
-pub fn read_response_buffered_timed(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-) -> io::Result<(HttpResponse, Instant)> {
     let mut scratch = [0u8; 16 * 1024];
-    let mut first_byte = if carry.is_empty() {
-        None
-    } else {
-        Some(Instant::now())
-    };
     loop {
         let head_end = loop {
             if let Some(end) = http::find_head_end(carry) {
@@ -216,21 +170,16 @@ pub fn read_response_buffered_timed(
                     "connection closed before response head",
                 ));
             }
-            first_byte.get_or_insert_with(Instant::now);
             carry.extend_from_slice(&scratch[..n]);
         };
         let (status, headers) = parse_response_head(&carry[..head_end])?;
         carry.drain(..head_end);
         if (100..200).contains(&status) {
             // Informational (e.g. `100 Continue`): drop it, keep any
-            // bytes read past it, and read the real response. The TTFB
-            // mark stands — an informational head is still the server's
-            // first byte (matching the server's own TTFB accounting).
+            // bytes read past it, and read the real response.
             continue;
         }
-        let resp = read_body(stream, status, headers, carry)?;
-        let first = first_byte.expect("head parsed implies bytes were observed");
-        return Ok((resp, first));
+        return read_body(stream, status, headers, carry);
     }
 }
 
@@ -400,25 +349,6 @@ impl HttpClient {
     pub fn post(&mut self, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
         self.send_post(path, body)?;
         self.read_response()
-    }
-
-    /// As [`HttpClient::post`], also reporting [`RequestTiming`] for this
-    /// request (connection setup is *not* included — the socket already
-    /// exists, which is the point of keep-alive).
-    pub fn post_timed(
-        &mut self,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<(HttpResponse, RequestTiming)> {
-        let start = Instant::now();
-        self.send_post(path, body)?;
-        let (resp, first_byte) = read_response_buffered_timed(&mut self.stream, &mut self.carry)?;
-        self.note_framing(&resp);
-        let timing = RequestTiming {
-            ttfb: first_byte.duration_since(start),
-            total: start.elapsed(),
-        };
-        Ok((resp, timing))
     }
 
     /// Raw stream access (tests that need half-close etc.).

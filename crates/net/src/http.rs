@@ -42,15 +42,27 @@ impl RequestHead {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parsed `Content-Length`, if present.
+    /// Parsed `Content-Length`, if present. Strict, because on a
+    /// keep-alive connection this number decides where the next request
+    /// starts and an intermediary must not be able to read it
+    /// differently: the value is `1*DIGIT` (`str::parse` alone would take
+    /// `+5`), and repeated headers must be byte-identical.
     pub fn content_length(&self) -> Result<Option<u64>, String> {
-        match self.header("content-length") {
-            None => Ok(None),
-            Some(v) => v
-                .trim()
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| format!("invalid Content-Length: {v:?}")),
+        let mut values = self
+            .headers
+            .iter()
+            .filter(|(n, _)| n == "content-length")
+            .map(|(_, v)| v.as_str());
+        let Some(v) = values.next() else {
+            return Ok(None);
+        };
+        if values.any(|other| other != v) {
+            return Err("conflicting Content-Length headers".to_string());
+        }
+        let digits = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
+        match v.parse::<u64>() {
+            Ok(n) if digits => Ok(Some(n)),
+            _ => Err(format!("invalid Content-Length: {v:?}")),
         }
     }
 
@@ -394,6 +406,7 @@ mod tests {
         let raw = b"POST /query?xq=%3Cr%2F%3E&name=Q1 HTTP/1.1\r\n\
                     Host: localhost\r\n\
                     Content-Length: 42\r\n\
+                    Content-Length: 42\r\n\
                     Transfer-Encoding: chunked\r\n\r\n";
         let head = parse_head(&raw[..find_head_end(raw).unwrap()]).unwrap();
         assert_eq!(head.method, "POST");
@@ -405,6 +418,22 @@ mod tests {
         assert!(!head.expects_continue());
         assert!(!head.is_http10());
         assert!(head.wants_keep_alive(), "HTTP/1.1 defaults to keep-alive");
+    }
+
+    #[test]
+    fn content_length_is_strict() {
+        let parse = |cl: &str| {
+            let raw = format!("POST / HTTP/1.1\r\n{cl}\r\n");
+            parse_head(raw.as_bytes()).unwrap().content_length()
+        };
+        assert_eq!(parse(""), Ok(None));
+        assert_eq!(parse("Content-Length:  7 \r\n"), Ok(Some(7)));
+        for bad in ["+5", "-5", "0x5", "5, 5", "", "99999999999999999999999"] {
+            let got = parse(&format!("Content-Length: {bad}\r\n"));
+            assert!(got.is_err(), "{bad:?} accepted as {got:?}");
+        }
+        let dup = parse("Content-Length: 5\r\nContent-Length: 6\r\n");
+        assert_eq!(dup, Err("conflicting Content-Length headers".to_string()));
     }
 
     #[test]

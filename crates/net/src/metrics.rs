@@ -237,7 +237,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     counter(
         &mut out,
         "gcx_sessions_output_capped_total",
-        "Sessions failed by the output-side hard cap (client not draining).",
+        "Connections dropped by idle_timeout with response bytes still unsent (client not draining).",
         c.sessions_output_capped.load(Ordering::Relaxed),
     );
     counter(

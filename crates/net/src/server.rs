@@ -1259,50 +1259,51 @@ impl Conn {
         // from the same (method, path) pair the routing below matches on.
         self.req_class = metrics::classify(&head.method, &head.path);
         self.req_label = Some(head.path.clone());
-        match (head.method.as_str(), head.path.as_str()) {
-            ("GET", "/healthz") => self.respond_early(shared, head, 200, "OK", TEXT_PLAIN, "ok\n"),
-            ("GET", "/stats") => {
-                let json = stats_json::render(shared);
-                self.respond_early(shared, head, 200, "OK", "application/json", &json);
+        let framing = match Self::body_framing(head) {
+            Ok(f) => f,
+            Err(e) => {
+                // The body's extent is unknowable or ambiguous, so the
+                // next request's start is too: answer and close.
+                self.respond_simple(400, "Bad Request", &format!("{e}\n"), false);
+                return;
             }
-            ("GET", "/metrics") => {
-                let text = metrics::render(shared);
-                self.respond_early(
-                    shared,
-                    head,
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    &text,
-                );
-            }
-            ("GET", "/trace") => {
-                let json = shared.recorder.export_chrome_json();
-                self.respond_early(shared, head, 200, "OK", "application/json", &json);
-            }
-            ("POST", "/query") => {
-                self.dispatch_query(shared, head);
-            }
-            _ => self.respond_early(
-                shared,
-                head,
-                404,
-                "Not Found",
-                TEXT_PLAIN,
-                "unknown endpoint\n",
+        };
+        let ok = (200, "OK");
+        let (status, content_type, body) = match (head.method.as_str(), head.path.as_str()) {
+            ("GET", "/healthz") => (ok, TEXT_PLAIN, "ok\n".to_string()),
+            ("GET", "/stats") => (ok, "application/json", stats_json::render(shared)),
+            ("GET", "/metrics") => (
+                ok,
+                "text/plain; version=0.0.4; charset=utf-8",
+                metrics::render(shared),
             ),
-        }
+            ("GET", "/trace") => (ok, "application/json", shared.recorder.export_chrome_json()),
+            ("POST", "/query") => return self.dispatch_query(shared, head, framing),
+            _ => (
+                (404, "Not Found"),
+                TEXT_PLAIN,
+                "unknown endpoint\n".to_string(),
+            ),
+        };
+        self.respond_early(shared, head, framing, status, content_type, &body);
     }
 
-    /// Parses the request's body framing, if any.
-    fn body_framing(head: &http::RequestHead) -> Result<Option<BodyFraming>, String> {
-        if head.is_chunked() {
-            return Ok(Some(BodyFraming::Chunked(http::ChunkedDecoder::new())));
+    /// The one place a request's body framing is decided. A head that
+    /// two parsers could frame differently — repeated `Content-Length`
+    /// values that differ, a length that is not `1*DIGIT`, or a length
+    /// beside `Transfer-Encoding` — is an error: on a keep-alive
+    /// connection the server and an intermediary would disagree about
+    /// where the next pipelined request starts.
+    fn body_framing(head: &http::RequestHead) -> Result<BodyFraming, String> {
+        let length = head.content_length()?;
+        if length.is_some() && head.header("transfer-encoding").is_some() {
+            return Err("both Content-Length and Transfer-Encoding given".to_string());
         }
-        match head.content_length()? {
-            Some(0) | None => Ok(None),
-            Some(n) => Ok(Some(BodyFraming::Length(n))),
-        }
+        Ok(if head.is_chunked() {
+            BodyFraming::Chunked(http::ChunkedDecoder::new())
+        } else {
+            length.map_or(BodyFraming::Eof, BodyFraming::Length)
+        })
     }
 
     /// Answers a request *before* (or instead of) consuming its body —
@@ -1314,29 +1315,21 @@ impl Conn {
         &mut self,
         shared: &Arc<ServerShared>,
         head: &http::RequestHead,
-        status: u16,
-        reason: &str,
+        framing: BodyFraming,
+        (status, reason): (u16, &str),
         content_type: &str,
         body: &str,
     ) {
         let keep = self.negotiate_keep_alive(shared, head);
-        let framing = match Self::body_framing(head) {
-            Ok(f) => f,
-            Err(_) => {
-                // Unparseable Content-Length: the body's extent is
-                // unknowable, so the connection cannot be reused —
-                // answer and close.
-                self.respond_simple_typed(status, reason, content_type, body, false);
-                return;
-            }
-        };
         match framing {
-            None if keep => {
+            // Without a framing header a request that is answered early
+            // has no body (only `POST /query` reads one to EOF).
+            BodyFraming::Eof | BodyFraming::Length(0) if keep => {
                 self.respond_simple_typed(status, reason, content_type, body, true);
             }
             // A client waiting for `100 Continue` never sends the body —
             // draining would stall until the timeout; close instead.
-            Some(f) if keep && !head.expects_continue() && drainable(&f) => {
+            f if keep && !head.expects_continue() && drainable(&f) => {
                 self.send.extend_from_slice(&http::simple_response(
                     status,
                     reason,
@@ -1355,7 +1348,12 @@ impl Conn {
         }
     }
 
-    fn dispatch_query(&mut self, shared: &Arc<ServerShared>, head: &http::RequestHead) {
+    fn dispatch_query(
+        &mut self,
+        shared: &Arc<ServerShared>,
+        head: &http::RequestHead,
+        framing: BodyFraming,
+    ) {
         let query_text = match (head.param("xq"), head.param("name")) {
             (Some(xq), _) => xq.to_string(),
             (None, Some(name)) => match shared.queries.get(name) {
@@ -1364,8 +1362,8 @@ impl Conn {
                     self.respond_early(
                         shared,
                         head,
-                        404,
-                        "Not Found",
+                        framing,
+                        (404, "Not Found"),
                         TEXT_PLAIN,
                         &format!("no registered query named {name:?}\n"),
                     );
@@ -1376,24 +1374,12 @@ impl Conn {
                 self.respond_early(
                     shared,
                     head,
-                    400,
-                    "Bad Request",
+                    framing,
+                    (400, "Bad Request"),
                     TEXT_PLAIN,
                     "POST /query needs ?xq=<urlencoded query> or ?name=<registered query>\n",
                 );
                 return;
-            }
-        };
-        let framing = if head.is_chunked() {
-            BodyFraming::Chunked(http::ChunkedDecoder::new())
-        } else {
-            match head.content_length() {
-                Err(e) => {
-                    self.respond_simple(400, "Bad Request", &format!("{e}\n"), false);
-                    return;
-                }
-                Ok(Some(n)) => BodyFraming::Length(n),
-                Ok(None) => BodyFraming::Eof,
             }
         };
         // An EOF-framed request body consumes the rest of the stream;
@@ -1448,8 +1434,8 @@ impl Conn {
                 self.respond_early(
                     shared,
                     head,
-                    400,
-                    "Bad Request",
+                    framing,
+                    (400, "Bad Request"),
                     TEXT_PLAIN,
                     &format!("{e}\n"),
                 );

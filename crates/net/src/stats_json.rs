@@ -1,7 +1,7 @@
 //! `/stats` JSON rendering (schema `gcx-net-stats/5`).
 //!
-//! Hand-rolled like gcx-bench's report module — the workspace is offline,
-//! no serde. The document's main sections:
+//! Hand-rolled — the workspace is offline, no serde. The document's main
+//! sections:
 //!
 //! * `server` — front-end counters and the (fixed) thread topology;
 //! * `scheduler` — the evaluator pool's ready-queue scheduler (slices

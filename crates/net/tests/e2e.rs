@@ -4,8 +4,12 @@
 //! sampling. (The fixed-thread-count check lives in `threads.rs`: it
 //! counts the whole process, so it needs a test binary to itself.)
 
+mod support;
+use support::validate_json;
+
 use gcx_net::{client, http, GcxServer, NetConfig};
 use gcx_xml::TagInterner;
+use std::collections::HashMap;
 use std::time::Duration;
 
 const QUERY: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
@@ -236,78 +240,217 @@ fn metrics_exposition_covers_requests_stages_and_sessions() {
     let metrics = client::get(addr, "/metrics").unwrap();
     assert_eq!(metrics.status, 200);
     let text = metrics.text();
-    // Exposition format: TYPE lines, counters, histogram series.
-    assert!(text.contains("# TYPE gcx_requests_total counter"), "{text}");
-    assert!(
-        text.contains("# TYPE gcx_request_duration_seconds histogram"),
-        "{text}"
-    );
-    assert!(text.contains("gcx_sessions_completed_total 3"), "{text}");
-    assert!(
-        metric_value(&text, "gcx_request_duration_seconds_count{class=\"query\"}") >= 1,
-        "query latency series non-empty after traffic: {text}"
-    );
-    assert!(
-        metric_value(&text, "gcx_request_ttfb_seconds_count{class=\"all\"}") >= 1,
-        "{text}"
-    );
-    assert!(
-        metric_value(&text, "gcx_conn_queue_wait_seconds_count{class=\"all\"}") >= 1,
-        "{text}"
-    );
-    assert!(
-        metric_value(
-            &text,
-            "gcx_engine_stage_duration_seconds_count{stage=\"lex\"}"
-        ) >= 1,
-        "sampled engine stages populated: {text}"
-    );
-    assert!(
-        metric_value(
-            &text,
-            "gcx_session_phase_duration_seconds_count{phase=\"run\"}"
-        ) >= 1,
-        "{text}"
-    );
-    assert!(
-        text.contains("gcx_request_duration_seconds_bucket{class=\"query\",le=\"+Inf\"}"),
-        "{text}"
-    );
-    // Every non-comment line is `name[{labels}] value`.
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
+    // Exposition grammar: a comment line is `# HELP name text` or
+    // `# TYPE name kind`, every other line `name[{labels}] value`.
+    let is_name = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+    };
+    let mut types: HashMap<&str, &str> = HashMap::new();
+    let mut series: HashMap<&str, f64> = HashMap::new();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        if line.starts_with('#') {
+            let mut parts = line.splitn(4, ' ');
+            let (hash, kind) = (parts.next(), parts.next().unwrap_or(""));
+            let name = parts.next().unwrap_or("");
+            assert!(
+                hash == Some("#") && matches!(kind, "HELP" | "TYPE") && is_name(name),
+                "malformed comment line: {line}"
+            );
+            if kind == "TYPE" {
+                types.insert(name, parts.next().unwrap_or(""));
+            }
             continue;
         }
-        let (series, value) = line.rsplit_once(' ').expect("series and value");
-        assert!(!series.is_empty(), "bad line: {line}");
-        assert!(value.parse::<f64>().is_ok(), "bad value in line: {line}");
+        let (key, value) = line.rsplit_once(' ').expect("series and value");
+        let name = key.split_once('{').map_or(key, |(name, labels)| {
+            assert!(labels.ends_with('}'), "bad labels in line: {line}");
+            name
+        });
+        assert!(is_name(name), "bad series name in line: {line}");
+        let value = value.parse::<f64>();
+        series.insert(
+            key,
+            value.unwrap_or_else(|_| panic!("bad value in line: {line}")),
+        );
     }
-    // /stats serves the same quantiles in the schema-3 latency section.
+    for (name, kind) in [
+        ("gcx_requests_total", "counter"),
+        ("gcx_request_duration_seconds", "histogram"),
+        ("gcx_engine_stage_duration_seconds", "histogram"),
+        // The five counters `benchmark/` reads by name …
+        ("gcx_evaluator_steps_total", "counter"),
+        ("gcx_session_yields_total", "counter"),
+        ("gcx_epoll_wakeups_total", "counter"),
+        ("gcx_bytes_out_total", "counter"),
+        ("gcx_requests_shed_total", "counter"),
+        // … and the flight recorder's.
+        ("gcx_traces_captured_total", "counter"),
+        ("gcx_trace_spans_dropped_total", "counter"),
+        ("gcx_slow_requests_total", "counter"),
+    ] {
+        assert_eq!(types.get(name), Some(&kind), "{name}");
+        if kind == "counter" {
+            assert!(series.contains_key(name), "no series for {name}");
+        }
+    }
+    // The traffic shows in every layer's series. A request's own
+    // histograms are recorded after its last byte is on the wire, so a
+    // scrape over another connection may miss the latest one.
+    for (key, at_least) in [
+        ("gcx_sessions_completed_total", 3.0),
+        ("gcx_request_duration_seconds_count{class=\"query\"}", 1.0),
+        ("gcx_request_ttfb_seconds_count{class=\"all\"}", 1.0),
+        ("gcx_conn_queue_wait_seconds_count{class=\"all\"}", 1.0),
+        (
+            "gcx_session_phase_duration_seconds_count{phase=\"run\"}",
+            1.0,
+        ),
+        (
+            "gcx_engine_stage_duration_seconds_count{stage=\"lex\"}",
+            1.0,
+        ),
+        ("gcx_evaluator_steps_total", 3.0),
+        ("gcx_epoll_wakeups_total", 1.0),
+        ("gcx_bytes_out_total", 1.0),
+        ("gcx_traces_captured_total", 1.0),
+        ("gcx_process_uptime_seconds", 0.0),
+    ] {
+        let value = series.get(key).copied();
+        assert!(value >= Some(at_least), "{key} = {value:?}: {text}");
+    }
+    // Build identity: one labelled gauge.
+    let build: Vec<_> = series
+        .iter()
+        .filter(|(k, _)| k.starts_with("gcx_build_info{"))
+        .collect();
+    assert!(
+        matches!(build[..], [(k, v)] if k.contains("version=\"") && k.contains("git=\"") && *v == 1.0),
+        "{build:?}"
+    );
+    // Every series of every histogram family closes with a `+Inf`
+    // bucket equal to its `_count`.
+    let mut families = 0;
+    for (name, _) in types.iter().filter(|(_, kind)| **kind == "histogram") {
+        let count_prefix = format!("{name}_count");
+        let counts: Vec<_> = series
+            .iter()
+            .filter_map(|(k, v)| Some((k.strip_prefix(&count_prefix)?, v)))
+            .collect();
+        assert!(!counts.is_empty(), "histogram {name} has no series");
+        for (labels, count) in counts {
+            let inner = labels.trim_start_matches('{').trim_end_matches('}');
+            let sep = if inner.is_empty() { "" } else { "," };
+            let inf = format!("{name}_bucket{{{inner}{sep}le=\"+Inf\"}}");
+            assert_eq!(series.get(inf.as_str()), Some(count), "{inf}");
+        }
+        families += 1;
+    }
+    assert!(families >= 5, "only {families} histogram families: {text}");
+
+    // /stats: well-formed, every key of every fixed section present and
+    // integral, and the latency groups carry the same traffic.
     let stats = client::get(addr, "/stats").unwrap().text();
+    validate_json(&stats).unwrap_or_else(|e| panic!("/stats not JSON: {e}\n{stats}"));
     assert!(stats.contains("\"schema\": \"gcx-net-stats/5\""), "{stats}");
-    assert!(stats.contains("\"latency\""), "{stats}");
-    assert!(stats.contains("\"engine_stages\""), "{stats}");
-    assert!(stats.contains("\"p99_us\""), "{stats}");
-    assert!(stats.contains("\"queue_wait\""), "{stats}");
+    let line_of = |section: &str| {
+        let needle = format!("\"{section}\": {{");
+        stats
+            .lines()
+            .find(|l| l.trim_start().starts_with(&needle))
+            .unwrap_or_else(|| panic!("no {section} section in {stats}"))
+    };
+    #[rustfmt::skip]
+    let sections: [(&str, &[&str]); 4] = [
+        ("server", &[
+            "workers", "evaluators", "threads", "uptime_s", "active_sessions",
+            "open_connections", "connections", "requests", "sessions_completed",
+            "sessions_failed", "sessions_output_capped", "bytes_in", "bytes_out",
+            "tokens_read_total", "peak_nodes_max", "connections_shed",
+            "accept_errors", "evaluator_panics",
+        ]),
+        ("scheduler", &[
+            "evaluators", "steps", "yields", "queued", "active", "panics",
+            "epoll_wakeups",
+        ]),
+        ("service", &[
+            "cache_hits", "cache_misses", "cache_evictions", "sessions_opened",
+            "cached_queries", "registered_queries", "interner_rebuilds",
+            "master_interner_len",
+        ]),
+        ("tracing", &["traces_captured", "spans_dropped", "slow_requests", "sample_every"]),
+    ];
+    for (section, keys) in sections {
+        for key in keys {
+            assert_eq!(
+                int_fields(line_of(section), key).len(),
+                1,
+                "{section}.{key}"
+            );
+        }
+    }
+    let server_field = |key: &str| int_fields(line_of("server"), key)[0];
+    assert_eq!(server_field("sessions_completed"), 3, "{stats}");
+    assert!(server_field("peak_nodes_max") >= 1, "{stats}");
+    // A fault-free run sheds, errors, caps and panics nothing.
+    for key in [
+        "connections_shed",
+        "accept_errors",
+        "evaluator_panics",
+        "sessions_output_capped",
+        "sessions_failed",
+    ] {
+        assert_eq!(server_field(key), 0, "{key}: {stats}");
+    }
+    assert!(int_fields(line_of("scheduler"), "steps")[0] >= 3, "{stats}");
+    assert!(
+        int_fields(line_of("scheduler"), "epoll_wakeups")[0] >= 1,
+        "{stats}"
+    );
+    assert!(
+        int_fields(line_of("tracing"), "traces_captured")[0] >= 1,
+        "{stats}"
+    );
+    assert!(stats.contains("\"budget\": null"), "{stats}");
+    assert!(stats.contains("\"sessions\": ["), "{stats}");
+    for group in ["requests", "ttfb", "queue_wait", "engine_stages", "session"] {
+        let line = line_of(group);
+        let members = int_fields(line, "count").len();
+        assert!(members >= 1, "{group}: {line}");
+        for key in ["mean_us", "p50_us", "p90_us", "p99_us", "max_us"] {
+            assert_eq!(int_fields(line, key).len(), members, "{group}.{key}");
+        }
+    }
+    let member_count = |group: &str, member: &str| {
+        let line = line_of(group);
+        let at = line.find(&format!("\"{member}\": {{")).expect(member);
+        int_fields(&line[at..], "count")[0]
+    };
+    assert!(member_count("requests", "query") >= 1, "{stats}");
+    assert!(member_count("engine_stages", "lex") >= 1, "{stats}");
+    assert!(member_count("session", "run") >= 1, "{stats}");
     server.shutdown();
 }
 
-/// The integer value of one exposition series, 0 when absent.
-fn metric_value(text: &str, series: &str) -> u64 {
-    text.lines()
-        .find_map(|l| l.strip_prefix(series))
-        .and_then(|rest| rest.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+/// Every value of `"key": <value>` in `json`, each of which must be a
+/// bare non-negative integer.
+fn int_fields(json: &str, key: &str) -> Vec<u64> {
+    let needle = format!("\"{key}\": ");
+    json.match_indices(&needle)
+        .map(|(i, _)| {
+            let rest = &json[i + needle.len()..];
+            let end = rest.find([',', ' ', '}']).unwrap_or(rest.len());
+            rest[..end]
+                .parse()
+                .unwrap_or_else(|_| panic!("{key} is not integral: {:?}", &rest[..end]))
+        })
+        .collect()
 }
 
 /// True when the JSON text contains `"name": <positive integer>`.
 fn has_positive_field(json: &str, name: &str) -> bool {
-    let needle = format!("\"{name}\": ");
-    json.match_indices(&needle).any(|(i, _)| {
-        let rest = &json[i + needle.len()..];
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        digits.parse::<u64>().map(|v| v > 0).unwrap_or(false)
-    })
+    int_fields(json, name).iter().any(|&v| v > 0)
 }
 
 #[test]

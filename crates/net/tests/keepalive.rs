@@ -2,7 +2,8 @@
 //! many requests with byte-identical results, error responses that leave
 //! the connection reusable, pipelined requests answered in order,
 //! HTTP/1.0 and `Connection: close` clients, the per-connection request
-//! cap, and the output-side session hard cap for never-draining clients.
+//! cap, and never-draining clients dropped by `idle_timeout` with
+//! response bytes still unsent (`sessions_output_capped`).
 
 use gcx_net::{client, http, GcxServer, NetConfig};
 use gcx_xml::TagInterner;

@@ -147,6 +147,55 @@ fn missing_crlf_after_chunk_data_yields_400() {
     server.shutdown();
 }
 
+/// A head that two parsers could frame differently must not be answered
+/// `200` on a connection that stays open: each of these carries a
+/// complete, well-formed body under *one* reading, followed by a
+/// pipelined `GET` that must never be served.
+#[test]
+fn ambiguous_request_framing_yields_400_and_closes() {
+    let doc = String::from_utf8(make_doc(3)).unwrap();
+    let chunked_body = format!("{:x}\r\n{doc}\r\n0\r\n\r\n", doc.len());
+    let cases = [
+        (
+            format!("Content-Length: {}\r\nContent-Length: 5\r\n", doc.len()),
+            doc.clone(),
+            "conflicting Content-Length",
+        ),
+        (
+            format!(
+                "Content-Length: {}\r\nTransfer-Encoding: chunked\r\n",
+                doc.len()
+            ),
+            chunked_body,
+            "both Content-Length and Transfer-Encoding",
+        ),
+        (
+            format!("Content-Length: +{}\r\n", doc.len()),
+            doc.clone(),
+            "invalid Content-Length",
+        ),
+    ];
+    let server = budgeted_server();
+    for (framing_headers, body, expect_msg) in cases {
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        let request = format!(
+            "POST {} HTTP/1.1\r\nHost: gcx\r\n{framing_headers}\r\n{body}\
+             GET /healthz HTTP/1.1\r\nHost: gcx\r\n\r\n",
+            query_path(QUERY)
+        );
+        s.write_all(request.as_bytes()).unwrap();
+        let bytes = read_until_close(&mut s, Duration::from_secs(10));
+        assert_rejected_cleanly(&server, &bytes, expect_msg);
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(
+            text.to_ascii_lowercase().contains("connection: close"),
+            "{text:?}"
+        );
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "pipelined: {text:?}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn eof_mid_chunk_closes_cleanly_without_leaking() {
     let server = budgeted_server();

@@ -73,7 +73,26 @@ fn trace_export_holds_stage_spans_and_buffer_events() {
     // Buffer events are unsampled: every buffered node records one, with
     // the input-stream byte offset in args.
     assert!(text.contains("\"name\":\"node-buffered\""), "{text}");
-    assert!(text.contains("\"offset\":"), "{text}");
+    // Trace-event shape, event by event: what Perfetto needs to load it.
+    // (Every event opens with its `name`; string contents are escaped, so
+    // the raw separator below only occurs between events.)
+    let events: Vec<&str> = text.split("},{\"name\":").collect();
+    assert!(events.len() > 10, "{text}");
+    for event in &events {
+        for key in ["\"ph\":", "\"pid\":", "\"tid\":"] {
+            assert!(event.contains(key), "event missing {key}: {event}");
+        }
+        if event.contains("\"ph\":\"M\"") {
+            continue; // metadata names lanes and kept traces
+        }
+        assert!(event.contains("\"ts\":"), "event missing ts: {event}");
+        // Buffer events are instants stamped with the input byte offset.
+        if event.starts_with("\"node-buffered\"") || event.starts_with("\"sign-off\"") {
+            assert!(event.contains("\"ph\":\"i\""), "{event}");
+            let offset = event.split_once("\"offset\":").expect("offset").1;
+            assert!(offset.starts_with(|c: char| c.is_ascii_digit()), "{event}");
+        }
+    }
 
     // /stats reports the capture under the additive `tracing` section.
     let stats = conn.get("/stats").unwrap().text();

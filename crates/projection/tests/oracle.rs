@@ -9,6 +9,10 @@
 //! 1. the role multiset assigned by the matcher equals the naive one;
 //! 2. every node with matches is buffered (preservation condition 1);
 //! 3. nodes the matcher skips carry no roles.
+//!
+//! A second corpus — every XMark query's compiled projection tree over a
+//! generated XMark document — pins the two matcher modes against each
+//! other at scale (`forced_nfa_agrees_with_dfa_over_xmark_corpus`).
 
 use gcx_projection::{PAxis, PStep, PTest, Pred, ProjNodeId, ProjTree, Role, StreamMatcher};
 use gcx_xml::{Document, NodeId, NodeKind, TagInterner, XmlLexer, XmlToken};
@@ -293,5 +297,71 @@ proptest! {
 fn pinned_seeds() {
     for (ts, ds) in [(0, 0), (1, 1), (17, 99), (12345, 54321), (7, 4242)] {
         check_case(ts, ds);
+    }
+}
+
+/// Forced-NFA vs DFA over the full XMark corpus: every query's projection
+/// tree is driven over a generated document through `StreamMatcher::new`
+/// (lazy DFA where the tree permits it) and `new_forced_nfa` (the pooled
+/// frame simulation), comparing (buffering verdict, structural flag, role
+/// multiset, dead-subtree verdict) at every event. For Q20 (positional) both sides run NFA mode; that leg still
+/// pins the pooled matcher against itself across pool reuse.
+#[test]
+fn forced_nfa_agrees_with_dfa_over_xmark_corpus() {
+    fn sorted(roles: &[Role]) -> Vec<Role> {
+        let mut v = roles.to_vec();
+        v.sort();
+        v
+    }
+    let mut doc = Vec::new();
+    let config = gcx_xmark::XmarkConfig {
+        seed: 42,
+        scale: 0.3,
+    };
+    gcx_xmark::generate(config, &mut doc).expect("generate");
+    for (name, query) in gcx_xmark::ALL {
+        let mut tags = TagInterner::new();
+        let compiled = gcx_query::compile_default(query, &mut tags).expect("compile");
+        let tree = &compiled.projection.tree;
+        let mut dfa = StreamMatcher::new(tree);
+        let mut nfa = StreamMatcher::new_forced_nfa(tree);
+        assert!(nfa.dfa_states() == 0, "{name}: forced NFA has no DFA");
+        assert_eq!(
+            sorted(dfa.root_roles()),
+            sorted(nfa.root_roles()),
+            "{name}: root roles"
+        );
+        let mut lexer = XmlLexer::new(&doc[..], &mut tags);
+        let mut events = 0u64;
+        while let Some(tok) = lexer.next_token().expect("lex") {
+            events += 1;
+            match tok {
+                XmlToken::Open(tag) => {
+                    let a = dfa.open(tag);
+                    let a = (a.buffer, a.structural, sorted(a.roles), dfa.is_dead());
+                    let b = nfa.open(tag);
+                    let b = (b.buffer, b.structural, sorted(b.roles), nfa.is_dead());
+                    assert_eq!(a, b, "{name}: open verdict at event {events}");
+                }
+                XmlToken::Close(_) => {
+                    dfa.close();
+                    nfa.close();
+                }
+                XmlToken::Text(_) => {
+                    let a = dfa.text();
+                    let a = (a.buffer, sorted(a.roles));
+                    let b = nfa.text();
+                    assert_eq!(
+                        a,
+                        (b.buffer, sorted(b.roles)),
+                        "{name}: text at event {events}"
+                    );
+                }
+            }
+        }
+        assert!(
+            events > 10_000,
+            "{name}: corpus too small ({events} events)"
+        );
     }
 }

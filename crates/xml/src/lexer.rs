@@ -2,8 +2,10 @@
 //!
 //! The GCX stream preprojector consumes the input one token at a time
 //! (paper Fig. 11: the buffer manager issues `nextNode()` requests). This
-//! lexer delivers exactly that interface: [`XmlLexer::next_token`] returns
-//! the next [`XmlToken`] without ever materializing the document.
+//! lexer delivers exactly that interface: [`XmlLexer::next_event`] returns
+//! the next borrowed [`XmlEvent`] without ever materializing the document.
+//! ([`XmlLexer::next_token`] is the owning wrapper over it, for the DOM
+//! baseline and the token-stream oracles.)
 //!
 //! Supported input constructs: elements, character data, entity references
 //! (`&lt; &gt; &amp; &apos; &quot; &#10; &#x0A;`), CDATA sections, comments,

@@ -25,9 +25,7 @@
 //! Kernel selection: the best available kernel is chosen on first use.
 //! `GCX_SCAN_KERNEL=scalar|swar|sse2|avx2|auto` forces a specific tier
 //! (requests for an unavailable tier fall back to the best available),
-//! and building `gcx-xml` with the `force-scalar` feature pins the
-//! scalar kernel at compile time so CI can exercise the fallback on
-//! AVX2 machines.
+//! which is how CI exercises the fallback kernels on AVX2 machines.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -106,18 +104,13 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 #[cold]
 fn resolve_kernel() -> ScanKernel {
-    let chosen = if cfg!(feature = "force-scalar") {
-        ScanKernel::Scalar
-    } else {
-        let best = best_available();
-        match std::env::var("GCX_SCAN_KERNEL").ok().as_deref() {
-            Some("scalar") => ScanKernel::Scalar,
-            Some("swar") => ScanKernel::Swar,
-            Some("sse2") if ScanKernel::Sse2.is_available() => ScanKernel::Sse2,
-            Some("avx2") if ScanKernel::Avx2.is_available() => ScanKernel::Avx2,
-            // Unknown value, unavailable tier, or "auto": best available.
-            _ => best,
-        }
+    let chosen = match std::env::var("GCX_SCAN_KERNEL").ok().as_deref() {
+        Some("scalar") => ScanKernel::Scalar,
+        Some("swar") => ScanKernel::Swar,
+        Some("sse2") if ScanKernel::Sse2.is_available() => ScanKernel::Sse2,
+        Some("avx2") if ScanKernel::Avx2.is_available() => ScanKernel::Avx2,
+        // Unknown value, unavailable tier, or "auto": best available.
+        _ => best_available(),
     };
     ACTIVE.store(chosen.to_u8(), Ordering::Relaxed);
     chosen
@@ -137,7 +130,7 @@ fn best_available() -> ScanKernel {
 }
 
 /// The kernel all top-level scan functions dispatch to, resolved once
-/// (feature pin → `GCX_SCAN_KERNEL` → best available).
+/// (`GCX_SCAN_KERNEL` → best available).
 #[inline]
 pub fn active_kernel() -> ScanKernel {
     match ScanKernel::from_u8(ACTIVE.load(Ordering::Relaxed)) {

@@ -113,7 +113,7 @@ fn multibyte_utf8_split_across_chunks() {
 #[test]
 fn eight_concurrent_sessions_share_cache() {
     // ≥ 8 sessions through one service: correct isolated outputs and at
-    // least one measured cache hit (acceptance criterion).
+    // least one measured cache hit (an acceptance requirement).
     let service = QueryService::new(ServiceConfig {
         max_concurrency: 8,
         ..Default::default()
