@@ -14,7 +14,7 @@
 //!   is the "main memory consumption" measure reported by the benchmark
 //!   harness (paper Table 1).
 //!
-//! Engineering notes (documented deviations in DESIGN.md):
+//! Engineering notes (deviations from the paper's data structures):
 //! * Each node maintains `subtree_roles`/`subtree_pins` counters so the
 //!   irrelevance check is O(1).
 //! * Cursor *pins* keep nodes navigable while a for-loop iterates past

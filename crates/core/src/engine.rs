@@ -154,7 +154,7 @@ pub struct RunReport {
 
 /// Cursor over the matches of one step, relative to a base node. The
 /// current scan position is pinned in the buffer so that active GC cannot
-/// invalidate navigation (see DESIGN.md, "cursor pinning").
+/// purge the node the cursor stands on and invalidate navigation.
 struct Cursor {
     base: BufNodeId,
     step: Step,
@@ -1247,9 +1247,10 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// Evaluates a projection path over the buffer with *multiplicity*
     /// semantics: each target is returned (in `frontier`) with the number
     /// of distinct step-binding assignments reaching it, mirroring
-    /// role-assignment multiplicities (paper Example 1; DESIGN.md
-    /// "signOff path semantics"). `frontier`/`next` are caller-provided
-    /// working sets; the result is left in `frontier`.
+    /// role-assignment multiplicities (paper Example 1: a signOff must
+    /// remove as many role instances as the projection assigned).
+    /// `frontier`/`next` are caller-provided working sets; the result is
+    /// left in `frontier`.
     fn eval_relpath_into(
         &self,
         base: BufNodeId,

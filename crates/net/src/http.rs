@@ -269,14 +269,16 @@ impl ChunkedDecoder {
                     if b == b'\n' {
                         let text = std::str::from_utf8(line)
                             .map_err(|_| "chunk size is not UTF-8".to_string())?;
-                        let size_part = text
-                            .trim_end_matches('\r')
-                            .split(';')
-                            .next()
-                            .unwrap_or("")
-                            .trim();
-                        let size = u64::from_str_radix(size_part, 16)
-                            .map_err(|_| format!("invalid chunk size {size_part:?}"))?;
+                        // `1*HEXDIG`, then optional whitespace before
+                        // an extension or the line end. `from_str_radix`
+                        // alone would also take a sign.
+                        let size_part = text.split(';').next().unwrap_or("").trim_end();
+                        let size = size_part
+                            .bytes()
+                            .all(|b| b.is_ascii_hexdigit())
+                            .then(|| u64::from_str_radix(size_part, 16).ok())
+                            .flatten()
+                            .ok_or_else(|| format!("invalid chunk size {size_part:?}"))?;
                         self.state = if size == 0 {
                             ChunkState::Trailer(Vec::new())
                         } else {
@@ -483,9 +485,32 @@ mod tests {
 
     #[test]
     fn chunked_decoder_rejects_garbage_size() {
-        let mut dec = ChunkedDecoder::new();
-        let mut out = Vec::new();
-        assert!(dec.decode(b"zz\r\n", &mut out).is_err());
+        for bad in [
+            "zz",
+            "+5",
+            " 5",
+            "-5",
+            "0x5",
+            "",
+            "1_0",
+            "10000000000000000",
+        ] {
+            let mut dec = ChunkedDecoder::new();
+            let got = dec.decode(format!("{bad}\r\nhello\r\n").as_bytes(), &mut Vec::new());
+            assert!(
+                got.as_ref()
+                    .is_err_and(|e| e.starts_with("invalid chunk size")),
+                "{bad:?} gave {got:?}"
+            );
+        }
+        // Whitespace before an extension or the line end stays legal.
+        for ok in ["5 ;ext", "5\t;ext", "5 "] {
+            let mut dec = ChunkedDecoder::new();
+            let mut out = Vec::new();
+            dec.decode(format!("{ok}\r\nhello\r\n").as_bytes(), &mut out)
+                .unwrap();
+            assert_eq!(out, b"hello", "{ok:?}");
+        }
     }
 
     #[test]

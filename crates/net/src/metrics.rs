@@ -18,7 +18,7 @@
 //!
 //! `rows` lists every number the server exports exactly once, as a
 //! [`gcx_obs::export::Row`]. `GET /metrics` is its Prometheus rendering;
-//! `GET /stats` (schema `gcx-net-stats/6`) is its JSON rendering plus
+//! `GET /stats` (schema `gcx-net-stats/7`) is its JSON rendering plus
 //! the `sessions[]` array of live per-session buffer figures. A `/stats`
 //! key is the series name without `gcx_` and `_total`
 //! ([`gcx_obs::export::json_key`]).
@@ -220,10 +220,6 @@ fn rows(shared: &ServerShared, active_sessions: usize) -> Vec<Row<'_>> {
             "Compiled queries currently cached."),
         row("service", "gcx_registered_queries", Gauge(shared.queries.len() as u64),
             "Named queries addressable as POST /query?name=."),
-        row("service", "gcx_interner_rebuilds_total", Counter(svc.interner_rebuilds),
-            "Master tag-interner rebuilds (reclaiming tags of evicted queries)."),
-        row("service", "gcx_master_interner_tags", Gauge(service.master_interner_len() as u64),
-            "Tags in the service's master interner."),
     ];
     if let Some(b) = service.budget() {
         #[rustfmt::skip]
@@ -315,7 +311,7 @@ pub(crate) fn render_stats(shared: &ServerShared) -> String {
     sessions.sort_unstable_by_key(|s| s.id);
 
     let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"schema\": \"gcx-net-stats/6\",\n");
+    out.push_str("{\n  \"schema\": \"gcx-net-stats/7\",\n");
     export::render_json(&mut out, &rows(shared, sessions.len()));
     out.push_str(",\n  \"sessions\": [\n");
     for (i, s) in sessions.iter().enumerate() {

@@ -54,8 +54,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,7 +118,7 @@ pub struct NetConfig {
     /// threading a parameter through every test; explicitly set values
     /// are never overridden.
     pub evaluators: usize,
-    /// The underlying query service (cache, budget, engine options).
+    /// The underlying query service (cache capacity, memory budget).
     pub service: ServiceConfig,
     /// Named queries addressable as `POST /query?name=<name>`.
     pub queries: Vec<(String, String)>,
@@ -262,7 +262,7 @@ pub(crate) struct ServerShared {
     draining: AtomicBool,
     /// Connections currently alive anywhere (queued, driven, parked).
     /// Maintained by [`OpenGuard`] so every disposal path decrements.
-    open_conns: Arc<AtomicUsize>,
+    open_conns: Arc<OpenCount>,
     pub(crate) counters: ServerCounters,
     pub(crate) metrics: NetMetrics,
     pub(crate) sessions: Mutex<HashMap<u64, SessionEntry>>,
@@ -299,25 +299,40 @@ pub(crate) struct ServerShared {
 
 impl ServerShared {
     pub(crate) fn open_connections(&self) -> usize {
-        self.open_conns.load(Ordering::SeqCst)
+        *self.open_conns.count.lock().expect("open count lock")
     }
+}
+
+/// The open-connection count, and the condvar a graceful drain waits on
+/// for it to reach zero.
+#[derive(Default)]
+struct OpenCount {
+    count: Mutex<usize>,
+    none_open: Condvar,
 }
 
 /// Holds one slot of `open_conns` for the lifetime of its [`Conn`]; the
 /// `Drop` decrement covers every disposal path — clean close, teardown,
-/// shed, or a queued connection dropped by shutdown's `q.clear()`.
-struct OpenGuard(Arc<AtomicUsize>);
+/// shed, or a queued connection dropped by shutdown's `q.clear()` — and
+/// the one that closes the last connection wakes the drain.
+struct OpenGuard(Arc<OpenCount>);
 
 impl OpenGuard {
-    fn new(counter: Arc<AtomicUsize>) -> Self {
-        counter.fetch_add(1, Ordering::SeqCst);
-        OpenGuard(counter)
+    fn new(open: Arc<OpenCount>) -> Self {
+        *open.count.lock().expect("open count lock") += 1;
+        OpenGuard(open)
     }
 }
 
 impl Drop for OpenGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        // Every update leaves the count valid, so a poisoned lock is
+        // still usable — and `Drop` must not panic.
+        let mut count = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *count -= 1;
+        if *count == 0 {
+            self.0.none_open.notify_all();
+        }
     }
 }
 
@@ -353,7 +368,7 @@ impl GcxServer {
             mailboxes,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            open_conns: Arc::new(AtomicUsize::new(0)),
+            open_conns: Arc::default(),
             counters: ServerCounters::default(),
             metrics: NetMetrics::new(),
             sessions: Mutex::new(HashMap::new()),
@@ -483,13 +498,12 @@ impl GcxServer {
         for mb in &self.shared.mailboxes {
             mb.wake.signal();
         }
-        let t0 = Instant::now();
-        while t0.elapsed() < deadline {
-            if self.shared.open_connections() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let open = &self.shared.open_conns;
+        let count = open.count.lock().expect("open count lock");
+        let _ = open
+            .none_open
+            .wait_timeout_while(count, deadline, |count| *count > 0)
+            .expect("open count lock");
         // Either drained clean or out of patience: hard-stop the rest.
         self.stop_and_join();
     }

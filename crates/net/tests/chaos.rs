@@ -224,7 +224,7 @@ fn seeded_fault_storm_preserves_core_invariants() {
     let stats = parse_json(&text).unwrap_or_else(|e| panic!("final /stats not JSON: {e}\n{text}"));
     assert_eq!(
         stats.get("schema"),
-        Some(&Json::Str("gcx-net-stats/6".into()))
+        Some(&Json::Str("gcx-net-stats/7".into()))
     );
     // Faults fail sessions, but no session that completed left a role
     // behind: role balance survives the storm.

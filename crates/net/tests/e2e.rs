@@ -213,7 +213,7 @@ fn stats_report_live_mid_stream_buffer_figures() {
         let stats = parse_json(&resp.text()).expect("/stats is JSON");
         assert_eq!(
             stats.get("schema"),
-            Some(&Json::Str("gcx-net-stats/6".into()))
+            Some(&Json::Str("gcx-net-stats/7".into()))
         );
         // A live (mid-stream!) session whose engine has already created
         // buffer nodes — the sampling the finish()-only reports could

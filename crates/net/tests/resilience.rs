@@ -174,6 +174,11 @@ fn ambiguous_request_framing_yields_400_and_closes() {
             doc.clone(),
             "invalid Content-Length",
         ),
+        (
+            "Transfer-Encoding: chunked\r\n".to_string(),
+            format!("+{:x}\r\n{doc}\r\n0\r\n\r\n", doc.len()),
+            "invalid chunk size",
+        ),
     ];
     let server = budgeted_server();
     for (framing_headers, body, expect_msg) in cases {
@@ -591,7 +596,7 @@ fn stats_expose_resilience_counters() {
     assert_eq!(resp.status, 200);
     let text = resp.text();
     for key in [
-        "\"schema\": \"gcx-net-stats/6\"",
+        "\"schema\": \"gcx-net-stats/7\"",
         "\"open_connections\"",
         "\"requests_shed\"",
         "\"accept_errors\"",

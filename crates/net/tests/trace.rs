@@ -1,6 +1,6 @@
 //! End-to-end tests for request-scoped tracing: the `/trace` endpoint,
 //! head-based sampling, retroactive slow-request keeps, and the
-//! `tracing` section of `/stats` (schema `gcx-net-stats/6`).
+//! `tracing` section of `/stats` (schema `gcx-net-stats/7`).
 //!
 //! A trace's keep decision lands right *after* the last response byte is
 //! on the wire, so a scrape over another connection (possibly another
@@ -97,7 +97,7 @@ fn trace_export_holds_stage_spans_and_buffer_events() {
     // /stats reports the capture under the `tracing` section.
     let stats = conn.get("/stats").unwrap().text();
     validate_json(&stats).unwrap_or_else(|e| panic!("/stats not JSON: {e}\n{stats}"));
-    assert!(stats.contains("\"schema\": \"gcx-net-stats/6\""), "{stats}");
+    assert!(stats.contains("\"schema\": \"gcx-net-stats/7\""), "{stats}");
     assert!(stats.contains("\"tracing\": {"), "{stats}");
     assert!(stats.contains("\"trace_sample_every\": 1,"), "{stats}");
     assert!(!stats.contains("\"traces_captured\": 0,"), "{stats}");

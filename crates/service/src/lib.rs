@@ -12,10 +12,10 @@
 //!   unmodified. `try_feed`/`drain` are the non-blocking primitives
 //!   event loops use; `feed`/`finish` are a waiting loop over them.
 //! * [`QueryService`] — an LRU **compiled-query cache** (keyed by
-//!   normalized query text, sharing one master `TagInterner`) so repeated
-//!   queries skip parse/rewriting/signOff/projection analysis, plus
-//!   [`QueryService::run_batch`] for bounded-concurrency evaluation of
-//!   many jobs.
+//!   normalized query text; each entry owns the `TagInterner` its query
+//!   was compiled against) so repeated queries skip
+//!   parse/rewriting/signOff/projection analysis, and the session
+//!   factory over it.
 //! * [`MemoryBudget`] — a global bound on service-owned bytes (queued
 //!   input + undrained output) summed over all concurrent sessions.
 //!
@@ -32,11 +32,16 @@ pub mod session;
 pub use budget::MemoryBudget;
 pub use metrics::SessionMetrics;
 pub use pool::EvaluatorPool;
-pub use service::{normalize_query, BatchJob, QueryService, ServiceConfig, ServiceStats};
+pub use service::{normalize_query, QueryService, ServiceConfig, ServiceStats};
 pub use session::{ProgressWaker, SessionConfig, SessionOutcome, StreamSession};
 
 use gcx_query::CompileError;
 use std::fmt;
+
+/// Compiles and runs the example in `README.md` as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctest;
 
 /// Everything the service layer can fail with.
 #[derive(Debug)]

@@ -621,10 +621,10 @@ pub struct StreamSession {
 impl StreamSession {
     /// Builds the session task for `compiled` over a fresh chunk queue
     /// and registers it with `config.pool`, or with a worker-less pool
-    /// of its own that runs it on the caller's thread. `tags` must be (a
-    /// snapshot/overlay of) the interner the query was compiled against
-    /// — [`crate::QueryService`] hands out matching overlays; tags the
-    /// document adds on top stay session-local.
+    /// of its own that runs it on the caller's thread. `tags` must be
+    /// (a clone of) the interner the query was compiled against —
+    /// [`crate::QueryService`] hands out a clone of the cached query's
+    /// own; tags the document adds on top stay session-local.
     pub fn new(compiled: Arc<CompiledQuery>, tags: TagInterner, config: SessionConfig) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),

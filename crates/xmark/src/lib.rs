@@ -9,8 +9,8 @@
 //! * [`queries`] — the adapted Q1, Q6, Q8, Q13 and Q20 in the XQ surface
 //!   syntax.
 //!
-//! See DESIGN.md for the substitution rationale (the original `xmlgen` is
-//! not available offline).
+//! The generator stands in for the original `xmlgen`, which is not
+//! available offline.
 
 pub mod gen;
 pub mod queries;

@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// A fast multiply-xor hasher (FxHash-style) for the interner's raw-bytes
 /// lookup. Tag names are short, trusted identifiers, so a DoS-resistant
@@ -73,32 +72,26 @@ impl fmt::Display for TagId {
 /// the query compiler and the stream lexer of one evaluation run so that
 /// tag comparisons are meaningful.
 ///
-/// ## Copy-on-write overlays
+/// ## One interner per query
 ///
-/// A serving runtime opens many concurrent sessions against one master
-/// interner. Cloning the whole symbol table per session is O(master) —
-/// instead, [`TagInterner::overlay`] builds a view over an immutable
-/// `Arc`-shared snapshot: lookups fall through to the frozen base, and
-/// only tags first seen in the session's own document are stored locally
-/// (their ids start at `base.len()`, so base ids remain valid verbatim).
+/// A serving runtime keeps one interner per cached query: the tags that
+/// query names, nothing else. Each session evaluating it starts from a
+/// clone — small, because a query names a handful of tags — and interns
+/// its document's other tags into that clone only.
 #[derive(Debug, Default, Clone)]
 pub struct TagInterner {
-    /// Frozen shared base; its ids occupy `0..base_len`.
-    base: Option<Arc<TagInterner>>,
-    base_len: u32,
-    /// UTF-8 bytes of every locally interned name, concatenated — one
-    /// growing arena instead of one heap `Box<str>` per name (interning
-    /// a document's vocabulary used to dominate the engine's residual
+    /// UTF-8 bytes of every interned name, concatenated — one growing
+    /// arena instead of one heap `Box<str>` per name (interning a
+    /// document's vocabulary used to dominate the engine's residual
     /// per-run allocation count).
     names_data: String,
-    /// `(offset, len)` of each local name in `names_data`, by local id.
+    /// `(offset, len)` of each name in `names_data`, by id.
     names: Vec<(u32, u32)>,
-    /// Raw-bytes lookup: [`FxHasher`] of the name's UTF-8 → local id,
-    /// verified by content on every hit (no owned key). The rare true
-    /// 64-bit collision falls back to [`Self::collisions`]. Covers local
-    /// names only; base names resolve through `base`.
+    /// Raw-bytes lookup: [`FxHasher`] of the name's UTF-8 → id, verified
+    /// by content on every hit (no owned key). The rare true 64-bit
+    /// collision falls back to [`Self::collisions`].
     ids: HashMap<u64, TagId, FxBuildHasher>,
-    /// Local ids whose hash slot was taken by a different name; scanned
+    /// Ids whose hash slot was taken by a different name; scanned
     /// linearly (in practice empty).
     collisions: Vec<TagId>,
 }
@@ -107,23 +100,6 @@ impl TagInterner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a copy-on-write overlay over a frozen snapshot: every id
-    /// of `base` resolves identically, and newly interned tags are stored
-    /// in the overlay only (ids from `base.len()` upward). O(1).
-    pub fn overlay(base: Arc<TagInterner>) -> Self {
-        let base_len = u32::try_from(base.len()).expect("interner within u32 range");
-        TagInterner {
-            base: Some(base),
-            base_len,
-            ..Default::default()
-        }
-    }
-
-    /// True when this interner is an overlay over a shared base.
-    pub fn is_overlay(&self) -> bool {
-        self.base.is_some()
     }
 
     /// Interns `name`, returning the existing id when already present.
@@ -158,17 +134,16 @@ impl TagInterner {
         h.finish()
     }
 
-    /// The UTF-8 of a *locally* interned name.
     #[inline]
-    fn local_name_bytes(&self, id: TagId) -> &[u8] {
-        let (off, len) = self.names[(id.0 - self.base_len) as usize];
+    fn name_bytes(&self, id: TagId) -> &[u8] {
+        let (off, len) = self.names[id.index()];
         &self.names_data.as_bytes()[off as usize..(off + len) as usize]
     }
 
     #[inline]
     fn lookup(&self, bytes: &[u8]) -> Option<TagId> {
         if let Some(&id) = self.ids.get(&Self::hash_bytes(bytes)) {
-            if self.local_name_bytes(id) == bytes {
+            if self.name_bytes(id) == bytes {
                 return Some(id);
             }
             // Hash hit, content mismatch: a true collision — the other
@@ -176,16 +151,16 @@ impl TagInterner {
             if let Some(&id) = self
                 .collisions
                 .iter()
-                .find(|&&c| self.local_name_bytes(c) == bytes)
+                .find(|&&c| self.name_bytes(c) == bytes)
             {
                 return Some(id);
             }
         }
-        self.base.as_deref().and_then(|b| b.lookup(bytes))
+        None
     }
 
     fn insert_new(&mut self, name: &str) -> TagId {
-        let id = TagId(self.base_len + self.names.len() as u32);
+        let id = TagId(self.names.len() as u32);
         let offset = u32::try_from(self.names_data.len()).expect("name arena within u32 range");
         self.names_data.push_str(name);
         self.names
@@ -210,27 +185,14 @@ impl TagInterner {
     /// Resolves an id back to the tag name.
     ///
     /// # Panics
-    /// Panics if `id` was not produced by this interner (or its base).
+    /// Panics if `id` was not produced by this interner.
     pub fn name(&self, id: TagId) -> &str {
-        if id.0 < self.base_len {
-            return self
-                .base
-                .as_deref()
-                .expect("base ids imply a base")
-                .name(id);
-        }
-        let (off, len) = self.names[(id.0 - self.base_len) as usize];
+        let (off, len) = self.names[id.index()];
         &self.names_data[off as usize..(off + len) as usize]
     }
 
-    /// Number of distinct interned tags (base + overlay).
+    /// Number of distinct interned tags.
     pub fn len(&self) -> usize {
-        self.base_len as usize + self.names.len()
-    }
-
-    /// Number of tags interned locally, excluding any shared base
-    /// (diagnostics: "how many tags did this session's document add").
-    pub fn local_len(&self) -> usize {
         self.names.len()
     }
 
@@ -242,17 +204,6 @@ impl TagInterner {
     /// Iterates over `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
         (0..self.len() as u32).map(move |i| (TagId(i), self.name(TagId(i))))
-    }
-
-    /// Approximate heap footprint of the interner in bytes (used by the
-    /// buffer statistics so that "memory" numbers include the symbol
-    /// table). For an overlay this counts the shared base once — the
-    /// point of sharing is that sessions do not replicate it.
-    pub fn approx_bytes(&self) -> usize {
-        let own = self.names_data.capacity()
-            + self.names.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.ids.capacity() * 16;
-        own + self.base.as_deref().map_or(0, |b| b.approx_bytes())
     }
 }
 
@@ -325,54 +276,18 @@ mod tests {
     }
 
     #[test]
-    fn overlay_shares_base_ids_and_offsets_new_ones() {
-        let mut master = TagInterner::new();
-        let bib = master.intern("bib");
-        let book = master.intern("book");
-        let base = Arc::new(master);
-        let mut session = TagInterner::overlay(base.clone());
-        assert!(session.is_overlay());
-        // Base names resolve to base ids without copying.
-        assert_eq!(session.intern("bib"), bib);
-        assert_eq!(session.get("book"), Some(book));
-        assert_eq!(session.name(bib), "bib");
-        assert_eq!(session.local_len(), 0, "no copy-on-write yet");
-        // Document-side tags land in the overlay, ids past the base.
-        let title = session.intern("title");
-        assert_eq!(title.index(), base.len());
-        assert_eq!(session.name(title), "title");
-        assert_eq!(session.intern_bytes(b"title"), Some(title));
-        assert_eq!(session.len(), 3);
-        assert_eq!(session.local_len(), 1);
-        // The shared base is untouched.
-        assert_eq!(base.len(), 2);
-        assert!(base.get("title").is_none());
-    }
-
-    #[test]
-    fn overlay_iter_walks_base_then_local() {
-        let mut master = TagInterner::new();
-        master.intern("a");
-        master.intern("b");
-        let mut session = TagInterner::overlay(Arc::new(master));
-        session.intern("c");
-        let names: Vec<_> = session.iter().map(|(_, n)| n.to_string()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        let ids: Vec<_> = session.iter().map(|(id, _)| id.index()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn overlay_clone_is_independent() {
-        let mut master = TagInterner::new();
-        master.intern("a");
-        let mut s1 = TagInterner::overlay(Arc::new(master));
-        let mut s2 = s1.clone();
+    fn clone_is_independent() {
+        let mut query = TagInterner::new();
+        let a = query.intern("a");
+        let mut s1 = query.clone();
+        let mut s2 = query.clone();
         let x1 = s1.intern("x");
         let y2 = s2.intern("y");
-        assert_eq!(x1, y2, "overlays allocate the same offset independently");
+        assert_eq!(s1.get("a"), Some(a), "the query's ids carry over");
+        assert_eq!(x1, y2, "clones allocate the same next id independently");
         assert_eq!(s1.name(x1), "x");
         assert_eq!(s2.name(y2), "y");
+        assert_eq!(query.len(), 1, "the original is untouched");
     }
 
     #[test]

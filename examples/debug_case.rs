@@ -1,8 +1,7 @@
 //! Maintenance harness: replays a failing (query-seed, doc-seed) pair
 //! from the property-test generators and dumps the compiled artifacts,
-//! projection tree and per-role accounting — the tool used to diagnose
-//! the two bugs recorded in DESIGN.md ("resurrection of marked nodes",
-//! "positional firing under multiplicity").
+//! projection tree and per-role accounting, to find which role a
+//! failing case leaves unbalanced.
 //!
 //! ```text
 //! cargo run --example debug_case <query-seed> <doc-seed>

@@ -280,10 +280,9 @@ fn run_serve_http(cli: &ServeCli) -> Result<(), String> {
     let config = gcx_net::NetConfig {
         workers: cli.workers,
         evaluators: cli.evaluators,
-        service: gcx::ServiceConfig {
+        service: ServiceConfig {
             cache_capacity: cli.cache,
             memory_budget: cli.budget,
-            ..Default::default()
         },
         queries,
         max_connections: cli.max_connections,
@@ -410,8 +409,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), String> {
     let service = QueryService::new(ServiceConfig {
         cache_capacity: cli.cache,
         memory_budget: cli.budget,
-        max_concurrency: cli.jobs,
-        ..Default::default()
     });
     if let Some(dir) = &cli.output_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;

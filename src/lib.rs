@@ -51,9 +51,7 @@ pub use gcx_core::{
     EngineOptions, GcxEngine, RunReport,
 };
 pub use gcx_query::{compile, compile_default, CompileOptions, CompiledQuery};
-pub use gcx_service::{
-    BatchJob, QueryService, ServiceConfig, ServiceError, SessionOutcome, StreamSession,
-};
+pub use gcx_service::{QueryService, ServiceConfig, ServiceError, SessionOutcome, StreamSession};
 pub use gcx_xml::TagInterner;
 
 use std::fmt;

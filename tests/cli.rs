@@ -1,10 +1,31 @@
 //! End-to-end tests of the `gcx` command-line binary.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn gcx_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gcx"))
+}
+
+/// Runs `cmd` to completion, killing it and failing the test if it is
+/// still running after a minute: the failure mode under test is a hang.
+fn output_within_a_minute(cmd: &mut Command) -> Output {
+    let mut child = cmd
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gcx");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("gcx still running after a minute");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().unwrap()
 }
 
 #[test]
@@ -234,4 +255,58 @@ fn malformed_input_fails_cleanly() {
         .unwrap();
     let out = child.wait_with_output().unwrap();
     assert!(!out.status.success());
+}
+
+const TITLES: &str = "<r>{ for $b in /bib/book return $b/title }</r>";
+const BIB: &str = "<bib><book><title>A</title></book><book><title>B</title></book></bib>";
+
+/// `gcx serve` over one query and six copies of one document, under a
+/// shared memory budget of `budget` bytes.
+fn serve_six_inputs(dir: &Path, budget: &str) -> Output {
+    let qdir = dir.join("queries");
+    std::fs::create_dir_all(&qdir).unwrap();
+    std::fs::write(qdir.join("q.xq"), TITLES).unwrap();
+    let inputs: Vec<PathBuf> = (0..6)
+        .map(|i| {
+            let path = dir.join(format!("in{i}.xml"));
+            std::fs::write(&path, BIB).unwrap();
+            path
+        })
+        .collect();
+    output_within_a_minute(
+        gcx_bin()
+            .args(["serve", "--queries", qdir.to_str().unwrap()])
+            .args(["--jobs", "6", "--budget", budget, "--chunk", "64"])
+            .args(["--output-dir", dir.join("out").to_str().unwrap()])
+            .args(&inputs),
+    )
+}
+
+#[test]
+fn serve_tiny_budget_is_backpressure_not_failure() {
+    // 48 bytes is less than the six inputs together and less than the
+    // requested chunk: sessions wait for each other's bytes.
+    let dir = std::env::temp_dir().join(format!("gcx-serve-budget-{}", std::process::id()));
+    let out = serve_six_inputs(&dir, "48");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    for i in 0..6 {
+        let result = std::fs::read_to_string(dir.join(format!("out/q__in{i}.xml"))).unwrap();
+        assert_eq!(
+            result, "<r><title>A</title><title>B</title></r>",
+            "input {i}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_zero_budget_fails_fast_instead_of_hanging() {
+    // A budget that can never admit a byte fails every session.
+    let dir = std::env::temp_dir().join(format!("gcx-serve-zero-{}", std::process::id()));
+    let out = serve_six_inputs(&dir, "0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("memory budget exceeded"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,7 @@
 use gcx::query::CompileOptions;
 use gcx::service::{EvaluatorPool, MemoryBudget, SessionConfig};
 use gcx::xml::TagInterner;
-use gcx::{BatchJob, QueryService, ServiceConfig, StreamSession};
+use gcx::{QueryService, StreamSession};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,37 +114,30 @@ fn multibyte_utf8_split_across_chunks() {
 fn eight_concurrent_sessions_share_cache() {
     // ≥ 8 sessions through one service: correct isolated outputs and at
     // least one measured cache hit (an acceptance requirement).
-    let service = QueryService::new(ServiceConfig {
-        max_concurrency: 8,
-        ..Default::default()
-    });
+    let service = QueryService::with_defaults();
     let corpus = corpus();
-    let jobs: Vec<BatchJob> = corpus
-        .iter()
-        .take(6)
-        .cycle()
-        .take(12)
-        .enumerate()
-        .map(|(i, (query, doc))| BatchJob {
-            query: query.to_string(),
-            input: doc.as_bytes().into(),
-            label: format!("job{i}"),
-        })
-        .collect();
-    let results = service.run_batch(&jobs, 16);
-    assert_eq!(results.len(), 12);
-    for (job, result) in jobs.iter().zip(&results) {
-        let outcome = result.as_ref().expect("job succeeds");
-        let (want, want_peak) = one_shot(&job.query, std::str::from_utf8(&job.input).unwrap());
-        assert_eq!(
-            String::from_utf8(outcome.output.clone()).unwrap(),
-            want,
-            "wrong output for {}",
-            job.label
-        );
-        assert_eq!(outcome.report.stats.peak_nodes, want_peak);
-        assert_eq!(outcome.report.safety, Some(true));
-    }
+    std::thread::scope(|scope| {
+        for (i, (query, doc)) in corpus.iter().take(6).cycle().take(12).enumerate() {
+            let service = &service;
+            scope.spawn(move || {
+                let mut session = service.open_session(query).expect("open");
+                let mut out = Vec::new();
+                for chunk in doc.as_bytes().chunks(16) {
+                    out.extend_from_slice(&session.feed(chunk).expect("feed"));
+                }
+                let outcome = session.finish().expect("finish");
+                out.extend_from_slice(&outcome.output);
+                let (want, want_peak) = one_shot(query, doc);
+                assert_eq!(
+                    String::from_utf8(out).unwrap(),
+                    want,
+                    "wrong output for job{i}"
+                );
+                assert_eq!(outcome.report.stats.peak_nodes, want_peak);
+                assert_eq!(outcome.report.safety, Some(true));
+            });
+        }
+    });
     let stats = service.stats();
     assert_eq!(stats.sessions_opened, 12);
     assert_eq!(stats.cache_misses, 6, "six distinct queries");
@@ -289,26 +282,4 @@ fn finish_takes_the_output_a_single_feed_left_behind() {
             "output differs with {workers} pool workers"
         );
     }
-}
-
-#[test]
-fn run_batch_with_one_chunk_per_document_completes() {
-    let doc = copy_all_doc();
-    let (want, _) = one_shot(COPY_ALL, &doc);
-    let chunk_size = doc.len();
-    let outcome = within_a_minute("run_batch", move || {
-        let jobs = [BatchJob {
-            query: COPY_ALL.to_string(),
-            input: doc.as_bytes().into(),
-            label: "copy-all".to_string(),
-        }];
-        QueryService::with_defaults()
-            .run_batch(&jobs, chunk_size)
-            .remove(0)
-            .expect("job succeeds")
-    });
-    assert!(
-        outcome.output == want.as_bytes(),
-        "run_batch output differs"
-    );
 }
