@@ -722,6 +722,20 @@ impl BufferTree {
         }
     }
 
+    /// Charges `bytes` of evaluator state kept over buffered nodes (a
+    /// join index) to the footprint, so `live_bytes`/`peak_bytes` count
+    /// it like buffered data. Undo with [`Self::release_aux`].
+    pub fn charge_aux(&mut self, bytes: usize) {
+        self.stats.grow(bytes);
+        self.publish_live();
+    }
+
+    /// Returns bytes charged by [`Self::charge_aux`].
+    pub fn release_aux(&mut self, bytes: usize) {
+        self.stats.shrink(bytes);
+        self.publish_live();
+    }
+
     // ------------------------------------------------------------------
     // Navigation (used by the evaluator)
     // ------------------------------------------------------------------
@@ -1291,7 +1305,9 @@ mod tests {
         assert_eq!(b.text_arena_len(), 0);
         assert!(b.is_alive(empty));
         assert_eq!(b.text_content(empty), Some(""));
-        assert_eq!(b.string_value(keep), "");
+        let mut s = String::new();
+        b.string_value_into(keep, &mut s);
+        assert_eq!(s, "");
     }
 
     #[test]

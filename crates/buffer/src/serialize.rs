@@ -71,17 +71,11 @@ impl BufferTree {
         }
     }
 
-    /// The string value of a buffered node: concatenation of all text in
-    /// its subtree (XPath `string()`; needed for comparisons).
-    pub fn string_value(&self, id: BufNodeId) -> String {
-        let mut s = String::new();
-        self.collect_text(id, &mut s);
-        s
-    }
-
-    /// [`Self::string_value`] appended into a caller-provided (reusable)
-    /// string — the comparison hot path evaluates one of these per
-    /// condition per binding and must not allocate in steady state.
+    /// The string value of a buffered node — the concatenation of all
+    /// text in its subtree (XPath `string()`; needed for comparisons) —
+    /// appended into a caller-provided (reusable) string: the comparison
+    /// hot path evaluates one of these per condition per binding and must
+    /// not allocate in steady state.
     pub fn string_value_into(&self, id: BufNodeId, out: &mut String) {
         self.collect_text(id, out);
     }
@@ -148,7 +142,9 @@ mod tests {
     #[test]
     fn string_value_concatenates() {
         let (b, _tags, n1) = build();
-        assert_eq!(b.string_value(n1), "T<&ext");
+        let mut s = String::new();
+        b.string_value_into(n1, &mut s);
+        assert_eq!(s, "T<&ext");
     }
 
     #[test]

@@ -63,6 +63,11 @@ impl BufferStats {
         }
     }
 
+    /// Records shrinkage of live state that is not a node.
+    pub(crate) fn shrink(&mut self, bytes: usize) {
+        self.live_bytes = self.live_bytes.saturating_sub(bytes);
+    }
+
     /// Human-readable peak, e.g. `1.2MB`, in the style of paper Table 1.
     pub fn peak_human(&self) -> String {
         human_bytes(self.peak_bytes)

@@ -39,13 +39,14 @@
 //! evaluation (Galax-style projection \[13\]).
 
 use crate::error::EngineError;
+use crate::join::{collect_matches, node_matches, still_under, JoinIndexes};
 use crate::metrics::EngineStageMetrics;
 use crate::preproject::{Preprojector, PumpEvent};
 use crate::value::compare_values;
 use gcx_buffer::{BufNodeId, BufferStats, BufferTree};
 use gcx_obs::log_debug;
 use gcx_projection::{PStep, PTest, Pred, RelPath, Role};
-use gcx_query::{Axis, CompiledQuery, Cond, Expr, NodeTest, Step, VarId};
+use gcx_query::{Axis, CompiledQuery, Cond, Expr, Step, VarId};
 use gcx_xml::{LexerOptions, TagId, TagInterner, XmlLexer, XmlWriter};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -238,6 +239,16 @@ enum Frame<'q> {
         body: &'q Expr,
         cur: Cursor,
     },
+    /// A key-filtered for-loop (see [`crate::join`]) between iterations:
+    /// bind the next candidate in `join.cands[next..]` still under
+    /// `base`. `bound` is the pinned binding of the last iteration.
+    KeyedLoop {
+        var: VarId,
+        body: &'q Expr,
+        base: BufNodeId,
+        next: u32,
+        bound: Option<BufNodeId>,
+    },
     /// Pick the branch once the condition frames left their verdict in
     /// `cond_reg`.
     IfBranch {
@@ -287,14 +298,19 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     /// Request-scoped flight recorder + trace ID (emit spans; the pump
     /// stages record in the projector, buffer events in the buffer).
     flight: Option<(Arc<gcx_obs::FlightRecorder>, u64)>,
-    /// Reusable scratch (see "Evaluator allocation discipline" below):
-    /// nodes matched by a comparison step, a node's string value, and the
-    /// signOff path frontier/next sets. Taken/restored around use so the
-    /// borrow checker allows buffer access in between; capacities stick.
+    /// Reusable scratch: nodes matched by a comparison step, a node's
+    /// string value, a comparison's left values (concatenated, with end
+    /// offsets), and the signOff path frontier/next sets. Taken/restored
+    /// around use so the borrow checker allows buffer access in between;
+    /// capacities stick.
     cmp_nodes: Vec<BufNodeId>,
     cmp_text: String,
+    cmp_left: String,
+    cmp_left_ends: Vec<usize>,
     path_frontier: Vec<(BufNodeId, u32)>,
     path_next: Vec<(BufNodeId, u32)>,
+    /// Key indexes of the query's filterable join loops.
+    join: JoinIndexes,
     /// The explicit evaluation stack (see [`Frame`]): empty before the
     /// first step and after the run ends.
     frames: Vec<Frame<'q>>,
@@ -343,8 +359,11 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             flight: None,
             cmp_nodes: Vec::new(),
             cmp_text: String::new(),
+            cmp_left: String::new(),
+            cmp_left_ends: Vec::new(),
             path_frontier: Vec::new(),
             path_next: Vec::new(),
+            join: JoinIndexes::default(),
             frames: Vec::new(),
             cond_reg: false,
             started: false,
@@ -663,14 +682,6 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     // Cursors
     // ------------------------------------------------------------------
 
-    fn node_matches(&self, n: BufNodeId, test: NodeTest) -> bool {
-        match test {
-            NodeTest::Tag(t) => self.buffer.tag(n) == Some(t),
-            NodeTest::Star => self.buffer.tag(n).is_some(),
-            NodeTest::Text => self.buffer.is_text(n),
-        }
-    }
-
     /// Advances a cursor to its next match, pumping the input as needed
     /// (this is where the evaluator "blocks" in the paper's terms —
     /// except nothing blocks: fuel is charged per candidate examined
@@ -702,7 +713,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                         self.buffer.unpin(m);
                     }
                     c.mark = Some(n);
-                    if self.node_matches(n, c.step.test) {
+                    if node_matches(&self.buffer, n, c.step.test) {
                         return Ok(CursorStep::Found(n));
                     }
                 }
@@ -778,7 +789,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 self.writer.close(root_tag, self.projector.tags())?;
                 Ok(())
             }
-            Frame::Eval(e) => self.eval_frame(e),
+            Frame::Eval(e) => self.eval_frame(e, fuel),
             Frame::Seq { items, idx } => {
                 if let Some(item) = items.get(idx) {
                     self.frames.push(Frame::Seq {
@@ -861,6 +872,8 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                     }
                     Ok(CursorStep::End) => {
                         self.bindings[var.index()] = None;
+                        self.join
+                            .release(var, &self.compiled.key_filters, &mut self.buffer);
                         Ok(())
                     }
                     Ok(CursorStep::OutOfFuel) => {
@@ -869,6 +882,37 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                     }
                     Err(e) => self.suspend_err(Frame::ForLoop { var, body, cur }, e),
                 }
+            }
+            Frame::KeyedLoop {
+                var,
+                body,
+                base,
+                mut next,
+                bound,
+            } => {
+                self.check_cancelled()?;
+                if let Some(n) = bound {
+                    self.buffer.unpin(n);
+                }
+                while let Some(&n) = self.join.cands.get(next as usize) {
+                    next += 1;
+                    if still_under(&self.buffer, n, base) {
+                        self.buffer.pin(n);
+                        self.bindings[var.index()] = Some(n);
+                        self.frames.push(Frame::KeyedLoop {
+                            var,
+                            body,
+                            base,
+                            next,
+                            bound: Some(n),
+                        });
+                        self.frames.push(Frame::Eval(body));
+                        return Ok(());
+                    }
+                }
+                self.bindings[var.index()] = None;
+                self.join.leave();
+                Ok(())
             }
             Frame::IfBranch {
                 then_branch,
@@ -932,8 +976,9 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
 
     /// Dispatches one expression onto the frame stack. Pure stack
     /// manipulation plus the leaf cases that cannot suspend (writer
-    /// opens/closes); anything that pumps gets its own frame.
-    fn eval_frame(&mut self, e: &'q Expr) -> Result<(), EngineError> {
+    /// opens/closes, building a join index — charged to `fuel`);
+    /// anything that pumps gets its own frame.
+    fn eval_frame(&mut self, e: &'q Expr, fuel: &mut u32) -> Result<(), EngineError> {
         match e {
             Expr::Empty => Ok(()),
             Expr::OpenTag(t) => {
@@ -974,6 +1019,24 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 body,
             } => {
                 let base = self.binding(*source);
+                let filters = &self.compiled.key_filters;
+                if let Some(id) = filters.iter().position(|f| f.loop_var == *var) {
+                    let f = &filters[id];
+                    let outer = self.binding(f.outer_var);
+                    if let Some(built) =
+                        self.join.enter(id, f, *step, base, outer, &mut self.buffer)
+                    {
+                        *fuel = fuel.saturating_sub(u32::try_from(built).unwrap_or(u32::MAX));
+                        self.frames.push(Frame::KeyedLoop {
+                            var: *var,
+                            body,
+                            base,
+                            next: 0,
+                            bound: None,
+                        });
+                        return Ok(());
+                    }
+                }
                 self.frames.push(Frame::ForLoop {
                     var: *var,
                     body,
@@ -1122,7 +1185,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     ) -> bool {
         let mut matches = std::mem::take(&mut self.cmp_nodes);
         matches.clear();
-        self.collect_matches_into(base, step, &mut matches);
+        collect_matches(&self.buffer, base, step, &mut matches);
         let mut text = std::mem::take(&mut self.cmp_text);
         let mut found = false;
         for &n in &matches {
@@ -1139,7 +1202,9 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     }
 
     /// `$x/π op $y/ρ` over two *finished* bases (existential
-    /// comparison semantics).
+    /// comparison semantics). Hot path (a join runs it per inner
+    /// binding): the left values are concatenated into one scratch string
+    /// with end offsets, the right value reuses another.
     fn cmp_var_commit(
         &mut self,
         lbase: BufNodeId,
@@ -1148,49 +1213,37 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         rbase: BufNodeId,
         right_step: Step,
     ) -> bool {
-        let mut lnodes = Vec::new();
-        self.collect_matches_into(lbase, left_step, &mut lnodes);
-        let left: Vec<String> = lnodes
-            .iter()
-            .map(|&n| self.buffer.string_value(n))
-            .collect();
-        if left.is_empty() {
-            return false;
+        let mut nodes = std::mem::take(&mut self.cmp_nodes);
+        let mut left = std::mem::take(&mut self.cmp_left);
+        let mut ends = std::mem::take(&mut self.cmp_left_ends);
+        let mut text = std::mem::take(&mut self.cmp_text);
+        nodes.clear();
+        left.clear();
+        ends.clear();
+        collect_matches(&self.buffer, lbase, left_step, &mut nodes);
+        for &n in &nodes {
+            self.buffer.string_value_into(n, &mut left);
+            ends.push(left.len());
         }
-        let mut right = Vec::new();
-        self.collect_matches_into(rbase, right_step, &mut right);
-        for &rn in &right {
-            let rv = self.buffer.string_value(rn);
-            if left.iter().any(|lv| compare_values(lv, &rv, op)) {
-                return true;
-            }
+        nodes.clear();
+        if !ends.is_empty() {
+            collect_matches(&self.buffer, rbase, right_step, &mut nodes);
         }
-        false
-    }
-
-    /// Collects all buffered matches of `step` under a *finished* base (no
-    /// pumping; used by comparisons) into a caller-provided vector.
-    fn collect_matches_into(&self, base: BufNodeId, step: Step, out: &mut Vec<BufNodeId>) {
-        match step.axis {
-            Axis::Child => {
-                let mut c = self.buffer.first_child(base);
-                while let Some(n) = c {
-                    if self.node_matches(n, step.test) {
-                        out.push(n);
-                    }
-                    c = self.buffer.next_sibling(n);
-                }
-            }
-            Axis::Descendant => {
-                let mut cur = base;
-                while let Some(n) = self.buffer.next_in_subtree(base, cur) {
-                    if self.node_matches(n, step.test) {
-                        out.push(n);
-                    }
-                    cur = n;
-                }
-            }
-        }
+        let found = nodes.iter().any(|&rn| {
+            text.clear();
+            self.buffer.string_value_into(rn, &mut text);
+            let mut start = 0;
+            ends.iter().any(|&end| {
+                let lv = &left[start..end];
+                start = end;
+                compare_values(lv, &text, op)
+            })
+        });
+        self.cmp_nodes = nodes;
+        self.cmp_left = left;
+        self.cmp_left_ends = ends;
+        self.cmp_text = text;
+        found
     }
 
     // ------------------------------------------------------------------

@@ -29,6 +29,7 @@
 pub mod baseline;
 pub mod engine;
 pub mod error;
+mod join;
 pub mod metrics;
 pub mod preproject;
 pub mod value;

@@ -13,6 +13,7 @@
 //! * [`deps`] — dependencies `⟨$x/π, r⟩` and role allocation (Def. 2).
 //! * [`signoff`] — the `suQ` rewriting of Fig. 8.
 //! * [`projection`] — projection-tree derivation (§4, Fig. 1).
+//! * [`keyfilter`] — equality-join loops the evaluator may key-filter.
 //! * [`optimize`] — early updates and redundant-role elimination (§6).
 //! * [`pipeline`] — [`compile`] bundling everything into a
 //!   [`CompiledQuery`].
@@ -20,6 +21,7 @@
 pub mod ast;
 pub mod deps;
 pub mod ifpush;
+pub mod keyfilter;
 pub mod lexer;
 pub mod optimize;
 pub mod parser;
@@ -31,6 +33,7 @@ pub mod vartree;
 
 pub use ast::{Axis, Cond, Expr, NodeTest, Query, RelOp, Step, VarId, VarTable};
 pub use deps::{DepEntry, DepKind, DepTable};
+pub use keyfilter::KeyFilter;
 pub use parser::{parse, ParseError};
 pub use pipeline::{compile, compile_default, CompileError, CompileOptions, CompiledQuery};
 pub use pretty::{pretty_expr, pretty_query};

@@ -9,6 +9,7 @@
 use crate::ast::Query;
 use crate::deps::{collect_deps, DepTable};
 use crate::ifpush::{no_for_under_if, push_ifs};
+use crate::keyfilter::{find_key_filters, KeyFilter};
 use crate::optimize::{early_updates, eliminate_redundant_roles};
 use crate::parser::{parse, ParseError};
 use crate::projection::{build_projection, Projection};
@@ -107,6 +108,9 @@ pub struct CompiledQuery {
     pub deps: DepTable,
     /// The options used.
     pub options: CompileOptions,
+    /// Loops of `rewritten` the evaluator may run over an equality-key
+    /// index (see [`crate::keyfilter`]).
+    pub key_filters: Vec<KeyFilter>,
 }
 
 impl CompiledQuery {
@@ -142,6 +146,7 @@ pub fn compile(
         return Err(CompileError::Internal("a signOff ended up under an if"));
     }
     let projection = build_projection(&analysis, &deps, options.aggregate_roles);
+    let key_filters = find_key_filters(&rewritten);
     Ok(CompiledQuery {
         original,
         rewritten,
@@ -150,6 +155,7 @@ pub fn compile(
         analysis,
         deps,
         options,
+        key_filters,
     })
 }
 

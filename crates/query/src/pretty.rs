@@ -110,7 +110,7 @@ fn pretty_wrapped(e: &Expr, vars: &VarTable, tags: &TagInterner, out: &mut Strin
     }
 }
 
-fn push_step(step: Step, tags: &TagInterner, out: &mut String) {
+pub(crate) fn push_step(step: Step, tags: &TagInterner, out: &mut String) {
     match step.axis {
         Axis::Child => out.push('/'),
         Axis::Descendant => out.push_str("//"),

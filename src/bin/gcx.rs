@@ -9,7 +9,8 @@
 //!   -e, --engine <NAME>    gcx (default) | nogc | static | dom
 //!   -o, --output <FILE>    write result to FILE (default stdout)
 //!       --stats            print buffer/GC statistics to stderr
-//!       --plan             print the rewritten query and projection tree
+//!       --plan             print the rewritten query, projection tree and
+//!                          key-filtered join loops
 //!       --no-optimize      disable the §6 optimizations
 //!       --compile-only     stop after compilation (implies --plan)
 //!   -h, --help             this help
@@ -56,7 +57,8 @@ OPTIONS:
     -e, --engine <NAME>    gcx (default) | nogc | static | dom
     -o, --output <FILE>    write the result to FILE (default stdout)
         --stats            print buffer/GC statistics to stderr
-        --plan             print the rewritten query and projection tree
+        --plan             print the rewritten query, projection tree and
+                           key-filtered join loops
         --no-optimize      disable the paper's §6 optimizations
         --compile-only     stop after compilation (implies --plan)
     -h, --help             show this help
@@ -550,6 +552,12 @@ fn run() -> Result<(), String> {
         eprintln!("{}", pretty_query(&compiled.rewritten, &tags));
         eprintln!("── projection tree ──");
         eprintln!("{}", compiled.projection.tree.pretty(&tags));
+        for f in &compiled.key_filters {
+            eprintln!(
+                "key filter: {}",
+                f.describe(&compiled.rewritten.vars, &tags)
+            );
+        }
     }
     if cli.compile_only {
         return Ok(());

@@ -122,6 +122,30 @@ fn plan_and_compile_only() {
 }
 
 #[test]
+fn plan_lists_key_filtered_join_loops() {
+    let q8 = gcx::xmark::by_name("Q8").expect("Q8");
+    let out = gcx_bin()
+        .args(["-q", q8, "--compile-only"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("key filter: for $t keyed by $b/person = $p/id\n"),
+        "{stderr}"
+    );
+    let out = gcx_bin()
+        .args([
+            "-q",
+            "<r>{ for $b in /a/b return $b/c }</r>",
+            "--compile-only",
+        ])
+        .output()
+        .unwrap();
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("key filter"));
+}
+
+#[test]
 fn bad_query_fails_cleanly() {
     let out = gcx_bin()
         .args(["-q", "<r>{ $unbound }</r>", "--compile-only"])

@@ -144,3 +144,149 @@ fn random_query(seed: u64) -> String {
     format!("<q>{{ {body} }}</q>")
 }
 
+
+// ----------------------------------------------------------------------
+// Equality joins (the shape the evaluator's key pre-filter runs on)
+// ----------------------------------------------------------------------
+
+/// Join operand values by equality class: numeric-equivalent spellings
+/// (`7` = `7.0` = ` 7 ` = `07`, `-0` = `0`, `1e1` = `10`), strings that
+/// only differ by whitespace (unequal), and `NaN`, which equals nothing.
+const JOIN_CLASSES: &[&[&str]] = &[
+    &["7", "7.0", " 7 ", "07"],
+    &["-0", "0", "0.0"],
+    &["1e1", "10"],
+    &["x7"],
+    &[" x7"],
+    &["NaN"],
+    &["inf", "+inf"],
+    &[""],
+];
+
+/// A value from one of the document's `classes`, in a random spelling.
+fn join_value(rng: &mut StdRng, classes: &[&[&'static str]]) -> &'static str {
+    let class = classes[rng.random_range(0..classes.len())];
+    class[rng.random_range(0..class.len())]
+}
+
+/// `<root>` holding one `<ps>` of `<p>`s (the outer side: 0–2 `<id>`s
+/// each, some with nested `<s>`s) and 1–2 `<ss>` of `<s>`s (the inner
+/// side: 0–2 `<buyer>`s each, as text or as 1–2 `<k>` children, and an
+/// `<item>`), the two sides in either order. Values come from three
+/// equality classes per document, so equal values meet often, spelled
+/// alike or not.
+fn render_join_doc(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let classes: Vec<&[&str]> = (0..3)
+        .map(|_| JOIN_CLASSES[rng.random_range(0..JOIN_CLASSES.len())])
+        .collect();
+    fn s_elem(rng: &mut StdRng, classes: &[&[&'static str]], s: &mut String, i: usize) {
+        s.push_str("<s>");
+        for _ in 0..rng.random_range(0..=2) {
+            if rng.random_bool(0.5) {
+                s.push_str(&format!("<buyer>{}</buyer>", join_value(rng, classes)));
+            } else {
+                s.push_str("<buyer>");
+                for _ in 0..rng.random_range(1..=2) {
+                    s.push_str(&format!("<k>{}</k>", join_value(rng, classes)));
+                }
+                s.push_str("</buyer>");
+            }
+        }
+        s.push_str(&format!("<item>i{i}</item></s>"));
+    }
+    let mut ps = String::from("<ps>");
+    for i in 0..rng.random_range(0..=5) {
+        ps.push_str(&format!("<p><name>p{i}</name>"));
+        for _ in 0..rng.random_range(0..=2) {
+            ps.push_str(&format!("<id>{}</id>", join_value(&mut rng, &classes)));
+        }
+        if rng.random_bool(0.3) {
+            s_elem(&mut rng, &classes, &mut ps, 100 + i);
+        }
+        ps.push_str("</p>");
+    }
+    ps.push_str("</ps>");
+    let mut ss = String::new();
+    let mut item = 0;
+    for _ in 0..rng.random_range(1..=2) {
+        ss.push_str("<ss>");
+        for _ in 0..rng.random_range(0..=6) {
+            s_elem(&mut rng, &classes, &mut ss, item);
+            item += 1;
+        }
+        ss.push_str("</ss>");
+    }
+    if rng.random_bool(0.7) {
+        format!("<root>{ps}{ss}</root>")
+    } else {
+        format!("<root>{ss}{ps}</root>")
+    }
+}
+
+/// A join query over [`render_join_doc`] and whether the key pre-filter
+/// must accept it under the default and the plain compile options: an
+/// outer `for $p`, an inner `for $s` over a path that does not depend on
+/// `$p`, and `if (inner = outer)` — or a near miss the filter must
+/// reject: `!=`/`<`, output outside the `if`, or an inner base under `$p`
+/// (whose body carries the `signOff`s for `$s`'s roles; a re-entered base
+/// has them hoisted past the outer loop, so no query text puts a
+/// `signOff` into a filterable body). Two `then` branches are filterable
+/// only without the §6 if-pushdown, which turns them into several `if`s
+/// or a loop over `$p`'s nodes inside the body.
+fn join_query(seed: u64) -> (String, [bool; 2]) {
+    fn pick(rng: &mut StdRng, xs: &[&'static str]) -> &'static str {
+        xs[rng.random_range(0..xs.len())]
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let outer = pick(&mut rng, &["$p/id", "$p//id"]);
+    let (chain, inner) = match pick(&mut rng, &["buyer", "k", "chain"]) {
+        "buyer" => ("", "$s/buyer"),
+        "k" => ("", "$s//k"),
+        _ => ("for $b in $s/buyer return ", "$b/k"),
+    };
+    let then = pick(
+        &mut rng,
+        &["$s/item", "$s", "<hit/>", "$p/name", "<hit>{ $s/item }</hit>"],
+    );
+    let pushed_apart = then.starts_with("$p") || then.contains('{');
+    let mut op = "=";
+    let mut base = pick(&mut rng, &["/root/ss/s", "//s", "$ss/s"]);
+    let mut outside = "";
+    let filterable = match rng.random_range(0..8) {
+        0 => {
+            op = pick(&mut rng, &["!=", "<"]);
+            false
+        }
+        1 => {
+            outside = "$s/item, ";
+            false
+        }
+        2 => {
+            base = "$p/s";
+            false
+        }
+        _ => true,
+    };
+    let (l, r) = if rng.random_bool(0.5) {
+        (inner, outer)
+    } else {
+        (outer, inner)
+    };
+    let join = format!(
+        "for $s in {base} return {chain}({outside}if ({l} {op} {r}) then {then} else ())"
+    );
+    let per_p = if rng.random_bool(0.5) {
+        format!("<m>{{ ($p/name, {join}) }}</m>")
+    } else {
+        join
+    };
+    let mut q = format!("for $p in /root/ps/p return {per_p}");
+    if base == "$ss/s" {
+        q = format!("for $ss in /root/ss return {q}");
+    }
+    (
+        format!("<q>{{ {q} }}</q>"),
+        [filterable && !pushed_apart, filterable],
+    )
+}

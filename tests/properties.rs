@@ -5,6 +5,9 @@
 //! * **Safety**: every GCX run returns all assigned role instances.
 //! * **Lexer/writer roundtrip** on random documents.
 //! * **Memory dominance**: GCX's peak never exceeds the no-GC engine's.
+//! * **Key-filtered joins**: random equality joins (and near misses the
+//!   filter must reject) match the DOM oracle under every step budget and
+//!   chunking.
 
 use gcx::query::{compile, CompileOptions};
 use gcx::xml::{LexerOptions, TagInterner, WhitespaceMode, XmlLexer};
@@ -48,8 +51,69 @@ fn differential_case(qseed: u64, dseed: u64, opts: CompileOptions) {
     );
 }
 
+/// One join case: the static filter decision as expected, then for both
+/// compile-option sets, step budgets 1, 7 and unbounded, whole and
+/// 1-byte-chunked input: output byte-identical to the DOM oracle and
+/// every role returned.
+fn join_case(qseed: u64, dseed: u64) {
+    use gcx::service::SessionConfig;
+    use std::sync::Arc;
+    let (query, filterable) = join_query(qseed);
+    let doc = render_join_doc(dseed);
+    let option_sets = [CompileOptions::default(), CompileOptions::plain()];
+    for (opts, filterable) in option_sets.into_iter().zip(filterable) {
+        let mut tags = TagInterner::new();
+        let compiled = compile(&query, &mut tags, opts)
+            .unwrap_or_else(|e| panic!("join query failed to compile: {e}\n{query}"));
+        assert_eq!(
+            !compiled.key_filters.is_empty(),
+            filterable,
+            "key filter decision for\n{query}"
+        );
+        let mut want = Vec::new();
+        gcx::run_dom(&compiled, &mut tags, doc.as_bytes(), &mut want)
+            .unwrap_or_else(|e| panic!("dom failed: {e}\n{query}\n{doc}"));
+        let compiled = Arc::new(compiled);
+        for step_budget in [1, 7, u32::MAX] {
+            for chunk in [doc.len().max(1), 1] {
+                let mut session = gcx::StreamSession::new(
+                    compiled.clone(),
+                    tags.clone(),
+                    SessionConfig {
+                        step_budget,
+                        ..Default::default()
+                    },
+                );
+                let mut got = Vec::new();
+                for c in doc.as_bytes().chunks(chunk) {
+                    got.extend_from_slice(&session.feed(c).expect("feed"));
+                }
+                let outcome = session.finish().expect("finish");
+                got.extend_from_slice(&outcome.output);
+                let what =
+                    format!("step budget {step_budget}, chunk {chunk}:\n{query}\nover\n{doc}");
+                assert_eq!(
+                    String::from_utf8_lossy(&want),
+                    String::from_utf8_lossy(&got),
+                    "output differs at {what}"
+                );
+                let stats = &outcome.report.stats;
+                assert_eq!(
+                    stats.roles_assigned, stats.roles_removed,
+                    "roles unbalanced at {what}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn key_filtered_joins_match_dom(qseed in 0u64..20_000, dseed in 0u64..20_000) {
+        join_case(qseed, dseed);
+    }
 
     #[test]
     fn theorem1_random_queries_default_opts(qseed in 0u64..20_000, dseed in 0u64..20_000) {
