@@ -214,7 +214,8 @@ enum Frame<'q> {
     /// Materialize the whole projected document (static-projection
     /// baseline) before evaluation starts.
     Preload,
-    /// Open the output root element.
+    /// Read the first input event, then open (and flush) the output
+    /// root element.
     Begin,
     /// Close the output root.
     End,
@@ -776,6 +777,13 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 }
             },
             Frame::Begin => {
+                // Read the first input event before committing anything:
+                // a document malformed at its first token then fails
+                // with zero output bytes, and a run still waiting for
+                // its first byte has said nothing yet.
+                if let Err(e) = self.pump_step() {
+                    return self.suspend_err(Frame::Begin, e);
+                }
                 let root_tag = self.compiled.rewritten.root_tag;
                 self.writer.open(root_tag, self.projector.tags())?;
                 // Commit the response as evaluation starts: the first
@@ -1964,6 +1972,63 @@ mod tests {
         drop(engine);
         assert_eq!(String::from_utf8(out).unwrap(), "<r><title>A</title></r>");
         assert_eq!(report.safety, Some(true));
+    }
+
+    /// The output root is committed only after the first input event was
+    /// read: a run waiting for its first byte has written nothing, and a
+    /// document malformed at its first token fails with zero output
+    /// bytes (a server can still answer it with an error status).
+    #[test]
+    fn begin_reads_the_first_event_before_opening_the_root() {
+        struct Dry;
+        impl Read for Dry {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let query = "<r>{ for $b in /bib/book return $b/title }</r>";
+        let mut tags = TagInterner::new();
+        let compiled = compile_default(query, &mut tags).unwrap();
+
+        let mut out = Vec::new();
+        let mut run_tags = tags.clone();
+        let mut engine = GcxEngine::new(
+            &compiled,
+            &mut run_tags,
+            Dry,
+            &mut out,
+            EngineOptions::default(),
+        );
+        for _ in 0..3 {
+            assert!(matches!(engine.step(4096), StepOutcome::NeedInput));
+        }
+        drop(engine);
+        assert!(out.is_empty(), "no input yet, no output: {out:?}");
+
+        let mut out = Vec::new();
+        let mut run_tags = tags.clone();
+        let mut engine = GcxEngine::new(
+            &compiled,
+            &mut run_tags,
+            &b"</nope>"[..],
+            &mut out,
+            EngineOptions::default(),
+        );
+        assert!(matches!(engine.step(4096), StepOutcome::Err(_)));
+        drop(engine);
+        assert!(out.is_empty(), "first-token error, no output: {out:?}");
+
+        for (doc, expected) in [
+            (
+                "<bib><book><title>A</title></book></bib>",
+                "<r><title>A</title></r>",
+            ),
+            ("<other/>", "<r></r>"),
+            ("<bib/>", "<r></r>"),
+        ] {
+            assert_eq!(gcx_output(query, doc).0, expected, "{doc}");
+            assert_eq!(run_blocky(query, doc).0, expected, "{doc}");
+        }
     }
 
     /// The step machine records yield spans in the flight recorder.

@@ -8,6 +8,8 @@
 //!               (eventfd +      epoll(7) readiness loop over its
 //!                inbox)         own set of connections
 //!                                    │ try_feed / drain
+//!                                    │ (close_input runs the
+//!                                    │  closing slice right here)
 //!                                    ▼
 //!                            M evaluator-pool threads
 //!                            (gcx-service EvaluatorPool)
@@ -26,7 +28,13 @@
 //! server sits in `epoll_wait` with an infinite timeout and burns no
 //! CPU. Evaluators run on the shared [`EvaluatorPool`]; sessions beyond
 //! its size queue (their input simply buffers until a pool thread frees
-//! up).
+//! up). The one slice a connection worker runs itself is the closing
+//! one: once a request body is complete, [`StreamSession::close_input`]
+//! runs the session's next slice on the worker unless a pool thread is
+//! already running it. A small request thus usually completes inside
+//! that call, with no hand-off to the pool and no progress wakeup on its
+//! critical path; a slice that yields continues on the pool, so the
+//! worker spends at most one step budget per request.
 //!
 //! ## Endpoints
 //!
@@ -1669,25 +1677,12 @@ impl Conn {
                     self.emit_output(&mut body, &output);
                 }
             }
-            // 7. Completed? With the input freshly closed the verdict is
-            //    usually microseconds away (small requests evaluate in
-            //    one burst) — a bounded yield-spin saves the full
-            //    park/bump/wake round trip per request, which dominates
-            //    small-request keep-alive latency. Only spun when this
-            //    step made progress, so a genuinely slow evaluation
-            //    parks as before.
+            // 7. Completed? `close_input` ran the closing slice on this
+            //    thread unless an evaluator held the task, so a small
+            //    request's outcome is usually here already; otherwise
+            //    the session's progress wakeup brings us back.
             if body.input_closed {
-                let mut outcome = body.session.take_outcome();
-                if outcome.is_none() && progress {
-                    for _ in 0..32 {
-                        std::thread::yield_now();
-                        outcome = body.session.take_outcome();
-                        if outcome.is_some() {
-                            break;
-                        }
-                    }
-                }
-                if let Some(outcome) = outcome {
+                if let Some(outcome) = body.session.take_outcome() {
                     match outcome {
                         Ok(ok) => {
                             self.emit_output(&mut body, &ok.output);

@@ -13,13 +13,24 @@
 //!   query).
 //! - [`Slice::Park`] — blocked on input or output. The task leaves the
 //!   scheduler entirely until [`TaskHandle::wake`] re-enqueues it (the
-//!   session layer wakes on `try_feed`/`drain`/`close_input`/`cancel`).
+//!   session layer wakes on `try_feed`/`drain`/`cancel`) or a caller
+//!   runs its next slice itself (`close_input`, see below).
 //! - [`Slice::Done`] — finished (or failed); never scheduled again.
 //!
 //! Wake-ups and slice completions race; a small per-task atomic state
 //! machine (idle → queued → running, with a "notified while running"
-//! side state) guarantees a task is queued at most once, runs on at most
-//! one worker, and never misses a wake-up that arrives mid-slice.
+//! side state) guarantees a task runs on at most one thread at a time
+//! and never misses a wake-up that arrives mid-slice.
+//!
+//! Whoever moves a task to *running* with a compare-and-swap runs its
+//! slice. Usually that is a worker popping the ready queue, but a caller
+//! may also *claim* an idle or queued task and run one slice itself
+//! (`TaskHandle::run_here`; the session layer does so when it closes
+//! a session's input, so a small request's last slice runs on the thread
+//! that fed it its last byte). A claimed task can leave a *stale* entry
+//! on the ready queue; the worker that pops it fails the claim and drops
+//! it without running anything or counting it as active. Only a slice
+//! that yields, or that a wake-up interrupted, goes back to the pool.
 //!
 //! A pool without workers — `EvaluatorPool::inline`, or any pool after
 //! [`EvaluatorPool::shutdown`] — runs a woken task on the *waking*
@@ -60,7 +71,11 @@ pub trait PoolTask: Send + Sync + 'static {
 
 /// Task lifecycle states (see the module docs).
 const IDLE: u8 = 0;
+/// Waiting for a slice. It may have one or more ready-queue entries, and
+/// only the entry whose worker claims it first runs it; a caller's
+/// [`TaskHandle::run_here`] can claim it too.
 const QUEUED: u8 = 1;
+/// Claimed: exactly one thread (a worker or a caller) runs its slice.
 const RUNNING: u8 = 2;
 /// Running, and a wake-up arrived mid-slice: if the slice parks, the
 /// task is immediately re-enqueued instead (the wake-up might carry the
@@ -71,6 +86,16 @@ const DONE: u8 = 4;
 struct Scheduled {
     task: Box<dyn PoolTask>,
     state: AtomicU8,
+}
+
+impl Scheduled {
+    /// Moves the task from state `from` to `to`; false if another
+    /// thread changed the state first.
+    fn cas(&self, from: u8, to: u8) -> bool {
+        self.state
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
 }
 
 /// Handle for re-enqueueing a parked task; cloneable, held by the
@@ -89,27 +114,45 @@ impl TaskHandle {
         loop {
             match self.sched.state.load(Ordering::Acquire) {
                 IDLE => {
-                    if self
-                        .sched
-                        .state
-                        .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
+                    if self.sched.cas(IDLE, QUEUED) {
                         EvaluatorPool::enqueue(&self.inner, self.sched.clone());
                         return;
                     }
                 }
                 RUNNING => {
-                    if self
-                        .sched
-                        .state
-                        .compare_exchange(RUNNING, NOTIFIED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
+                    if self.sched.cas(RUNNING, NOTIFIED) {
                         return;
                     }
                 }
                 QUEUED | NOTIFIED | DONE => return,
+                _ => unreachable!("invalid task state"),
+            }
+        }
+    }
+
+    /// Runs the task's next slice on the calling thread if no pool
+    /// worker has started it yet: claims it from IDLE or QUEUED (a queue
+    /// entry it leaves behind goes stale), runs exactly one slice, and
+    /// hands a slice that yielded or saw a wake-up land mid-slice back
+    /// to the pool. A running task is notified, exactly as by
+    /// [`wake`](Self::wake); a retired one is left alone.
+    pub(crate) fn run_here(&self) {
+        loop {
+            match self.sched.state.load(Ordering::Acquire) {
+                from @ (IDLE | QUEUED) => {
+                    if self.sched.cas(from, RUNNING) {
+                        if EvaluatorPool::run_one(&self.inner, &self.sched) {
+                            EvaluatorPool::enqueue(&self.inner, self.sched.clone());
+                        }
+                        return;
+                    }
+                }
+                RUNNING => {
+                    if self.sched.cas(RUNNING, NOTIFIED) {
+                        return;
+                    }
+                }
+                NOTIFIED | DONE => return,
                 _ => unreachable!("invalid task state"),
             }
         }
@@ -253,7 +296,7 @@ impl EvaluatorPool {
                 return;
             }
         }
-        while Self::run_one(inner, &sched) {}
+        while sched.cas(QUEUED, RUNNING) && Self::run_one(inner, &sched) {}
     }
 
     fn worker_loop(inner: &Arc<PoolInner>) {
@@ -275,6 +318,11 @@ impl EvaluatorPool {
             // Fault-injection point: delay task dispatch (chaos tests
             // shake out schedule-dependent assumptions).
             gcx_faults::delay("pool.delay");
+            if !sched.cas(QUEUED, RUNNING) {
+                // A stale entry: a caller claimed the task since it was
+                // queued (`TaskHandle::run_here`).
+                continue;
+            }
             inner.active.fetch_add(1, Ordering::Relaxed);
             let requeue = Self::run_one(inner, &sched);
             inner.active.fetch_sub(1, Ordering::Relaxed);
@@ -286,11 +334,10 @@ impl EvaluatorPool {
         }
     }
 
-    /// Runs one slice of `sched`, driving its state machine. Returns
-    /// true when the task should be re-enqueued (yielded, or a wake-up
-    /// arrived mid-slice).
+    /// Runs one slice of `sched`, which the caller has claimed (moved to
+    /// RUNNING), driving its state machine. Returns true when the task
+    /// should be re-enqueued (yielded, or a wake-up arrived mid-slice).
     fn run_one(inner: &Arc<PoolInner>, sched: &Arc<Scheduled>) -> bool {
-        sched.state.store(RUNNING, Ordering::Release);
         inner.steps.fetch_add(1, Ordering::Relaxed);
         let slice =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sched.task.run_slice()));
@@ -301,19 +348,13 @@ impl EvaluatorPool {
                 true
             }
             Ok(Slice::Park) => {
-                match sched.state.compare_exchange(
-                    RUNNING,
-                    IDLE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => false,
+                if sched.cas(RUNNING, IDLE) {
+                    false
+                } else {
                     // A wake-up landed mid-slice; it may carry exactly
                     // the input/drain this slice blocked on — retry.
-                    Err(_) => {
-                        sched.state.store(QUEUED, Ordering::Release);
-                        true
-                    }
+                    sched.state.store(QUEUED, Ordering::Release);
+                    true
                 }
             }
             Ok(Slice::Done) => {
@@ -360,6 +401,7 @@ impl EvaluatorPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     /// Runs `n` slices (yielding between them), then finishes.
@@ -384,6 +426,76 @@ mod tests {
             left: AtomicUsize::new(slices),
             ran: ran.clone(),
         })
+    }
+
+    /// Parks after every slice; its first slice holds the worker until
+    /// the blocker is released.
+    struct Blocker {
+        started: mpsc::Sender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+        slices: Arc<AtomicUsize>,
+    }
+
+    impl PoolTask for Blocker {
+        fn run_slice(&self) -> Slice {
+            if self.slices.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = self.started.send(());
+                let _ = self.release.lock().unwrap().recv();
+            }
+            Slice::Park
+        }
+    }
+
+    /// Occupies one worker of `pool` with a [`Blocker`]; send on (or
+    /// drop) the returned sender to free it.
+    fn occupy(pool: &EvaluatorPool) -> (TaskHandle, Arc<AtomicUsize>, mpsc::Sender<()>) {
+        let (started, started_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        let slices = Arc::new(AtomicUsize::new(0));
+        let handle = pool.spawn_task(Box::new(Blocker {
+            started,
+            release: Mutex::new(release),
+            slices: slices.clone(),
+        }));
+        started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a worker picked up the blocker");
+        (handle, slices, release_tx)
+    }
+
+    /// Plays back a fixed sequence of slice results (then `Done`),
+    /// recording the name of the thread each slice ran on.
+    struct Scripted {
+        script: Mutex<VecDeque<Slice>>,
+        threads: Arc<Mutex<Vec<String>>>,
+    }
+
+    fn scripted(script: &[Slice]) -> (Box<Scripted>, Arc<Mutex<Vec<String>>>) {
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let task = Box::new(Scripted {
+            script: Mutex::new(script.iter().copied().collect()),
+            threads: threads.clone(),
+        });
+        (task, threads)
+    }
+
+    impl PoolTask for Scripted {
+        fn run_slice(&self) -> Slice {
+            self.threads.lock().unwrap().push(this_thread());
+            self.script
+                .lock()
+                .unwrap()
+                .pop_front()
+                .unwrap_or(Slice::Done)
+        }
+    }
+
+    fn this_thread() -> String {
+        std::thread::current().name().unwrap_or("?").to_string()
+    }
+
+    fn state(handle: &TaskHandle) -> u8 {
+        handle.sched.state.load(Ordering::SeqCst)
     }
 
     fn wait_done(handle: &TaskHandle) {
@@ -541,5 +653,84 @@ mod tests {
             assert_ne!(w[0], w[1], "fair interleave, got {log:?}");
         }
         pool.shutdown();
+    }
+
+    #[test]
+    fn run_here_claims_a_queued_task_and_its_queue_entry_goes_stale() {
+        let pool = EvaluatorPool::new(1);
+        let (_, _, release) = occupy(&pool);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let handle = pool.spawn_task(counter(1, &ran));
+        assert_eq!(pool.queued(), 1, "queued behind the blocker");
+        handle.run_here();
+        assert!(handle.is_done(), "ran to completion on this thread");
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.steps(), 2, "the blocker's slice and this one");
+        assert_eq!(pool.active(), 1, "only the blocker is on a worker");
+        // The worker now pops the stale entry: it must run nothing and
+        // count nothing (shutdown joins the worker after it drained the
+        // queue).
+        release.send(()).unwrap();
+        pool.shutdown();
+        assert_eq!(pool.queued(), 0);
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "ran exactly once");
+        assert_eq!(pool.steps(), 2, "a stale entry is not a step");
+        assert_eq!(pool.active(), 0);
+    }
+
+    #[test]
+    fn run_here_on_a_running_task_notifies_it() {
+        let pool = EvaluatorPool::new(1);
+        let (handle, slices, release) = occupy(&pool);
+        // The worker is mid-slice: the caller must not run it as well.
+        handle.run_here();
+        assert_eq!(state(&handle), NOTIFIED);
+        assert_eq!(slices.load(Ordering::SeqCst), 1);
+        release.send(()).unwrap();
+        // The parking slice saw the notification: exactly one more
+        // slice, then the task rests.
+        for _ in 0..2000 {
+            if slices.load(Ordering::SeqCst) == 2 && state(&handle) == IDLE {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(slices.load(Ordering::SeqCst), 2);
+        assert_eq!(state(&handle), IDLE);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn an_inline_slice_that_yields_continues_on_the_pool() {
+        let pool = EvaluatorPool::new(1);
+        let (_, _, release) = occupy(&pool);
+        let (task, threads) = scripted(&[Slice::Again]);
+        let handle = pool.spawn_task(task);
+        handle.run_here();
+        assert_eq!(*threads.lock().unwrap(), [this_thread()]);
+        assert!(!handle.is_done(), "the second slice is the pool's");
+        release.send(()).unwrap();
+        wait_done(&handle);
+        let threads = threads.lock().unwrap();
+        assert_eq!(threads.len(), 2, "{threads:?}");
+        assert!(threads[1].starts_with("gcx-eval-"), "{threads:?}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn after_shutdown_run_here_and_wake_run_inline() {
+        let pool = EvaluatorPool::new(1);
+        pool.shutdown();
+        let (task, threads) = scripted(&[Slice::Park, Slice::Park, Slice::Again]);
+        let handle = pool.spawn_task(task);
+        assert_eq!(threads.lock().unwrap().len(), 1, "spawned inline, parked");
+        handle.wake();
+        assert_eq!(threads.lock().unwrap().len(), 2, "woken inline, parked");
+        // Yields, and with no worker left the yield continues here too.
+        handle.run_here();
+        assert!(handle.is_done());
+        let threads = threads.lock().unwrap();
+        assert_eq!(*threads, vec![this_thread(); 4]);
     }
 }

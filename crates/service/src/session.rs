@@ -23,7 +23,11 @@
 //! `close_input` and `cancel` wake it. With a shared pool
 //! ([`SessionConfig::pool`]) the slices run on its M workers, which thus
 //! serve any number of open sessions; without one they run on the
-//! caller's own thread, inside the call that woke the task.
+//! caller's own thread, inside the call that woke the task. One slice is
+//! the exception: `close_input` runs the session's next slice on the
+//! closing thread itself unless a worker is already running it, so a
+//! request whose input is complete usually finishes where its last byte
+//! was fed (see [`StreamSession::close_input`]).
 //!
 //! The caller-facing protocol has the same shape in both cases:
 //!
@@ -607,9 +611,10 @@ const BUDGET_RETRY: Duration = Duration::from_millis(1);
 pub struct StreamSession {
     shared: Arc<Shared>,
     cancel: CancelFlag,
-    /// Re-schedules the parked task. Only ever woken **outside** the
-    /// state lock: without pool workers the wake runs the task on the
-    /// calling thread, and the task takes that lock.
+    /// Re-schedules the parked task. Only ever woken (or run, by
+    /// `close_input`) **outside** the state lock: without pool workers
+    /// the wake runs the task on the calling thread, and the task takes
+    /// that lock.
     task: TaskHandle,
     input_queue_bytes: usize,
     budget: Option<Arc<MemoryBudget>>,
@@ -817,9 +822,16 @@ impl StreamSession {
     /// Signals end of input without waiting for the evaluator (the
     /// non-blocking half of [`finish`](Self::finish)); poll
     /// [`take_outcome`](Self::take_outcome) afterwards. Idempotent.
+    ///
+    /// Unless a pool worker is running the session right now, the
+    /// session's next slice runs here, on the calling thread — one
+    /// slice, at most one step budget's worth of work. A small request
+    /// usually finishes inside this call, and its outcome is ready
+    /// without a crossing to the pool and back; a slice that yields
+    /// continues on the pool.
     pub fn close_input(&mut self) {
         self.shared.lock().closed = true;
-        self.task.wake();
+        self.task.run_here();
     }
 
     /// Non-blocking completion poll: `None` while the evaluator is still
@@ -842,7 +854,10 @@ impl StreamSession {
 
     /// Signals end of input, waits for the evaluator to complete, and
     /// returns the output not handed out yet together with the run
-    /// report (which carries this session's `BufferStats`).
+    /// report (which carries this session's `BufferStats`). The closing
+    /// slice runs on the calling thread, as in
+    /// [`close_input`](Self::close_input), so a small document completes
+    /// without waiting for a pool worker.
     pub fn finish(mut self) -> Result<SessionOutcome, ServiceError> {
         self.close_input();
         let mut output = Vec::new();
@@ -1448,5 +1463,48 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "<r><title>A</title><title>B</title></r>"
         );
+    }
+
+    #[test]
+    fn closing_slice_runs_on_the_closing_thread() {
+        // The pool's only worker is held by a task that never yields, so
+        // the session's slices can only run if the thread that closes
+        // its input runs the closing slice itself.
+        struct Hold(Mutex<std::sync::mpsc::Receiver<()>>);
+        impl PoolTask for Hold {
+            fn run_slice(&self) -> Slice {
+                let _ = self.0.lock().unwrap().recv();
+                Slice::Done
+            }
+        }
+        let pool = EvaluatorPool::new(1);
+        let (release, held) = std::sync::mpsc::channel();
+        let hold = pool.spawn_task(Box::new(Hold(Mutex::new(held))));
+        while pool.active() == 0 {
+            std::thread::yield_now();
+        }
+        let (compiled, tags) = compile(QUERY);
+        let mut expected = Vec::new();
+        gcx_core::run_dom(&compiled, &mut tags.clone(), DOC.as_bytes(), &mut expected).unwrap();
+        let config = SessionConfig {
+            pool: Some(pool.clone()),
+            ..Default::default()
+        };
+        let mut session = StreamSession::new(compiled, tags, config);
+        let mut out = session.feed(DOC.as_bytes()).unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = done.send(session.finish());
+        });
+        let outcome = finished.recv_timeout(Duration::from_secs(2));
+        let worker_still_held = !hold.is_done();
+        // Free the worker either way, so a failure cannot hang the pool.
+        release.send(()).unwrap();
+        let outcome = outcome.expect("finish() waited for the busy pool worker");
+        assert!(worker_still_held, "finished while the worker was held");
+        out.extend_from_slice(&outcome.unwrap().output);
+        assert_eq!(out, expected);
+        helper.join().unwrap();
+        pool.shutdown();
     }
 }
