@@ -804,11 +804,6 @@ impl BufferTree {
         None
     }
 
-    /// Raw next sibling including marked nodes (cursor recovery).
-    pub fn next_sibling_raw(&self, id: BufNodeId) -> Option<BufNodeId> {
-        self.n(id).next_sibling
-    }
-
     /// Whether the closing tag of `id` has been read.
     pub fn is_finished(&self, id: BufNodeId) -> bool {
         self.n(id).finished

@@ -14,7 +14,7 @@ use crate::error::EngineError;
 use crate::value::compare_values;
 use gcx_buffer::BufferStats;
 use gcx_query::{Axis, CompiledQuery, Cond, Expr, NodeTest, Step, VarId};
-use gcx_xml::{Document, LexerOptions, NodeId, TagInterner, XmlWriter};
+use gcx_xml::{Document, NodeId, TagInterner, XmlWriter};
 use std::io::{Read, Write};
 use std::time::Instant;
 
@@ -25,19 +25,8 @@ pub fn run_dom<R: Read, W: Write>(
     input: R,
     output: W,
 ) -> Result<RunReport, EngineError> {
-    run_dom_with_options(compiled, tags, input, output, LexerOptions::default())
-}
-
-/// As [`run_dom`] with explicit lexer options.
-pub fn run_dom_with_options<R: Read, W: Write>(
-    compiled: &CompiledQuery,
-    tags: &mut TagInterner,
-    input: R,
-    output: W,
-    opts: LexerOptions,
-) -> Result<RunReport, EngineError> {
     let start = Instant::now();
-    let doc = Document::parse_with_options(input, tags, opts)?;
+    let doc = Document::parse(input, tags)?;
     let mut writer = XmlWriter::new(output);
     let query = &compiled.original;
     let mut eval = DomEval {

@@ -33,10 +33,11 @@
 //! consumer at that point — as early as a consumer on another thread
 //! could act on it.
 //!
-//! The same evaluator also powers two baselines (paper §7 comparisons):
-//! with `gc: false` signOffs are ignored (static analysis only), and with
-//! `preload: true` the whole projected document is materialized before
-//! evaluation (Galax-style projection \[13\]).
+//! The same evaluator also powers two baselines (paper §7 comparisons),
+//! selected by [`Strategy`]: with [`Strategy::NoGc`] signOffs are ignored
+//! (static analysis only), and with [`Strategy::StaticProjection`] the
+//! whole projected document is materialized before evaluation
+//! (Galax-style projection \[13\]).
 
 use crate::error::EngineError;
 use crate::join::{collect_matches, node_matches, still_under, JoinIndexes};
@@ -47,7 +48,7 @@ use gcx_buffer::{BufNodeId, BufferStats, BufferTree};
 use gcx_obs::log_debug;
 use gcx_projection::{PStep, PTest, Pred, RelPath, Role};
 use gcx_query::{Axis, CompiledQuery, Cond, Expr, Step, VarId};
-use gcx_xml::{LexerOptions, TagId, TagInterner, XmlLexer, XmlWriter};
+use gcx_xml::{TagId, TagInterner, XmlLexer, XmlWriter};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,27 +81,18 @@ impl CancelFlag {
     }
 }
 
-/// Engine configuration (the evaluation strategies of Table 1).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineOptions {
-    /// Execute signOff statements (active garbage collection). `false`
-    /// turns the engine into the static-analysis-only baseline.
-    pub gc: bool,
+/// The streaming evaluation strategies of Table 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// Incremental projection with active garbage collection: signOff
+    /// statements are executed.
+    Gcx,
+    /// Incremental projection, signOffs ignored: the static-analysis-only
+    /// baseline.
+    NoGc,
     /// Materialize the full projected document before evaluating
-    /// (Galax-style static projection \[13\]).
-    pub preload: bool,
-    /// Lexer options for the input stream.
-    pub lexer: LexerOptions,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            gc: true,
-            preload: false,
-            lexer: LexerOptions::default(),
-        }
-    }
+    /// (Galax-style static projection \[13\]); signOffs ignored.
+    StaticProjection,
 }
 
 /// A trace event (paper Fig. 2 reproduction).
@@ -284,8 +276,7 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     buffer: BufferTree,
     writer: XmlWriter<W>,
     bindings: Vec<Option<BufNodeId>>,
-    gc: bool,
-    preload: bool,
+    strategy: Strategy,
     tracer: Option<Tracer>,
     cancel: Option<CancelFlag>,
     /// Debug-level logging for this engine's target, hoisted once at
@@ -337,10 +328,10 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         tags: &'t mut TagInterner,
         input: R,
         output: W,
-        options: EngineOptions,
+        strategy: Strategy,
     ) -> Self {
         let mut buffer = BufferTree::new(compiled.roles.len(), &compiled.projection.aggregates);
-        let lexer = XmlLexer::with_options(input, tags, options.lexer);
+        let lexer = XmlLexer::new(input, tags);
         let projector = Preprojector::new(lexer, &compiled.projection.tree, &mut buffer);
         let writer = XmlWriter::new(output);
         let bindings = vec![None; compiled.rewritten.vars.len()];
@@ -350,8 +341,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             buffer,
             writer,
             bindings,
-            gc: options.gc,
-            preload: options.preload,
+            strategy,
             tracer: None,
             cancel: None,
             debug: gcx_obs::log::enabled(gcx_obs::Level::Debug, LOG_TARGET),
@@ -404,14 +394,13 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         self.buffer.set_accounting(accounting);
     }
 
-    /// Installs sampled per-stage timing (see [`crate::metrics`]): every
-    /// `sample_every`th pump step is timed into `metrics` stage by
-    /// stage, plus one in `EMIT_SAMPLE_EVERY` (16) output subtrees. The
-    /// histograms are wait-free, so one shared `Arc` serves every
-    /// concurrent session of a server.
-    pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>, sample_every: u32) {
-        self.projector
-            .set_stage_metrics(metrics.clone(), sample_every);
+    /// Installs sampled per-stage timing (see [`crate::metrics`]): one
+    /// pump step in 512 is timed into `metrics` stage by stage, plus one
+    /// in `EMIT_SAMPLE_EVERY` (16) output subtrees. The histograms are
+    /// wait-free, so one shared `Arc` serves every concurrent session of
+    /// a server.
+    pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>) {
+        self.projector.set_stage_metrics(metrics.clone());
         self.stage_metrics = Some(metrics);
     }
 
@@ -573,7 +562,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             self.frames.push(Frame::End);
             self.frames.push(Frame::Eval(body));
             self.frames.push(Frame::Begin);
-            if self.preload {
+            if self.strategy == Strategy::StaticProjection {
                 self.frames.push(Frame::Preload);
             }
         }
@@ -591,10 +580,10 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     }
 
     fn build_report(&mut self) -> RunReport {
-        let safety = if self.gc {
-            Some(self.buffer.all_roles_returned())
-        } else {
-            None
+        let (engine, safety) = match self.strategy {
+            Strategy::Gcx => ("gcx", Some(self.buffer.all_roles_returned())),
+            Strategy::NoGc => ("no-gc-streaming", None),
+            Strategy::StaticProjection => ("static-projection", None),
         };
         let role_balance = self
             .compiled
@@ -603,13 +592,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             .map(|r| self.buffer.role_accounting(r))
             .collect();
         RunReport {
-            engine: if self.preload {
-                "static-projection".into()
-            } else if self.gc {
-                "gcx".into()
-            } else {
-                "no-gc-streaming".into()
-            },
+            engine: engine.into(),
             output_bytes: self.writer.bytes_written(),
             stats: self.buffer.stats().clone(),
             elapsed: self.run_elapsed,
@@ -1065,7 +1048,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 Ok(())
             }
             Expr::SignOff { var, path, role } => {
-                if !self.gc {
+                if self.strategy != Strategy::Gcx {
                     return Ok(());
                 }
                 let base = self.binding(*var);
@@ -1399,7 +1382,7 @@ pub fn run_gcx<R: Read, W: Write>(
     input: R,
     output: W,
 ) -> Result<RunReport, EngineError> {
-    GcxEngine::new(compiled, tags, input, output, EngineOptions::default()).run()
+    GcxEngine::new(compiled, tags, input, output, Strategy::Gcx).run()
 }
 
 /// Streaming projection without garbage collection ("static analysis
@@ -1410,11 +1393,7 @@ pub fn run_no_gc_streaming<R: Read, W: Write>(
     input: R,
     output: W,
 ) -> Result<RunReport, EngineError> {
-    let opts = EngineOptions {
-        gc: false,
-        ..Default::default()
-    };
-    GcxEngine::new(compiled, tags, input, output, opts).run()
+    GcxEngine::new(compiled, tags, input, output, Strategy::NoGc).run()
 }
 
 /// Galax-style static projection \[13\]: materialize the projected document
@@ -1425,12 +1404,7 @@ pub fn run_static_projection<R: Read, W: Write>(
     input: R,
     output: W,
 ) -> Result<RunReport, EngineError> {
-    let opts = EngineOptions {
-        gc: false,
-        preload: true,
-        ..Default::default()
-    };
-    GcxEngine::new(compiled, tags, input, output, opts).run()
+    GcxEngine::new(compiled, tags, input, output, Strategy::StaticProjection).run()
 }
 
 #[cfg(test)]
@@ -1668,7 +1642,7 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         engine.set_cancel_flag(flag);
         assert!(matches!(engine.run(), Err(EngineError::Cancelled)));
@@ -1685,17 +1659,25 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         engine.set_cancel_flag(CancelFlag::new());
         assert!(engine.run().is_ok());
     }
 
+    /// A document long enough for the 1-in-512 pump sample to land on
+    /// every stage: each 7-step repetition holds a buffered `<book>`
+    /// and two dead `<junk>` subtrees, and 512 ≡ 1 (mod 7), so
+    /// successive samples walk through every position of the pattern.
+    fn sampled_doc() -> String {
+        let rep = "<book><title>A</title></book><junk><x/></junk><junk><y/></junk>";
+        format!("<bib>{}</bib>", rep.repeat(1000))
+    }
+
     #[test]
-    fn stage_metrics_populate_when_sampling_every_step() {
+    fn stage_metrics_populate_at_the_sampling_interval() {
         let query = "<r>{ for $b in /bib/book return $b/title }</r>";
-        let doc = "<bib><book><title>A</title></book><junk><x/><y/></junk>\
-                   <book><title>B</title></book></bib>";
+        let doc = sampled_doc();
         let mut tags = TagInterner::new();
         let compiled = compile_default(query, &mut tags).unwrap();
         let metrics = Arc::new(crate::metrics::EngineStageMetrics::new());
@@ -1704,25 +1686,25 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
-        engine.set_stage_metrics(metrics.clone(), 1);
+        engine.set_stage_metrics(metrics.clone());
         engine.run().unwrap();
-        assert!(metrics.lex.count() > 0, "every pump step timed the lexer");
+        assert!(
+            metrics.lex.count() > 0,
+            "sampled pump steps timed the lexer"
+        );
         assert!(metrics.matching.count() > 0, "matcher verdicts timed");
         assert!(metrics.buffer.count() > 0, "buffered nodes timed");
-        assert!(metrics.skip.count() > 0, "the dead <junk> subtree timed");
-        // Emits sample 1-in-16; this run has too few, so only check the
-        // histogram is readable.
-        let _ = metrics.emit.snapshot();
+        assert!(metrics.skip.count() > 0, "dead <junk> subtrees timed");
+        assert!(metrics.emit.count() > 0, "one title in 16 timed");
     }
 
     #[test]
     fn flight_recorder_captures_stage_spans_and_buffer_events() {
         use gcx_obs::{FlightRecorder, SpanKind};
         let query = "<r>{ for $b in /bib/book return $b/title }</r>";
-        let doc = "<bib><book><title>A</title></book><junk><x/><y/></junk>\
-                   <book><title>B</title></book></bib>";
+        let doc = sampled_doc();
         let mut tags = TagInterner::new();
         let compiled = compile_default(query, &mut tags).unwrap();
         let rec = Arc::new(FlightRecorder::new());
@@ -1731,9 +1713,9 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
-        engine.set_stage_metrics(Arc::new(crate::metrics::EngineStageMetrics::new()), 1);
+        engine.set_stage_metrics(Arc::new(crate::metrics::EngineStageMetrics::new()));
         engine.set_flight_recorder(rec.clone(), 42);
         engine.run().unwrap();
         let totals = rec.stage_totals(42);
@@ -1754,7 +1736,7 @@ mod tests {
     #[test]
     fn stage_metrics_do_not_change_results() {
         let query = "<r>{ for $b in /bib/book return $b/title }</r>";
-        let doc = "<bib><book><title>A</title></book><book><title>B</title></book></bib>";
+        let doc = sampled_doc();
         let mut tags = TagInterner::new();
         let compiled = compile_default(query, &mut tags).unwrap();
         let mut plain_out = Vec::new();
@@ -1767,9 +1749,9 @@ mod tests {
             &mut tags2,
             doc.as_bytes(),
             &mut timed_out,
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
-        engine.set_stage_metrics(Arc::new(crate::metrics::EngineStageMetrics::new()), 1);
+        engine.set_stage_metrics(Arc::new(crate::metrics::EngineStageMetrics::new()));
         let timed = engine.run().unwrap();
         assert_eq!(plain_out, timed_out, "byte-identical output");
         assert_eq!(plain.stats.peak_nodes, timed.stats.peak_nodes);
@@ -1790,7 +1772,7 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         engine.set_tracer(Box::new(move |ev| {
             sink.lock()
@@ -1827,7 +1809,7 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             &mut out,
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         let mut yields = 0u64;
         let report = loop {
@@ -1876,13 +1858,7 @@ mod tests {
             turn: false,
         };
         let mut out = Vec::new();
-        let mut engine = GcxEngine::new(
-            &compiled,
-            &mut tags,
-            input,
-            &mut out,
-            EngineOptions::default(),
-        );
+        let mut engine = GcxEngine::new(&compiled, &mut tags, input, &mut out, Strategy::Gcx);
         let mut need_input = 0u64;
         let report = loop {
             match engine.step(4) {
@@ -1950,7 +1926,7 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             &mut out,
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         let open = Arc::new(AtomicBool::new(false));
         let probe = open.clone();
@@ -1992,13 +1968,7 @@ mod tests {
 
         let mut out = Vec::new();
         let mut run_tags = tags.clone();
-        let mut engine = GcxEngine::new(
-            &compiled,
-            &mut run_tags,
-            Dry,
-            &mut out,
-            EngineOptions::default(),
-        );
+        let mut engine = GcxEngine::new(&compiled, &mut run_tags, Dry, &mut out, Strategy::Gcx);
         for _ in 0..3 {
             assert!(matches!(engine.step(4096), StepOutcome::NeedInput));
         }
@@ -2012,7 +1982,7 @@ mod tests {
             &mut run_tags,
             &b"</nope>"[..],
             &mut out,
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         assert!(matches!(engine.step(4096), StepOutcome::Err(_)));
         drop(engine);
@@ -2045,7 +2015,7 @@ mod tests {
             &mut tags,
             doc.as_bytes(),
             Vec::new(),
-            EngineOptions::default(),
+            Strategy::Gcx,
         );
         engine.set_flight_recorder(rec.clone(), 77);
         loop {

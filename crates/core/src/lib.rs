@@ -34,12 +34,12 @@ pub mod metrics;
 pub mod preproject;
 pub mod value;
 
-pub use baseline::{run_dom, run_dom_with_options};
+pub use baseline::run_dom;
 pub use engine::{
-    run_gcx, run_no_gc_streaming, run_static_projection, CancelFlag, EngineOptions, GcxEngine,
-    RunReport, StepOutcome, TraceEvent,
+    run_gcx, run_no_gc_streaming, run_static_projection, CancelFlag, GcxEngine, RunReport,
+    StepOutcome, Strategy, TraceEvent,
 };
 pub use error::EngineError;
-pub use metrics::{EngineStageMetrics, DEFAULT_STAGE_SAMPLE_EVERY};
+pub use metrics::EngineStageMetrics;
 pub use preproject::{Preprojector, PumpEvent};
 pub use value::compare_values;

@@ -13,8 +13,8 @@
 //! Timing every event would double the cost of the cheap stages
 //! (`Instant::now` is ~20–40 ns; a lexed event can be under 100 ns), so
 //! the preprojector samples: every Nth pump step is timed stage by
-//! stage, the rest pay one counter increment. With the default interval
-//! ([`DEFAULT_STAGE_SAMPLE_EVERY`]) the measured throughput cost on the
+//! stage, the rest pay one counter increment. With the interval
+//! (`STAGE_SAMPLE_EVERY`, 512) the measured throughput cost on the
 //! XMark suite is well under the 2 % budget, and a server accumulates
 //! thousands of samples per histogram within seconds of traffic.
 //!
@@ -24,8 +24,8 @@
 
 use gcx_obs::LatencyHistogram;
 
-/// Default sampling interval: one timed pump step per N.
-pub const DEFAULT_STAGE_SAMPLE_EVERY: u32 = 512;
+/// Sampling interval: one timed pump step per N.
+pub(crate) const STAGE_SAMPLE_EVERY: u32 = 512;
 
 /// Sampled per-stage duration histograms. See module docs.
 #[derive(Debug, Default)]

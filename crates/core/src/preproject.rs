@@ -17,7 +17,7 @@
 //! [`Preprojector::bytes_skipped`].
 
 use crate::error::EngineError;
-use crate::metrics::EngineStageMetrics;
+use crate::metrics::{EngineStageMetrics, STAGE_SAMPLE_EVERY};
 use gcx_buffer::{BufNodeId, BufferTree};
 use gcx_obs::{FlightRecorder, LatencyHistogram, SpanKind};
 use gcx_projection::{ProjTree, StreamMatcher};
@@ -67,8 +67,7 @@ pub struct Preprojector<'t, 'q, R: Read> {
     /// record per-stage spans stamped with the input byte offset, and the
     /// buffer is fed the lexer offset so its events carry it too.
     flight: Option<(Arc<FlightRecorder>, u64)>,
-    /// Pump steps between timed samples, and the running tick.
-    sample_every: u32,
+    /// Pump steps since the last timed sample.
     sample_tick: u32,
     /// A dead-subtree skip blocked on `WouldBlock` (the lexer holds the
     /// position and depth). The matcher consumed the subtree's `Open`
@@ -126,18 +125,16 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
             tokens_skipped: 0,
             stage_metrics: None,
             flight: None,
-            sample_every: crate::metrics::DEFAULT_STAGE_SAMPLE_EVERY,
             sample_tick: 0,
             pending_skip: false,
         }
     }
 
-    /// Installs sampled per-stage timing: every `sample_every`th pump
-    /// step is timed stage by stage into `metrics` (shared, wait-free).
-    /// Untimed steps pay one counter increment.
-    pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>, sample_every: u32) {
+    /// Installs sampled per-stage timing: one pump step in
+    /// `STAGE_SAMPLE_EVERY` (512) is timed stage by stage into `metrics`
+    /// (shared, wait-free). Untimed steps pay one counter increment.
+    pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>) {
         self.stage_metrics = Some(metrics);
-        self.sample_every = sample_every.max(1);
         self.sample_tick = 0;
     }
 
@@ -158,11 +155,6 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
     /// Access to the tag interner (for output rendering).
     pub fn tags(&self) -> &gcx_xml::TagInterner {
         self.lexer.tags()
-    }
-
-    /// True once the whole input has been consumed.
-    pub fn at_eof(&self) -> bool {
-        self.eof
     }
 
     /// Number of DFA states constructed by the matcher (0 in NFA mode).
@@ -186,12 +178,12 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         if self.eof {
             return Ok(PumpEvent::Eof);
         }
-        // Sampled stage timing: every `sample_every`th pump step is
+        // Sampled stage timing: every `STAGE_SAMPLE_EVERY`th pump step is
         // timed stage by stage; the rest pay one counter increment (and
         // nothing at all when no metrics sink is installed).
         let sampled = (self.stage_metrics.is_some() || self.flight.is_some()) && {
             self.sample_tick += 1;
-            if self.sample_tick >= self.sample_every {
+            if self.sample_tick >= STAGE_SAMPLE_EVERY {
                 self.sample_tick = 0;
                 true
             } else {
@@ -464,7 +456,6 @@ mod tests {
         assert!(!buffer.is_finished(BufferTree::ROOT));
         proj.pump_to_eof(&mut buffer).unwrap();
         assert!(buffer.is_finished(BufferTree::ROOT));
-        assert!(proj.at_eof());
         // Further pumps keep returning Eof.
         assert_eq!(proj.pump(&mut buffer).unwrap(), PumpEvent::Eof);
     }

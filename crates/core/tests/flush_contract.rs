@@ -4,7 +4,7 @@
 //! has been flushed to its sink by the time `step` returns, and the
 //! first flush is the output root's open tag on its own.
 
-use gcx_core::{run_gcx, EngineOptions, GcxEngine, StepOutcome};
+use gcx_core::{run_gcx, GcxEngine, StepOutcome, Strategy};
 use gcx_query::compile_default;
 use gcx_xml::TagInterner;
 use std::cell::RefCell;
@@ -104,7 +104,7 @@ fn every_step_return_leaves_the_sink_flushed() {
                     &mut run_tags,
                     reader.clone(),
                     writer.clone(),
-                    EngineOptions::default(),
+                    Strategy::Gcx,
                 );
                 let mut finished = false;
                 for chunk in doc.as_bytes().chunks(piece) {

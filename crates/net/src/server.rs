@@ -22,7 +22,8 @@
 //! simply sleeps in its worker's epoll set while others are served.
 //! A worker parks in `epoll_wait` until one of exactly three wake
 //! sources fires: socket readiness (edge-triggered epoll events),
-//! session progress (evaluators signal the worker's eventfd through each
+//! session progress (evaluators, and budget releases for a session the
+//! memory budget refused, signal the worker's eventfd through each
 //! session's `progress_waker`), or the nearest idle/keep-alive deadline.
 //! There is **no time-based polling** in the connection path — an idle
 //! server sits in `epoll_wait` with an infinite timeout and burns no
@@ -130,14 +131,6 @@ pub struct NetConfig {
     pub service: ServiceConfig,
     /// Named queries addressable as `POST /query?name=<name>`.
     pub queries: Vec<(String, String)>,
-    /// Charge each session's engine buffer against the service's memory
-    /// budget (hard per-session failure instead of unbounded growth).
-    /// Only effective when `service.memory_budget` is set. Default true.
-    pub charge_engine_buffer: bool,
-    /// Maximum request-head size. Default 16 KiB.
-    pub max_head_bytes: usize,
-    /// Socket read size per step. Default 64 KiB.
-    pub io_chunk_bytes: usize,
     /// Connections making no progress for this long *mid-request* are
     /// dropped (slow clients must not pin evaluator threads forever).
     /// Default 30 s.
@@ -184,9 +177,6 @@ impl Default for NetConfig {
             evaluators: env_evaluators().unwrap_or(8),
             service: ServiceConfig::default(),
             queries: Vec::new(),
-            charge_engine_buffer: true,
-            max_head_bytes: 16 * 1024,
-            io_chunk_bytes: 64 * 1024,
             idle_timeout: Duration::from_secs(30),
             keep_alive_timeout: Duration::from_secs(15),
             max_requests_per_conn: 1000,
@@ -210,6 +200,12 @@ fn env_evaluators() -> Option<usize> {
         .ok()
         .filter(|&n| n > 0)
 }
+
+/// Largest unterminated request head accepted before answering `431`.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Socket read size per connection step.
+const IO_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Server-level counters (monotonic; `active_sessions` is derived from
 /// the registry instead).
@@ -276,10 +272,7 @@ pub(crate) struct ServerShared {
     pub(crate) sessions: Mutex<HashMap<u64, SessionEntry>>,
     next_session_id: AtomicU64,
     pub(crate) pool: EvaluatorPool,
-    charge_engine_buffer: bool,
-    max_head_bytes: usize,
-    io_chunk_bytes: usize,
-    /// Largest slice offered to `try_feed` at once — `io_chunk_bytes`
+    /// Largest slice offered to `try_feed` at once — [`IO_CHUNK_BYTES`]
     /// clamped to the memory budget, so a single offer can never be
     /// rejected as permanently unfittable.
     feed_chunk_bytes: usize,
@@ -361,11 +354,10 @@ impl GcxServer {
         let local = listener.local_addr()?;
         let workers = config.workers.max(1);
         let evaluators = config.evaluators.max(1);
-        let io_chunk_bytes = config.io_chunk_bytes.max(512);
         let feed_chunk_bytes = config
             .service
             .memory_budget
-            .map_or(io_chunk_bytes, |b| io_chunk_bytes.min(b.max(1)));
+            .map_or(IO_CHUNK_BYTES, |b| IO_CHUNK_BYTES.min(b.max(1)));
         let mut mailboxes = Vec::with_capacity(workers);
         for _ in 0..workers {
             mailboxes.push(Arc::new(WorkerMailbox::new()?));
@@ -382,9 +374,6 @@ impl GcxServer {
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU64::new(1),
             pool: EvaluatorPool::new(evaluators),
-            charge_engine_buffer: config.charge_engine_buffer,
-            max_head_bytes: config.max_head_bytes.max(512),
-            io_chunk_bytes,
             feed_chunk_bytes,
             idle_timeout: config.idle_timeout,
             keep_alive_timeout: config.keep_alive_timeout,
@@ -431,12 +420,6 @@ impl GcxServer {
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Fixed thread count: acceptor + connection workers + evaluators.
-    /// Does **not** grow with open sessions — that is the point.
-    pub fn thread_count(&self) -> usize {
-        1 + self.shared.workers + self.shared.evaluators
     }
 
     /// The underlying service (stats, cache introspection).
@@ -995,7 +978,7 @@ struct Conn {
     recv: Vec<u8>,
     send: Vec<u8>,
     send_pos: usize,
-    /// Reusable socket-read scratch (sized lazily to `io_chunk_bytes`).
+    /// Reusable socket-read scratch (sized lazily to `IO_CHUNK_BYTES`).
     scratch: Vec<u8>,
     state: ConnState,
     last_progress: Instant,
@@ -1256,7 +1239,7 @@ impl Conn {
             ReadOutcome::WouldBlock => return StepResult::Blocked,
             ReadOutcome::Eof | ReadOutcome::Gone => return StepResult::Finished,
         }
-        if http::find_head_end(&self.recv).is_none() && self.recv.len() > shared.max_head_bytes {
+        if http::find_head_end(&self.recv).is_none() && self.recv.len() > MAX_HEAD_BYTES {
             // Body bytes may already be piling in behind a complete head;
             // only an actually-unterminated head this large is an error.
             self.respond_simple(
@@ -1428,7 +1411,6 @@ impl Conn {
         let session = {
             let live = live.clone();
             let pool = shared.pool.clone();
-            let charge = shared.charge_engine_buffer;
             let mailbox = self.mailbox.clone();
             let token = self.token;
             let output_high_water = shared.output_high_water;
@@ -1440,7 +1422,10 @@ impl Conn {
             shared.service.open_session_with(&query_text, move |cfg| {
                 cfg.live_stats = Some(live);
                 cfg.pool = Some(pool);
-                cfg.charge_engine_buffer = charge;
+                // Engine buffering counts against the memory budget (when
+                // one is set): a hard per-session failure instead of
+                // unbounded growth.
+                cfg.charge_engine_buffer = true;
                 cfg.output_high_water = output_high_water;
                 // Progress wakeups route straight to the one worker that
                 // owns this connection, keyed by its epoll token.
@@ -1624,8 +1609,11 @@ impl Conn {
         }
 
         // 4. Feed decoded payload into the session. Non-blocking: a full
-        //    queue parks the connection, not the worker thread. Slices
-        //    are bounded so one offer can always fit the memory budget.
+        //    queue or memory budget parks the connection, not the worker
+        //    thread; the session's progress signal wakes it when input
+        //    is consumed or, for a budget refusal, when any session
+        //    returns budget bytes. Slices are bounded so one offer can
+        //    always fit the memory budget.
         //    Feeding never moves output: whether the response is taken
         //    is step 6's decision alone, so with our send buffer backed
         //    up (client not reading) the evaluator keeps running until
@@ -1849,8 +1837,8 @@ impl Conn {
         // Reuse one scratch buffer per connection — this runs on every
         // step of every connection, and a fresh zeroed 64 KiB Vec per
         // read would dominate the allocation profile.
-        if self.scratch.len() < shared.io_chunk_bytes {
-            self.scratch.resize(shared.io_chunk_bytes, 0);
+        if self.scratch.len() < IO_CHUNK_BYTES {
+            self.scratch.resize(IO_CHUNK_BYTES, 0);
         }
         if gcx_faults::fire("net.read.err") {
             return ReadOutcome::Gone;

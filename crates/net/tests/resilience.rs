@@ -589,6 +589,99 @@ fn thousand_keep_alive_connections_byte_identical_with_two_evaluators() {
     server.shutdown();
 }
 
+/// A request the shared memory budget refuses is woken when a sibling
+/// returns budget bytes — not left to the idle timeout. A never-reading
+/// client holds the whole budget in undrained output and queued input;
+/// a small request arriving meanwhile is refused, and must be answered
+/// promptly once the hog disconnects and its session is reclaimed.
+#[test]
+fn budget_refused_request_is_woken_when_a_sibling_releases() {
+    const LIMIT: usize = 512 * 1024;
+    let server = GcxServer::bind(
+        "127.0.0.1:0",
+        NetConfig {
+            service: ServiceConfig {
+                memory_budget: Some(LIMIT),
+                ..Default::default()
+            },
+            idle_timeout: Duration::from_secs(6),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let budget = server
+        .service()
+        .budget()
+        .expect("budget configured")
+        .clone();
+
+    // A: a copy-everything upload whose response is never read.
+    let hog_doc = make_doc(300_000);
+    let mut hog = TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST {} HTTP/1.1\r\nHost: gcx\r\nContent-Length: {}\r\n\r\n",
+        query_path("<r>{ for $b in /bib/book return $b }</r>"),
+        hog_doc.len()
+    );
+    hog.write_all(head.as_bytes()).unwrap();
+    let mut hog_writer = hog.try_clone().unwrap();
+    let uploader = std::thread::spawn(move || {
+        // Fails once the socket is shut down below.
+        let _ = hog_writer.write_all(&hog_doc);
+    });
+    // Wait until A has filled the budget and stalled: once the socket
+    // buffers are full, none of A's output drains any more.
+    let (mut last, mut unchanged) = (0, 0);
+    assert!(
+        wait_for(
+            || {
+                let used = budget.used();
+                unchanged = if used == last { unchanged + 1 } else { 0 };
+                last = used;
+                used >= LIMIT && unchanged >= 40
+            },
+            Duration::from_secs(20)
+        ),
+        "the never-reading client must fill the budget and stall (used {})",
+        budget.used()
+    );
+
+    // B: a 40-byte request the full budget refuses.
+    let small = b"<bib><book><title>x</title></book></bib>";
+    assert_eq!(small.len(), 40);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let path = query_path(QUERY);
+    let requester = std::thread::spawn(move || {
+        let resp = client::post(addr, &path, small);
+        tx.send((resp, Instant::now())).unwrap();
+    });
+    std::thread::sleep(Duration::from_millis(300));
+
+    hog.shutdown(std::net::Shutdown::Both).unwrap();
+    let released_at = Instant::now();
+    drop(hog);
+    let (resp, answered_at) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("B answered at all");
+    let resp = resp.expect("B's response");
+    let waited = answered_at.saturating_duration_since(released_at);
+    assert_eq!(resp.status, 200, "B: {}", resp.text());
+    assert!(
+        waited < Duration::from_secs(2),
+        "B answered {waited:?} after A released its budget"
+    );
+    assert_eq!(resp.body, reference_output(QUERY, small));
+    uploader.join().unwrap();
+    requester.join().unwrap();
+    assert!(
+        wait_for(|| budget.used() == 0, Duration::from_secs(5)),
+        "budget leaked: used={}",
+        budget.used()
+    );
+    server.shutdown();
+}
+
 #[test]
 fn stats_expose_resilience_counters() {
     let server = GcxServer::bind("127.0.0.1:0", NetConfig::default()).unwrap();

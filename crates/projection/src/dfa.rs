@@ -165,11 +165,6 @@ impl LazyDfa {
             .map(|&(n, _)| n)
     }
 
-    /// The full match multiset including self-closure entries.
-    pub fn full_matches(&self, s: StateId) -> &[(ProjNodeId, bool)] {
-        self.matches_of(s)
-    }
-
     /// Roles assigned on entering `s`.
     pub fn entry_roles(&self, s: StateId) -> &[Role] {
         &self.roles_arena[self.states[s as usize].entry_roles.range()]

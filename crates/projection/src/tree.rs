@@ -98,10 +98,6 @@ impl ProjTree {
         &self.nodes[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: ProjNodeId) -> &mut ProjNode {
-        &mut self.nodes[id.index()]
-    }
-
     pub fn children(&self, id: ProjNodeId) -> &[ProjNodeId] {
         &self.nodes[id.index()].children
     }
@@ -138,12 +134,6 @@ impl ProjTree {
     /// `dos::node()` terminals.
     pub fn set_aggregate(&mut self, id: ProjNodeId) {
         self.nodes[id.index()].aggregate = true;
-    }
-
-    /// Removes the role from a node (redundant-role elimination, §6 /
-    /// Fig. 12). The node itself stays: it still drives projection.
-    pub fn clear_role(&mut self, id: ProjNodeId) -> Option<Role> {
-        self.nodes[id.index()].role.take()
     }
 
     /// The absolute path of `id` as a string (paper's "XPath representation
@@ -289,15 +279,5 @@ mod tests {
         assert!(p.contains("bib"));
         assert!(p.contains("r2"));
         assert!(p.contains("agg"));
-    }
-
-    #[test]
-    fn clear_role_removes() {
-        let mut tags = TagInterner::new();
-        let x = tags.intern("x");
-        let mut t = ProjTree::new();
-        let n = t.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(x)), Some(Role(1)));
-        assert_eq!(t.clear_role(n), Some(Role(1)));
-        assert_eq!(t.role(n), None);
     }
 }

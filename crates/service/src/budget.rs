@@ -2,15 +2,26 @@
 //!
 //! A [`MemoryBudget`] bounds the *service-owned* bytes across all
 //! sessions: queued input chunks plus produced-but-undrained output. The
-//! GCX buffer tree itself is already minimized by the engine (that is the
-//! point of the paper); the budget guards the part the service adds on
-//! top. Input reservations are **hard** — [`MemoryBudget::try_reserve`]
-//! fails and the session refuses the chunk until bytes come back —
+//! GCX buffer tree is already minimized by the engine (that is the point
+//! of the paper); sessions with
+//! [`crate::SessionConfig::charge_engine_buffer`] charge it too, on an
+//! account of its own (see the `BufferAccounting` impl below). Input
+//! reservations are **hard** — [`MemoryBudget::try_reserve`] fails and
+//! the session refuses the chunk until bytes come back, and the refused
+//! session is woken by the [`MemoryBudget::release`] that returns them —
 //! while output accounting is **soft** ([`MemoryBudget::force_reserve`]):
 //! an evaluator thread mid-write cannot fail cleanly, so output may
 //! transiently overshoot the limit until the caller drains it.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, Weak};
+
+/// A party a refused reservation can wake: a session's progress signal.
+pub(crate) trait BudgetWaiter: Send + Sync {
+    /// Called once by the first [`MemoryBudget::release`] after the
+    /// registration, on the releasing thread, with no budget lock held.
+    fn budget_released(&self);
+}
 
 /// Byte budget shared by every session of one service.
 #[derive(Debug)]
@@ -24,6 +35,11 @@ pub struct MemoryBudget {
     /// hard per-session failure (see the trait impl below for why
     /// coupling them livelocks).
     engine_used: AtomicUsize,
+    /// Waiters refused by [`Self::try_reserve_or_wait`], woken and
+    /// forgotten by the next release; `has_waiters` mirrors non-emptiness
+    /// so the common release path costs one atomic load.
+    waiters: Mutex<Vec<Weak<dyn BudgetWaiter>>>,
+    has_waiters: AtomicBool,
 }
 
 impl MemoryBudget {
@@ -33,6 +49,8 @@ impl MemoryBudget {
             limit,
             used: AtomicUsize::new(0),
             engine_used: AtomicUsize::new(0),
+            waiters: Mutex::new(Vec::new()),
+            has_waiters: AtomicBool::new(false),
         }
     }
 
@@ -53,13 +71,32 @@ impl MemoryBudget {
         self.used.load(Ordering::Relaxed)
     }
 
+    /// [`Self::try_reserve`], and on refusal registers `waiter` to be
+    /// woken by the next release, then tries once more: a release that
+    /// landed between the refusal and the registration had no one to
+    /// wake, so the retry is what sees its bytes. (`used` and
+    /// `has_waiters` are `SeqCst` on both sides, so either the retry
+    /// sees the release or the release sees the registration.)
+    pub(crate) fn try_reserve_or_wait(&self, n: usize, waiter: Weak<dyn BudgetWaiter>) -> bool {
+        if self.try_reserve(n) {
+            return true;
+        }
+        {
+            let mut waiters = self.waiters.lock().unwrap_or_else(|p| p.into_inner());
+            waiters.retain(|w| w.strong_count() > 0 && !w.ptr_eq(&waiter));
+            waiters.push(waiter);
+            self.has_waiters.store(true, Ordering::SeqCst);
+        }
+        self.try_reserve(n)
+    }
+
     /// Attempts to reserve `n` bytes; `false` when that would exceed the
     /// limit (nothing is reserved in that case).
     pub fn try_reserve(&self, n: usize) -> bool {
         if gcx_faults::fire("budget.reject") {
             return false;
         }
-        let mut current = self.used.load(Ordering::Relaxed);
+        let mut current = self.used.load(Ordering::SeqCst);
         loop {
             let Some(next) = current.checked_add(n) else {
                 return false;
@@ -67,12 +104,10 @@ impl MemoryBudget {
             if next > self.limit {
                 return false;
             }
-            match self.used.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .used
+                .compare_exchange_weak(current, next, Ordering::SeqCst, Ordering::SeqCst)
+            {
                 Ok(_) => return true,
                 Err(actual) => current = actual,
             }
@@ -85,10 +120,21 @@ impl MemoryBudget {
         self.used.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Returns `n` bytes to the budget.
+    /// Returns `n` bytes to the budget and wakes every waiter a
+    /// reservation refused since the last wake.
     pub fn release(&self, n: usize) {
-        let prev = self.used.fetch_sub(n, Ordering::Relaxed);
+        let prev = self.used.fetch_sub(n, Ordering::SeqCst);
         debug_assert!(prev >= n, "budget release underflow: {prev} - {n}");
+        if n > 0 && self.has_waiters.load(Ordering::SeqCst) {
+            let woken = {
+                let mut waiters = self.waiters.lock().unwrap_or_else(|p| p.into_inner());
+                self.has_waiters.store(false, Ordering::SeqCst);
+                std::mem::take(&mut *waiters)
+            };
+            for waiter in woken.iter().filter_map(Weak::upgrade) {
+                waiter.budget_released();
+            }
+        }
     }
 }
 
@@ -194,6 +240,35 @@ mod tests {
         BufferAccounting::release(&b, 100);
         b.release(100);
         assert_eq!(b.engine_used(), 0);
+        assert_eq!(b.used(), 0);
+    }
+
+    #[test]
+    fn release_wakes_each_refused_waiter_once() {
+        use std::sync::Arc;
+        #[derive(Default)]
+        struct Count(AtomicUsize);
+        impl BudgetWaiter for Count {
+            fn budget_released(&self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let b = MemoryBudget::new(10);
+        let count = Arc::new(Count::default());
+        let waiter = || Arc::downgrade(&count) as Weak<dyn BudgetWaiter>;
+        assert!(b.try_reserve(10));
+        assert!(!b.try_reserve_or_wait(5, waiter()));
+        assert!(!b.try_reserve_or_wait(5, waiter()), "registered once");
+        b.release(0);
+        assert_eq!(count.0.load(Ordering::Relaxed), 0, "nothing came back");
+        b.release(4);
+        assert_eq!(count.0.load(Ordering::Relaxed), 1);
+        b.release(6);
+        assert_eq!(count.0.load(Ordering::Relaxed), 1, "the wake consumed it");
+        // Room now: the reservation succeeds without registering.
+        assert!(b.try_reserve_or_wait(5, waiter()));
+        b.release(5);
+        assert_eq!(count.0.load(Ordering::Relaxed), 1);
         assert_eq!(b.used(), 0);
     }
 

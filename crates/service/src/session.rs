@@ -52,12 +52,12 @@
 //! `feed* → (drain | feed)* → finish` — or `cancel` at any point.
 //! Dropping an unfinished session cancels it implicitly.
 
-use crate::budget::MemoryBudget;
+use crate::budget::{BudgetWaiter, MemoryBudget};
 use crate::metrics::SessionMetrics;
 use crate::pool::{EvaluatorPool, PoolTask, Slice, TaskHandle};
 use crate::ServiceError;
 use gcx_buffer::LiveBufferStats;
-use gcx_core::{CancelFlag, EngineOptions, EngineStageMetrics, GcxEngine, RunReport, StepOutcome};
+use gcx_core::{CancelFlag, EngineStageMetrics, GcxEngine, RunReport, StepOutcome, Strategy};
 use gcx_obs::{log_error, log_info};
 use gcx_query::CompiledQuery;
 use gcx_xml::TagInterner;
@@ -65,7 +65,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Log target for session lifecycle events.
 const LOG_TARGET: &str = "gcx_service::session";
@@ -74,21 +74,20 @@ const LOG_TARGET: &str = "gcx_service::session";
 /// [`SessionConfig::step_budget`]).
 pub const DEFAULT_STEP_BUDGET: u32 = 4096;
 
-/// Session tuning knobs.
+/// Maximum bytes of fed-but-unconsumed input queued per session;
+/// `try_feed` refuses (and `feed` waits) once the queue is full. A single
+/// chunk larger than the bound is admitted alone rather than deadlocking.
+const INPUT_QUEUE_BYTES: usize = 256 * 1024;
+
+/// Session tuning knobs. Every session runs the GCX strategy
+/// ([`Strategy::Gcx`]).
 #[derive(Clone)]
 pub struct SessionConfig {
-    /// Maximum bytes of fed-but-unconsumed input queued per session;
-    /// `try_feed` refuses (and `feed` waits) once the queue is full. A
-    /// single chunk larger than the bound is admitted alone rather than
-    /// deadlocking.
-    pub input_queue_bytes: usize,
-    /// Engine strategy (GC on by default), including the lexer options
-    /// for the input stream (`engine.lexer`).
-    pub engine: EngineOptions,
     /// Optional global budget shared with sibling sessions; a chunk that
     /// does not fit right now is refused like one that finds the queue
     /// full, and only a chunk larger than the whole budget fails with
-    /// [`ServiceError::BudgetExceeded`].
+    /// [`ServiceError::BudgetExceeded`]. A refused caller is woken when
+    /// budget bytes come back, whichever session returns them.
     pub budget: Option<Arc<MemoryBudget>>,
     /// Charge the engine buffer (nodes + text-arena payload) against
     /// `budget` as *hard* reservations: a document needing more buffer
@@ -136,7 +135,7 @@ pub struct SessionConfig {
     pub metrics: Option<Arc<SessionMetrics>>,
     /// Optional shared per-stage engine timing, installed into the
     /// session's engine ([`gcx_core::GcxEngine::set_stage_metrics`]).
-    /// Sampled every [`gcx_core::DEFAULT_STAGE_SAMPLE_EVERY`] pump steps.
+    /// Sampled once every 512 pump steps.
     pub stage_metrics: Option<Arc<EngineStageMetrics>>,
     /// Human-readable session label (e.g. the query name) used in error
     /// logs — most importantly the evaluator-panic report.
@@ -158,8 +157,6 @@ pub type ProgressWaker = Arc<dyn Fn() + Send + Sync>;
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            input_queue_bytes: 256 * 1024,
-            engine: EngineOptions::default(),
             budget: None,
             charge_engine_buffer: false,
             live_stats: None,
@@ -206,6 +203,9 @@ struct State {
     output: Vec<u8>,
     /// Set exactly once when the evaluator ends.
     done: Option<Result<RunReport, String>>,
+    /// The shared budget returned bytes since `try_feed` last registered
+    /// for that wake-up (see [`BudgetWaiter`]).
+    budget_woken: bool,
 }
 
 struct Shared {
@@ -252,21 +252,30 @@ impl Shared {
         self.signal();
     }
 
-    /// Takes the undrained output, returning its bytes to the budget.
-    fn take_output(&self, st: &mut State, budget: &Option<Arc<MemoryBudget>>) -> Vec<u8> {
-        let out = std::mem::take(&mut st.output);
-        if let Some(b) = budget {
-            b.release(out.len());
-        }
-        out
+    /// Discards undrained output and queued input (cancellation path;
+    /// idempotent). Returns their byte count, for [`give_back`] once the
+    /// state lock is released.
+    fn reclaim(st: &mut State) -> usize {
+        std::mem::take(&mut st.output).len() + StreamSession::take_input(st)
     }
+}
 
-    /// Discards undrained output and queued input, returning their bytes
-    /// to the budget (cancellation path; idempotent — both helpers zero
-    /// the state they account for).
-    fn reclaim(&self, st: &mut State, budget: &Option<Arc<MemoryBudget>>) {
-        let _ = self.take_output(st, budget);
-        StreamSession::release_input(st, budget);
+/// A budget refusal registered the session: wake whoever waits on it.
+/// The state lock is taken so the flag cannot slip in between a
+/// `block_until` caller's check and its sleep.
+impl BudgetWaiter for Shared {
+    fn budget_released(&self) {
+        self.lock().budget_woken = true;
+        self.signal();
+    }
+}
+
+/// Returns `n` bytes to the budget. Never called under a session's state
+/// lock: a release wakes the sessions the budget refused, and waking one
+/// takes its state lock.
+fn give_back(budget: &Option<Arc<MemoryBudget>>, n: usize) {
+    if let Some(b) = budget {
+        b.release(n);
     }
 }
 
@@ -308,10 +317,8 @@ impl Read for ChunkReader {
                 st.head_offset = 0;
             }
             st.input_bytes -= n;
-            if let Some(b) = &self.budget {
-                b.release(n);
-            }
             drop(st);
+            give_back(&self.budget, n);
             // Queue space freed: the caller can re-offer its chunk.
             self.shared.signal();
             return Ok(n);
@@ -349,7 +356,7 @@ struct SessionWriter {
 
 /// Staged output is published without waiting for a flush once it
 /// reaches this size — the unit the input direction already moves in
-/// (the lexer's read buffer, gcx-net's `io_chunk_bytes`).
+/// (the lexer's read buffer, gcx-net's socket reads).
 const BLOCK_BYTES: usize = 64 * 1024;
 
 impl SessionWriter {
@@ -440,14 +447,13 @@ impl EngineTask {
         tags: TagInterner,
         reader: ChunkReader,
         writer: SessionWriter,
-        options: EngineOptions,
     ) -> Self {
         let tags = Box::into_raw(Box::new(tags));
         // SAFETY: see the struct docs — both targets are heap-stable and
         // outlive the engine because this struct drops the engine first.
         let compiled_ref: &'static CompiledQuery = unsafe { &*Arc::as_ptr(&compiled) };
         let tags_ref: &'static mut TagInterner = unsafe { &mut *tags };
-        let engine = GcxEngine::new(compiled_ref, tags_ref, reader, writer, options);
+        let engine = GcxEngine::new(compiled_ref, tags_ref, reader, writer, Strategy::Gcx);
         EngineTask {
             engine: Some(engine),
             tags,
@@ -517,7 +523,9 @@ impl EvalTask {
         if st.cancelled {
             // The caller cancelled without waiting (or raced us): the
             // reclamation duty is ours. Idempotent otherwise.
-            self.shared.reclaim(&mut st, &self.budget);
+            let n = Shared::reclaim(&mut st);
+            drop(st);
+            give_back(&self.budget, n);
         }
     }
 }
@@ -532,8 +540,9 @@ impl PoolTask for EvalTask {
         {
             let mut st = self.shared.lock();
             if st.cancelled {
-                self.shared.reclaim(&mut st, &self.budget);
+                let n = Shared::reclaim(&mut st);
                 drop(st);
+                give_back(&self.budget, n);
                 *slot = None;
                 self.shared.set_done(Err("session cancelled".to_string()));
                 return Slice::Done;
@@ -600,12 +609,6 @@ impl PoolTask for EvalTask {
     }
 }
 
-/// How long a blocked `feed` sleeps before re-offering a chunk the
-/// *budget* refused: sibling sessions return bytes to the shared budget
-/// without knowing who is waiting for them, so that one wait cannot be
-/// purely event-driven.
-const BUDGET_RETRY: Duration = Duration::from_millis(1);
-
 /// A push-driven evaluation of one compiled query over one input stream.
 /// See the module docs for the control-flow picture.
 pub struct StreamSession {
@@ -616,8 +619,9 @@ pub struct StreamSession {
     /// the wake runs the task on the calling thread, and the task takes
     /// that lock.
     task: TaskHandle,
-    input_queue_bytes: usize,
     budget: Option<Arc<MemoryBudget>>,
+    /// The last `try_feed` refusal came from the budget, not the queue.
+    budget_refused: bool,
     /// The session has been finished/cancelled and its resources
     /// reclaimed; `Drop` has nothing left to do.
     terminated: bool,
@@ -648,7 +652,7 @@ impl StreamSession {
             budget: budget.clone(),
             staged: Vec::new(),
         };
-        let mut engine = EngineTask::new(compiled, tags, reader, writer, config.engine);
+        let mut engine = EngineTask::new(compiled, tags, reader, writer);
         {
             let e = engine.engine_mut();
             e.set_cancel_flag(cancel.clone());
@@ -656,7 +660,7 @@ impl StreamSession {
                 e.set_live_stats(live);
             }
             if let Some(sm) = config.stage_metrics.clone() {
-                e.set_stage_metrics(sm, gcx_core::DEFAULT_STAGE_SAMPLE_EVERY);
+                e.set_stage_metrics(sm);
             }
             if let Some(rec) = config.flight_recorder.clone() {
                 e.set_flight_recorder(rec, config.trace_id);
@@ -695,24 +699,26 @@ impl StreamSession {
             shared,
             cancel,
             task,
-            input_queue_bytes: config.input_queue_bytes,
             budget,
+            budget_refused: false,
             terminated: false,
         }
     }
 
     /// Admission test for a `len`-byte chunk: there is room — or the
     /// queue is empty (a single oversized chunk must not deadlock).
-    fn queue_has_room(&self, st: &State, len: usize) -> bool {
-        st.input_bytes == 0 || st.input_bytes + len <= self.input_queue_bytes
+    fn queue_has_room(st: &State, len: usize) -> bool {
+        st.input_bytes == 0 || st.input_bytes + len <= INPUT_QUEUE_BYTES
     }
 
     /// Offers one input chunk without ever waiting and without touching
     /// the output. `false` means the input queue or the budget is full
     /// and the chunk was **not** admitted: re-offer it after the session
-    /// signals progress. A chunk offered after evaluation completed is
-    /// discarded (`true`), matching one-shot semantics — the engine
-    /// never reads past the data it needs. Fails with the session's
+    /// signals progress (a budget refusal registers the session with the
+    /// budget, which signals it when bytes come back). A chunk offered
+    /// after evaluation completed is discarded (`true`), matching
+    /// one-shot semantics — the engine never reads past the data it
+    /// needs. Fails with the session's
     /// error if evaluation has failed, and with
     /// [`ServiceError::BudgetExceeded`] for a chunk larger than the
     /// entire budget, which no amount of waiting could admit.
@@ -738,13 +744,17 @@ impl StreamSession {
             }
             // Queue first: a reservation is only taken for a chunk that
             // is then actually queued.
-            let admitted = self.queue_has_room(&st, chunk.len())
-                && self
-                    .budget
-                    .as_ref()
-                    .is_none_or(|b| b.try_reserve(chunk.len()));
-            if !admitted {
+            if !Self::queue_has_room(&st, chunk.len()) {
+                self.budget_refused = false;
                 return Ok(false);
+            }
+            if let Some(b) = &self.budget {
+                st.budget_woken = false;
+                let waiter = Arc::downgrade(&self.shared);
+                self.budget_refused = !b.try_reserve_or_wait(chunk.len(), waiter);
+                if self.budget_refused {
+                    return Ok(false);
+                }
             }
             st.input_bytes += chunk.len();
             st.input.push_back(chunk.to_vec());
@@ -755,10 +765,8 @@ impl StreamSession {
 
     /// Takes the output produced so far. Never waits.
     pub fn drain(&mut self) -> Vec<u8> {
-        let out = {
-            let mut st = self.shared.lock();
-            self.shared.take_output(&mut st, &self.budget)
-        };
+        let out = std::mem::take(&mut self.shared.lock().output);
+        give_back(&self.budget, out.len());
         if !out.is_empty() {
             // The gate may have reopened.
             self.task.wake();
@@ -790,12 +798,15 @@ impl StreamSession {
             if st.done.is_some() || !st.output.is_empty() {
                 continue;
             }
-            if room_for > 0 && self.queue_has_room(&st, room_for) {
-                // Either the evaluator consumed input since `ready`
-                // looked, or it was the budget that refused.
-                if self.budget.is_some() {
-                    drop(self.shared.progress.wait_timeout(st, BUDGET_RETRY));
-                }
+            // A refusal that is already stale — the queue has room
+            // again, or the budget has returned bytes since — is retried
+            // at once.
+            let stale = if self.budget_refused {
+                st.budget_woken
+            } else {
+                Self::queue_has_room(&st, room_for)
+            };
+            if room_for > 0 && stale {
                 continue;
             }
             drop(self.shared.progress.wait(st));
@@ -841,10 +852,11 @@ impl StreamSession {
     pub fn take_outcome(&mut self) -> Option<Result<SessionOutcome, ServiceError>> {
         let mut st = self.shared.lock();
         st.done.as_ref()?;
-        let output = self.shared.take_output(&mut st, &self.budget);
-        Self::release_input(&mut st, &self.budget);
+        let output = std::mem::take(&mut st.output);
+        let input = Self::take_input(&mut st);
         let done = st.done.take().expect("checked above");
         drop(st);
+        give_back(&self.budget, output.len() + input);
         self.terminated = true;
         Some(match done {
             Ok(report) => Ok(SessionOutcome { output, report }),
@@ -897,17 +909,17 @@ impl StreamSession {
         // The engine (and its writer) are gone — nothing can charge the
         // budget anymore. Reclaim whatever the task's own cancelled-path
         // reclaim did not cover (idempotent).
-        self.shared.reclaim(&mut st, &self.budget);
+        let n = Shared::reclaim(&mut st);
+        drop(st);
+        give_back(&self.budget, n);
         self.terminated = true;
     }
 
-    fn release_input(st: &mut State, budget: &Option<Arc<MemoryBudget>>) {
-        if let Some(b) = budget {
-            b.release(st.input_bytes);
-        }
+    /// Discards the queued input, returning its byte count.
+    fn take_input(st: &mut State) -> usize {
         st.input.clear();
         st.head_offset = 0;
-        st.input_bytes = 0;
+        std::mem::take(&mut st.input_bytes)
     }
 }
 
@@ -1094,7 +1106,8 @@ mod tests {
             ..Default::default()
         };
         let mut a = StreamSession::new(compiled.clone(), tags.clone(), config.clone());
-        let _ = a.feed(b"<bib><book>").unwrap();
+        // A's `<r>` may already be out when this feed drains.
+        let mut out_a = a.feed(b"<bib><book>").unwrap();
         let mut b = StreamSession::new(compiled, tags, config);
         let mut out_b = b.feed(DOC.as_bytes()).unwrap();
         out_b.extend_from_slice(&b.finish().unwrap().output);
@@ -1103,7 +1116,7 @@ mod tests {
             "<r><title>A</title><title>B</title></r>"
         );
         // A is still healthy and completes too.
-        let mut out_a = a.feed(b"<title>A</title></book></bib>").unwrap();
+        out_a.extend_from_slice(&a.feed(b"<title>A</title></book></bib>").unwrap());
         out_a.extend_from_slice(&a.finish().unwrap().output);
         assert_eq!(String::from_utf8(out_a).unwrap(), "<r><title>A</title></r>");
         pool.shutdown();
@@ -1112,23 +1125,23 @@ mod tests {
     #[test]
     fn try_feed_refuses_when_backpressured_and_recovers() {
         // Identity-ish query: output ≈ input, so an undrained consumer
-        // closes the output gate quickly; the engine parks, the tiny
-        // input queue fills, and try_feed refuses without blocking.
+        // closes the output gate quickly; the engine parks, the input
+        // queue fills, and try_feed refuses without blocking.
         let (compiled, tags) = compile("<r>{ for $b in /bib/book return $b }</r>");
         let config = SessionConfig {
-            input_queue_bytes: 64,
             output_high_water: 8 * 1024,
             ..Default::default()
         };
         let mut session = StreamSession::new(compiled, tags, config);
         let mut doc = String::from("<bib>");
         let mut body = String::new();
-        for i in 0..1000 {
+        for i in 0..12_000 {
             let book = format!("<book><title>Padding title {i}</title></book>");
             body.push_str(&book);
             doc.push_str(&book);
         }
         doc.push_str("</bib>");
+        assert!(doc.len() > 2 * INPUT_QUEUE_BYTES, "the queue must fill");
         let expected = format!("<r>{body}</r>");
         // Feed without draining until the session pushes back, then
         // drain and re-offer: with no pool the evaluator runs inside
@@ -1146,6 +1159,38 @@ mod tests {
         assert!(refusals > 0, "gate closed + full queue must refuse");
         out.extend_from_slice(&session.finish().unwrap().output);
         assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    #[test]
+    fn feed_refused_by_the_budget_wakes_on_release() {
+        // Someone else holds the whole budget: `feed` must sleep (no
+        // polling) and wake as soon as the bytes come back.
+        let budget = Arc::new(MemoryBudget::new(DOC.len()));
+        assert!(budget.try_reserve(DOC.len()));
+        let (compiled, tags) = compile(QUERY);
+        let config = SessionConfig {
+            budget: Some(budget.clone()),
+            ..Default::default()
+        };
+        let mut session = StreamSession::new(compiled, tags, config);
+        let (done, finished) = std::sync::mpsc::channel();
+        let feeder = std::thread::spawn(move || {
+            let mut out = session.feed(DOC.as_bytes()).unwrap();
+            out.extend_from_slice(&session.finish().unwrap().output);
+            done.send(()).unwrap();
+            out
+        });
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(finished.try_recv().is_err(), "feed waits for budget");
+        budget.release(DOC.len());
+        finished
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("the release wakes the refused feed");
+        assert_eq!(
+            String::from_utf8(feeder.join().unwrap()).unwrap(),
+            "<r><title>A</title><title>B</title></r>"
+        );
+        assert_eq!(budget.used(), 0);
     }
 
     #[test]
@@ -1214,18 +1259,19 @@ mod tests {
 
     #[test]
     fn engine_buffer_budget_fails_session_cleanly() {
-        // A no-GC engine buffers every projected node; with the engine
-        // buffer charged against a small budget the document must fail
-        // its own session with a clean budget error — not grow unbounded.
+        // The second loop over /bib/book needs every title again, so GCX
+        // must keep them all resident until the first loop is done; with
+        // the engine buffer charged against a small budget the document
+        // must fail its own session with a clean budget error — not grow
+        // unbounded.
         let budget = Arc::new(MemoryBudget::new(4 * 1024));
-        let (compiled, tags) = compile(QUERY);
+        let (compiled, tags) = compile(
+            "<r>{ (for $b in /bib/book return $b/title, \
+                   for $c in /bib/book return $c/title) }</r>",
+        );
         let config = SessionConfig {
             budget: Some(budget.clone()),
             charge_engine_buffer: true,
-            engine: gcx_core::EngineOptions {
-                gc: false,
-                ..Default::default()
-            },
             ..Default::default()
         };
         let mut session = StreamSession::new(compiled, tags, config);
@@ -1414,9 +1460,9 @@ mod tests {
         };
         let mut session = StreamSession::new(compiled, tags, config);
         // Sampling is a pump-step counter, not a clock or a coin: 2000
-        // books are ~10 000 pump steps, so one in
-        // `DEFAULT_STAGE_SAMPLE_EVERY` (512) is timed ~19 times, landing
-        // on every step kind of the five-token `<book>` period.
+        // books are ~10 000 pump steps, so one in 512 is timed ~19
+        // times, landing on every step kind of the five-token `<book>`
+        // period.
         let doc = format!(
             "<bib>{}</bib>",
             "<book><title>T</title></book>".repeat(2000)
@@ -1452,16 +1498,21 @@ mod tests {
     #[test]
     fn oversized_single_chunk_admitted_alone() {
         let (compiled, tags) = compile(QUERY);
-        let config = SessionConfig {
-            input_queue_bytes: 4, // far smaller than the document
-            ..Default::default()
-        };
-        let mut session = StreamSession::new(compiled, tags, config);
-        let mut out = session.feed(DOC.as_bytes()).unwrap();
+        let mut session = StreamSession::new(compiled, tags, SessionConfig::default());
+        let books = 10_000;
+        let doc = format!(
+            "<bib>{}</bib>",
+            "<book><title>A</title></book>".repeat(books)
+        );
+        assert!(
+            doc.len() > INPUT_QUEUE_BYTES,
+            "one chunk larger than the queue"
+        );
+        let mut out = session.feed(doc.as_bytes()).unwrap();
         out.extend_from_slice(&session.finish().unwrap().output);
         assert_eq!(
             String::from_utf8(out).unwrap(),
-            "<r><title>A</title><title>B</title></r>"
+            format!("<r>{}</r>", "<title>A</title>".repeat(books))
         );
     }
 
@@ -1496,7 +1547,7 @@ mod tests {
         let helper = std::thread::spawn(move || {
             let _ = done.send(session.finish());
         });
-        let outcome = finished.recv_timeout(Duration::from_secs(2));
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(2));
         let worker_still_held = !hold.is_done();
         // Free the worker either way, so a failure cannot hang the pool.
         release.send(()).unwrap();

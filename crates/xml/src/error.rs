@@ -24,8 +24,6 @@ pub enum XmlError {
     UnclosedElements { offset: u64, open: usize },
     /// Malformed syntax (bad tag name, broken entity, stray `<`, …).
     Malformed { offset: u64, detail: String },
-    /// Attributes were encountered while [`crate::AttributeMode::Error`] is active.
-    UnexpectedAttribute { offset: u64, name: String },
     /// More than one top-level element, or text at top level.
     TrailingContent { offset: u64 },
 }
@@ -72,9 +70,6 @@ impl fmt::Display for XmlError {
             }
             XmlError::Malformed { offset, detail } => {
                 write!(f, "malformed XML at byte {offset}: {detail}")
-            }
-            XmlError::UnexpectedAttribute { offset, name } => {
-                write!(f, "unexpected attribute '{name}' at byte {offset}")
             }
             XmlError::TrailingContent { offset } => {
                 write!(f, "content after the document element at byte {offset}")

@@ -10,9 +10,14 @@
 //! Supported input constructs: elements, character data, entity references
 //! (`&lt; &gt; &amp; &apos; &quot; &#10; &#x0A;`), CDATA sections, comments,
 //! processing instructions, XML declarations and DOCTYPE declarations
-//! (the latter four are skipped). Attributes are handled according to
-//! [`AttributeMode`]; the paper converted attributes into subelements for
-//! all of its benchmarks, which is this lexer's default.
+//! (the latter four are skipped).
+//!
+//! The lexer reads one dialect, the one the paper evaluated (§7: "we
+//! converted XML attributes into subelements"): each attribute `a="v"` of
+//! `<e>` becomes a leading subelement `<a>v</a>` of `e`, in attribute
+//! order, and character data consisting solely of XML whitespace is
+//! dropped (indentation would otherwise be buffered by `dos::node()`
+//! projections over pretty-printed documents).
 //!
 //! ## Skip mode
 //!
@@ -63,40 +68,6 @@ enum Pending {
     AttrText { start: u32, end: u32 },
 }
 
-/// What to do with attributes in the input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AttributeMode {
-    /// Convert each attribute `a="v"` of `<e>` into a leading subelement
-    /// `<a>v</a>` of `e`, in attribute order. This is the adaptation the
-    /// paper applied to the XMark data ("we converted XML attributes into
-    /// subelements", §7).
-    #[default]
-    AsSubelements,
-    /// Silently drop attributes.
-    Ignore,
-    /// Reject documents containing attributes.
-    Error,
-}
-
-/// What to do with whitespace-only character data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WhitespaceMode {
-    /// Deliver whitespace-only text tokens (faithful to the stream).
-    Keep,
-    /// Drop text tokens that consist solely of XML whitespace. Useful when
-    /// evaluating queries over pretty-printed documents, where indentation
-    /// would otherwise be buffered by `dos::node()` projections.
-    #[default]
-    DropWhitespaceOnly,
-}
-
-/// Lexer configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LexerOptions {
-    pub attributes: AttributeMode,
-    pub whitespace: WhitespaceMode,
-}
-
 /// Streaming tokenizer over any [`Read`].
 ///
 /// The lexer performs its own buffering (do not wrap the reader in a
@@ -111,7 +82,6 @@ pub struct XmlLexer<'t, R: Read> {
     /// Total bytes consumed from the reader before `buf\[0\]`.
     base: u64,
     tags: &'t mut TagInterner,
-    opts: LexerOptions,
     /// Stack of open element tags, for balance checking.
     open: Vec<TagId>,
     /// Queued events (from bachelor tags / attribute expansion).
@@ -155,13 +125,8 @@ struct SkipState {
 const BUF_SIZE: usize = 64 * 1024;
 
 impl<'t, R: Read> XmlLexer<'t, R> {
-    /// Creates a lexer with default options.
+    /// Creates a lexer over `reader`, interning tag names into `tags`.
     pub fn new(reader: R, tags: &'t mut TagInterner) -> Self {
-        Self::with_options(reader, tags, LexerOptions::default())
-    }
-
-    /// Creates a lexer with explicit options.
-    pub fn with_options(reader: R, tags: &'t mut TagInterner, opts: LexerOptions) -> Self {
         XmlLexer {
             reader,
             buf: vec![0; BUF_SIZE],
@@ -169,7 +134,6 @@ impl<'t, R: Read> XmlLexer<'t, R> {
             len: 0,
             base: 0,
             tags,
-            opts,
             open: Vec::with_capacity(16),
             pending: VecDeque::new(),
             document_done: false,
@@ -601,8 +565,8 @@ impl<'t, R: Read> XmlLexer<'t, R> {
     }
 
     /// Parses the inside of an opening tag after the name. Returns `true`
-    /// when the tag is self-closing. Attribute tokens are queued according
-    /// to the configured [`AttributeMode`].
+    /// when the tag is self-closing. Each attribute is queued as a leading
+    /// subelement.
     fn read_tag_rest(&mut self) -> Result<bool> {
         loop {
             self.skip_ws()?;
@@ -617,7 +581,6 @@ impl<'t, R: Read> XmlLexer<'t, R> {
                     return Ok(true);
                 }
                 Some(_) => {
-                    let at = self.offset();
                     let id = self.read_name_id("attribute name")?;
                     self.skip_ws()?;
                     self.expect(b'=', "attribute")?;
@@ -630,24 +593,11 @@ impl<'t, R: Read> XmlLexer<'t, R> {
                         });
                     }
                     let (start, end) = self.read_attr_value(q)?;
-                    match self.opts.attributes {
-                        AttributeMode::AsSubelements => {
-                            self.pending.push_back(Pending::Open(id));
-                            if end > start {
-                                self.pending.push_back(Pending::AttrText { start, end });
-                            }
-                            self.pending.push_back(Pending::Close(id));
-                        }
-                        AttributeMode::Ignore => {
-                            self.attr_buf.truncate(start as usize);
-                        }
-                        AttributeMode::Error => {
-                            return Err(XmlError::UnexpectedAttribute {
-                                offset: at,
-                                name: self.tags.name(id).to_string(),
-                            });
-                        }
+                    self.pending.push_back(Pending::Open(id));
+                    if end > start {
+                        self.pending.push_back(Pending::AttrText { start, end });
                     }
+                    self.pending.push_back(Pending::Close(id));
                 }
                 None => {
                     return Err(XmlError::UnexpectedEof {
@@ -709,21 +659,15 @@ impl<'t, R: Read> XmlLexer<'t, R> {
         }
     }
 
-    /// Decides whether the accumulated text should be emitted (per the
-    /// whitespace mode), validating UTF-8 up front. A dropped run is
+    /// Decides whether the accumulated text should be emitted (it is not
+    /// whitespace-only), validating UTF-8 up front. A dropped run is
     /// cleared immediately; a kept run stays in `text` for the borrowed
     /// event (cleared lazily on the next call).
     fn take_text_pending(&mut self) -> Result<bool> {
         if self.text.is_empty() {
             return Ok(false);
         }
-        let keep = match self.opts.whitespace {
-            WhitespaceMode::Keep => true,
-            WhitespaceMode::DropWhitespaceOnly => {
-                self.text.iter().any(|b| !b.is_ascii_whitespace())
-            }
-        };
-        if !keep {
+        if self.text.iter().all(|b| b.is_ascii_whitespace()) {
             self.text.clear();
             return Ok(false);
         }
@@ -1440,46 +1384,8 @@ mod tests {
     }
 
     #[test]
-    fn attributes_ignored_when_configured() {
-        let mut tags = TagInterner::new();
-        let opts = LexerOptions {
-            attributes: AttributeMode::Ignore,
-            ..Default::default()
-        };
-        let mut lexer = XmlLexer::with_options("<a x=\"1\">t</a>".as_bytes(), &mut tags, opts);
-        let tokens = lexer.tokenize_all().unwrap();
-        assert_eq!(tokens.len(), 3);
-    }
-
-    #[test]
-    fn attributes_error_when_configured() {
-        let mut tags = TagInterner::new();
-        let opts = LexerOptions {
-            attributes: AttributeMode::Error,
-            ..Default::default()
-        };
-        let mut lexer = XmlLexer::with_options("<a x=\"1\"/>".as_bytes(), &mut tags, opts);
-        assert!(matches!(
-            lexer.tokenize_all(),
-            Err(XmlError::UnexpectedAttribute { .. })
-        ));
-    }
-
-    #[test]
     fn whitespace_only_dropped_by_default() {
         assert_eq!(lex("<a>\n  <b/>\n</a>"), vec!["<a>", "<b>", "</b>", "</a>"]);
-    }
-
-    #[test]
-    fn whitespace_kept_when_configured() {
-        let mut tags = TagInterner::new();
-        let opts = LexerOptions {
-            whitespace: WhitespaceMode::Keep,
-            ..Default::default()
-        };
-        let mut lexer = XmlLexer::with_options("<a> <b/> </a>".as_bytes(), &mut tags, opts);
-        let tokens = lexer.tokenize_all().unwrap();
-        assert_eq!(tokens.len(), 6);
     }
 
     #[test]

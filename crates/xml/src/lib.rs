@@ -9,8 +9,9 @@
 //!   (paper §6, "Buffer Representation").
 //! * [`XmlToken`] — the stream event model.
 //! * [`lexer::XmlLexer`] — a pull-based streaming tokenizer over any
-//!   [`std::io::Read`], with the attribute→subelement conversion the paper
-//!   applied to its benchmark data.
+//!   [`std::io::Read`]. It reads the one dialect the paper evaluated:
+//!   attributes become leading subelements (§7) and whitespace-only text
+//!   is dropped.
 //! * [`writer::XmlWriter`] — an escaping stream writer (used for query
 //!   output and by the XMark generator).
 //! * [`tree::Document`] — a simple DOM used by the in-memory baseline
@@ -25,7 +26,7 @@ pub mod tree;
 pub mod writer;
 
 pub use error::XmlError;
-pub use lexer::{AttributeMode, LexerOptions, WhitespaceMode, XmlLexer};
+pub use lexer::XmlLexer;
 pub use scan::ScanKernel;
 pub use tags::{FxBuildHasher, FxHasher, TagId, TagInterner};
 pub use token::{XmlEvent, XmlToken};

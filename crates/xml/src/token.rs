@@ -22,16 +22,6 @@ pub enum XmlToken {
 }
 
 impl XmlToken {
-    /// True for [`XmlToken::Open`].
-    pub fn is_open(&self) -> bool {
-        matches!(self, XmlToken::Open(_))
-    }
-
-    /// True for [`XmlToken::Close`].
-    pub fn is_close(&self) -> bool {
-        matches!(self, XmlToken::Close(_))
-    }
-
     /// True for [`XmlToken::Text`].
     pub fn is_text(&self) -> bool {
         matches!(self, XmlToken::Text(_))
@@ -103,8 +93,6 @@ mod tests {
     fn predicates() {
         let mut tags = TagInterner::new();
         let a = tags.intern("a");
-        assert!(XmlToken::Open(a).is_open());
-        assert!(XmlToken::Close(a).is_close());
         assert!(XmlToken::Text("x".into()).is_text());
         assert!(!XmlToken::Open(a).is_text());
     }

@@ -8,7 +8,7 @@
 //! that is the whole point of the paper — but the baselines and the
 //! differential-testing oracle do.
 
-use crate::lexer::{LexerOptions, XmlLexer};
+use crate::lexer::XmlLexer;
 use crate::tags::{TagId, TagInterner};
 use crate::token::XmlToken;
 use crate::writer::XmlWriter;
@@ -77,13 +77,9 @@ impl Document {
         }
     }
 
-    /// Parses a document from a reader with the given lexer options.
-    pub fn parse_with_options<R: Read>(
-        reader: R,
-        tags: &mut TagInterner,
-        opts: LexerOptions,
-    ) -> Result<Self> {
-        let mut lexer = XmlLexer::with_options(reader, tags, opts);
+    /// Parses a document from a reader.
+    pub fn parse<R: Read>(reader: R, tags: &mut TagInterner) -> Result<Self> {
+        let mut lexer = XmlLexer::new(reader, tags);
         let mut doc = Document::new();
         let mut stack = vec![Document::ROOT];
         while let Some(tok) = lexer.next_token()? {
@@ -103,11 +99,6 @@ impl Document {
             }
         }
         Ok(doc)
-    }
-
-    /// Parses a document with default options.
-    pub fn parse<R: Read>(reader: R, tags: &mut TagInterner) -> Result<Self> {
-        Self::parse_with_options(reader, tags, LexerOptions::default())
     }
 
     /// Parses from a string slice.
@@ -178,13 +169,6 @@ impl Document {
             out.push(n);
             stack.extend(self.node(n).children.iter().rev());
         }
-        out
-    }
-
-    /// Descendant-or-self in document order.
-    pub fn descendants_or_self(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = vec![id];
-        out.extend(self.descendants(id));
         out
     }
 

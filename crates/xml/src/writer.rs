@@ -150,7 +150,7 @@ pub fn tokens_to_string(tokens: &[XmlToken], tags: &TagInterner) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{LexerOptions, WhitespaceMode, XmlLexer};
+    use crate::lexer::XmlLexer;
 
     #[test]
     fn writes_tokens() {
@@ -194,14 +194,10 @@ mod tests {
     fn roundtrip_preserves_tokens() {
         let input = "<a><b attr=\"1\">x &amp; y</b><c/>tail</a>";
         let mut tags = TagInterner::new();
-        let opts = LexerOptions {
-            whitespace: WhitespaceMode::Keep,
-            ..Default::default()
-        };
-        let mut lexer = XmlLexer::with_options(input.as_bytes(), &mut tags, opts);
+        let mut lexer = XmlLexer::new(input.as_bytes(), &mut tags);
         let toks = lexer.tokenize_all().unwrap();
         let text = tokens_to_string(&toks, &tags);
-        let mut lexer2 = XmlLexer::with_options(text.as_bytes(), &mut tags, opts);
+        let mut lexer2 = XmlLexer::new(text.as_bytes(), &mut tags);
         let toks2 = lexer2.tokenize_all().unwrap();
         assert_eq!(toks, toks2);
     }

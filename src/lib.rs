@@ -48,7 +48,7 @@ pub use gcx_xml as xml;
 
 pub use gcx_core::{
     run_dom, run_gcx, run_no_gc_streaming, run_static_projection, CancelFlag, EngineError,
-    EngineOptions, GcxEngine, RunReport,
+    GcxEngine, RunReport, Strategy,
 };
 pub use gcx_query::{compile, compile_default, CompileOptions, CompiledQuery};
 pub use gcx_service::{QueryService, ServiceConfig, ServiceError, SessionOutcome, StreamSession};

@@ -30,6 +30,76 @@ fn build_elems(rng: &mut StdRng, s: &mut String, fanout: usize, depth: usize) {
     }
 }
 
+/// Re-spells a [`render_doc`] document with the rest of what the lexer
+/// reads: attributes (values holding `>` and `&amp;`), comments holding
+/// `>` and `]]`, processing instructions, CDATA sections, character and
+/// entity references, indentation and an XML declaration. Only the
+/// spelling is random; both engines read the same token stream.
+fn decorate_doc(seed: u64, doc: &str) -> String {
+    const ATTR_VALUES: &[&str] = &["1>0", "a&amp;b", "&lt;t&gt;", "9", "&#55;", ""];
+    const BETWEEN: &[&str] = &[
+        "<!-- a > b ]] c -->",
+        "<!---->",
+        "<?pi x > y?>",
+        "<?q?>",
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = String::new();
+    if rng.random_bool(0.5) {
+        out.push_str("<?xml version=\"1.0\"?>\n");
+    }
+    let mut rest = doc;
+    while !rest.is_empty() {
+        if rest.starts_with('<') {
+            let end = rest.find('>').expect("rendered tags close") + 1;
+            let (tag, tail) = rest.split_at(end);
+            rest = tail;
+            if tag.starts_with("</") || !rng.random_bool(0.3) {
+                out.push_str(tag);
+            } else {
+                let (name, close) = match tag.strip_suffix("/>") {
+                    Some(open) => (&open[1..], "/>"),
+                    None => (&tag[1..tag.len() - 1], ">"),
+                };
+                out.push('<');
+                out.push_str(name);
+                // Distinct names: an element repeats no attribute.
+                let first = rng.random_range(0..TAGS.len());
+                for i in 0..rng.random_range(1..=2) {
+                    let attr = TAGS[(first + i) % TAGS.len()];
+                    let value = ATTR_VALUES[rng.random_range(0..ATTR_VALUES.len())];
+                    let quote = if rng.random_bool(0.5) { '"' } else { '\'' };
+                    out.push_str(&format!(" {attr}={quote}{value}{quote}"));
+                }
+                out.push_str(close);
+            }
+        } else {
+            let end = rest.find('<').unwrap_or(rest.len());
+            let (text, tail) = rest.split_at(end);
+            rest = tail;
+            let (head, more) = text.split_at(1);
+            match rng.random_range(0..5) {
+                0 => out.push_str(&format!("<![CDATA[{text}]]>")),
+                1 => out.push_str(&format!("<![CDATA[{text}]]]>")),
+                2 => out.push_str(&format!("&#{};{more}", u32::from(head.as_bytes()[0]))),
+                3 => out.push_str(&format!("&#x{:x};{more}&amp;", head.as_bytes()[0])),
+                _ => out.push_str(text),
+            }
+        }
+        if rest.is_empty() {
+            break; // nothing after the document element
+        }
+        if rng.random_bool(0.3) {
+            out.push('\n');
+            out.push_str(&" ".repeat(rng.random_range(0..4)));
+        }
+        if rng.random_bool(0.15) {
+            out.push_str(BETWEEN[rng.random_range(0..BETWEEN.len())]);
+        }
+    }
+    out
+}
+
 // ----------------------------------------------------------------------
 // Random queries
 // ----------------------------------------------------------------------

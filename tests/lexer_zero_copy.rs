@@ -14,7 +14,7 @@
 //! supports: nested elements, attributes, entities, CDATA, comments,
 //! processing instructions and multi-byte UTF-8 text.
 
-use gcx::xml::{LexerOptions, TagInterner, WhitespaceMode, XmlEvent, XmlLexer, XmlToken};
+use gcx::xml::{TagInterner, XmlEvent, XmlLexer, XmlToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -111,16 +111,12 @@ impl Read for ChunkedReader<'_> {
 
 fn lex_with_chunks(doc: &str, sizes: Vec<usize>) -> Vec<String> {
     let mut tags = TagInterner::new();
-    let opts = LexerOptions {
-        whitespace: WhitespaceMode::Keep,
-        ..Default::default()
-    };
     let reader = ChunkedReader {
         data: doc.as_bytes(),
         sizes,
         at: 0,
     };
-    let mut lexer = XmlLexer::with_options(reader, &mut tags, opts);
+    let mut lexer = XmlLexer::new(reader, &mut tags);
     let tokens = lexer.tokenize_all().expect("lex ok");
     tokens
         .iter()
@@ -151,14 +147,13 @@ proptest! {
     #[test]
     fn events_agree_with_tokens(seed in 0u64..100_000) {
         let doc = random_doc(seed);
-        let opts = LexerOptions { whitespace: WhitespaceMode::Keep, ..Default::default() };
 
         let mut tags_a = TagInterner::new();
-        let mut lexer_a = XmlLexer::with_options(doc.as_bytes(), &mut tags_a, opts);
+        let mut lexer_a = XmlLexer::new(doc.as_bytes(), &mut tags_a);
         let tokens = lexer_a.tokenize_all().expect("lex ok");
 
         let mut tags_b = TagInterner::new();
-        let mut lexer_b = XmlLexer::with_options(doc.as_bytes(), &mut tags_b, opts);
+        let mut lexer_b = XmlLexer::new(doc.as_bytes(), &mut tags_b);
         let mut from_events: Vec<XmlToken> = Vec::new();
         while let Some(ev) = lexer_b.next_event().expect("lex ok") {
             let owned = match ev {
@@ -175,12 +170,11 @@ proptest! {
     #[test]
     fn writer_roundtrip(seed in 0u64..100_000) {
         let doc = random_doc(seed);
-        let opts = LexerOptions { whitespace: WhitespaceMode::Keep, ..Default::default() };
         let mut tags = TagInterner::new();
-        let mut lexer = XmlLexer::with_options(doc.as_bytes(), &mut tags, opts);
+        let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
         let tokens = lexer.tokenize_all().expect("lex ok");
         let rendered = gcx::xml::writer::tokens_to_string(&tokens, &tags);
-        let mut lexer2 = XmlLexer::with_options(rendered.as_bytes(), &mut tags, opts);
+        let mut lexer2 = XmlLexer::new(rendered.as_bytes(), &mut tags);
         let tokens2 = lexer2.tokenize_all().expect("re-lex ok");
         prop_assert_eq!(tokens, tokens2);
     }

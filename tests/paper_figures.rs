@@ -3,7 +3,7 @@
 
 use gcx::query::{compile, pretty_query, CompileOptions};
 use gcx::xml::TagInterner;
-use gcx::{EngineOptions, GcxEngine};
+use gcx::{GcxEngine, Strategy};
 use std::sync::{Arc, Mutex};
 
 const INTRO_QUERY: &str = r#"<r>{
@@ -45,7 +45,7 @@ fn fig2_active_gc_trace() {
         &mut tags,
         xml.as_bytes(),
         Vec::new(),
-        EngineOptions::default(),
+        Strategy::Gcx,
     );
     engine.set_tracer(Box::new(move |ev| {
         sink.lock().unwrap().push(ev.buffer.clone());

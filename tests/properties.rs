@@ -8,12 +8,25 @@
 //! * **Key-filtered joins**: random equality joins (and near misses the
 //!   filter must reject) match the DOM oracle under every step budget and
 //!   chunking.
+//! * **Engine schedules**: the bare step machine, driven with random
+//!   step budgets over input released a few bytes at a time, matches the
+//!   DOM oracle and the one-shot engine's peak on decorated documents
+//!   (attributes, comments, PIs, CDATA, references, indentation) and on
+//!   the shared corpus.
 
-use gcx::query::{compile, CompileOptions};
-use gcx::xml::{LexerOptions, TagInterner, WhitespaceMode, XmlLexer};
+use gcx::core::StepOutcome;
+use gcx::query::{compile, compile_default, CompileOptions};
+use gcx::xml::{TagInterner, XmlLexer};
+use gcx::{GcxEngine, Strategy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{self, Read};
+use std::rc::Rc;
+
+mod corpus;
 
 // ----------------------------------------------------------------------
 // Random documents
@@ -107,6 +120,104 @@ fn join_case(qseed: u64, dseed: u64) {
     }
 }
 
+/// Input the schedule releases: `WouldBlock` while dry, end of input
+/// once the last byte is released and read.
+#[derive(Default)]
+struct Release {
+    bytes: VecDeque<u8>,
+    all_out: bool,
+}
+
+#[derive(Clone, Default)]
+struct Released(Rc<RefCell<Release>>);
+
+impl Read for Released {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let release = &mut *self.0.borrow_mut();
+        if release.bytes.is_empty() && !release.all_out {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        release.bytes.read(buf)
+    }
+}
+
+/// One seeded schedule of the bare step machine: a budget of 1–3 per
+/// `step`, 1–7 more input bytes per `NeedInput`, end of input once the
+/// document is out. Output must equal the DOM oracle's, the peak the
+/// one-shot engine's, and every assigned role must come back.
+fn schedule_case(query: &str, doc: &str, seed: u64) {
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(query, &mut tags)
+        .unwrap_or_else(|e| panic!("query failed to compile: {e}\n{query}"));
+    let mut want = Vec::new();
+    gcx::run_dom(&compiled, &mut tags.clone(), doc.as_bytes(), &mut want)
+        .unwrap_or_else(|e| panic!("dom failed: {e}\n{query}\n{doc}"));
+    let one_shot = gcx::run_gcx(&compiled, &mut tags.clone(), doc.as_bytes(), io::sink())
+        .unwrap_or_else(|e| panic!("gcx failed: {e}\n{query}\n{doc}"));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input = Released::default();
+    let mut unreleased = doc.as_bytes();
+    let mut got = Vec::new();
+    let mut engine = GcxEngine::new(&compiled, &mut tags, input.clone(), &mut got, Strategy::Gcx);
+    let what = format!("schedule {seed}:\n{query}\nover\n{doc}");
+    let report = loop {
+        match engine.step(rng.random_range(1..=3)) {
+            StepOutcome::Yielded => {}
+            StepOutcome::NeedInput => {
+                assert!(
+                    !unreleased.is_empty(),
+                    "NeedInput after end of input at {what}"
+                );
+                let n = rng.random_range(1..=7).min(unreleased.len());
+                let (now, later) = unreleased.split_at(n);
+                let release = &mut *input.0.borrow_mut();
+                release.bytes.extend(now);
+                release.all_out = later.is_empty();
+                unreleased = later;
+            }
+            StepOutcome::Finished(report) => break report,
+            other => panic!("unexpected {other:?} at {what}"),
+        }
+    };
+    drop(engine);
+    assert_eq!(
+        String::from_utf8_lossy(&want),
+        String::from_utf8_lossy(&got),
+        "output differs at {what}"
+    );
+    assert_eq!(
+        report.stats.peak_nodes, one_shot.stats.peak_nodes,
+        "peak at {what}"
+    );
+    assert_eq!(
+        report.stats.roles_assigned, report.stats.roles_removed,
+        "roles unbalanced at {what}"
+    );
+}
+
+#[test]
+fn corpus_matches_dom_under_engine_schedules() {
+    for (query, doc) in corpus::corpus() {
+        for seed in 0..20 {
+            schedule_case(query, doc, seed);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn engine_schedules_match_dom_on_decorated_docs(
+        qseed in 0u64..1_000_000,
+        dseed in 0u64..1_000_000,
+        sseed in 0u64..1_000_000,
+    ) {
+        let doc = decorate_doc(dseed, &render_doc(dseed, 4, 4));
+        schedule_case(&random_query(qseed), &doc, sseed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -149,14 +260,10 @@ proptest! {
     fn lexer_writer_roundtrip(dseed in 0u64..50_000) {
         let doc = render_doc(dseed, 4, 4);
         let mut tags = TagInterner::new();
-        let opts = LexerOptions {
-            whitespace: WhitespaceMode::Keep,
-            ..Default::default()
-        };
-        let mut lexer = XmlLexer::with_options(doc.as_bytes(), &mut tags, opts);
+        let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
         let tokens = lexer.tokenize_all().unwrap();
         let rendered = gcx::xml::writer::tokens_to_string(&tokens, &tags);
-        let mut lexer2 = XmlLexer::with_options(rendered.as_bytes(), &mut tags, opts);
+        let mut lexer2 = XmlLexer::new(rendered.as_bytes(), &mut tags);
         let tokens2 = lexer2.tokenize_all().unwrap();
         prop_assert_eq!(tokens, tokens2);
     }
