@@ -124,7 +124,7 @@ pub struct RunReport {
     pub stats: BufferStats,
     /// Wall-clock evaluation time.
     pub elapsed: Duration,
-    /// Lazy-DFA states constructed (0 in NFA mode).
+    /// Lazy-DFA states constructed.
     pub dfa_states: usize,
     /// Input tokens read / skipped by the preprojector. Tokens inside
     /// raw-skipped dead subtrees are never materialized and appear only

@@ -157,7 +157,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         self.lexer.tags()
     }
 
-    /// Number of DFA states constructed by the matcher (0 in NFA mode).
+    /// Number of DFA states constructed by the matcher.
     pub fn dfa_states(&self) -> usize {
         self.matcher.dfa_states()
     }

@@ -14,11 +14,29 @@
 //! in data-centric XML like XMark) cost one bounds-checked array load per
 //! opening tag instead of a hash probe.
 //!
-//! The DFA is only used when the projection tree carries no
-//! `[position()=1]` predicates; those need per-instance bookkeeping (see
-//! [`crate::matcher`]).
+//! ## First witnesses
+//!
+//! A `[position()=1]` step ([`Pred::First`], the rewrite of `exists`)
+//! matches only the first witness below each *origin*: the open element
+//! whose match spawned the step — the parent for a child step, every
+//! ancestor whose state spawned it for a descendant step. That is one bit
+//! per open origin and positional step, so the caller keeps a *fired set*
+//! of [`LazyDfa::fired_words`] words per open element beside its state
+//! stack, and states stay multisets of projection nodes:
+//!
+//! * a transition whose candidate multiset has no positional step is
+//!   memoized as above;
+//! * one that has is marked in the row ([`LazyDfa::transition`] returns
+//!   `None`) and [`LazyDfa::first_witness`] resolves it per event: a
+//!   positional candidate lands once for each origin that has not fired
+//!   it yet, with that origin's spawn multiplicity (Example 1), and marks
+//!   those origins fired. The target is interned like any other state, so
+//!   a known target costs one hash probe and no allocation.
+//!
+//! Fired positional edges stay in the pending multiset, so condition (2),
+//! the dead-subtree verdict and the skipped bytes never read a fired bit.
 
-use crate::path::{PAxis, Pred};
+use crate::path::{PAxis, PTest, Pred};
 use crate::role::Role;
 use crate::tree::{ProjNodeId, ProjTree};
 use gcx_xml::{FxBuildHasher, TagId};
@@ -46,6 +64,16 @@ impl ArenaRange {
     }
 }
 
+/// The memoized verdict for text children of nodes in a state.
+#[derive(Debug, Clone, Copy)]
+enum TextVerdict {
+    Unbuilt,
+    /// Buffer?, and the roles (range into `roles_arena`).
+    Memo(bool, ArenaRange),
+    /// A positional step is a candidate: resolved per event.
+    Witness,
+}
+
 /// One DFA state: the canonical multisets plus precomputed verdicts.
 #[derive(Debug)]
 struct DfaState {
@@ -62,13 +90,15 @@ struct DfaState {
     preserve_children: bool,
     /// Nothing below a node in this state can match.
     dead_below: bool,
-    /// Cached text verdict for text children of nodes in this state
-    /// (buffer?, roles range into `roles_arena`).
-    text: Option<(bool, ArenaRange)>,
+    text: TextVerdict,
 }
 
 /// Sentinel for a transition that has not been constructed yet.
 const NO_STATE: StateId = StateId::MAX;
+/// Row mark for a transition with a positional candidate (module docs).
+const WITNESS: StateId = StateId::MAX - 1;
+/// `fired_bit` entry of a projection node without `[position()=1]`.
+const NOT_POSITIONAL: u32 = u32::MAX;
 
 /// The lazy DFA. See module docs.
 #[derive(Debug)]
@@ -82,9 +112,10 @@ pub struct LazyDfa {
     /// depends on the hash.
     index: HashMap<u64, StateId, FxBuildHasher>,
     /// Dense transition matrix: `trans[state * stride + tag.index()]` is
-    /// the target state, [`NO_STATE`] when not yet built. One flat
-    /// allocation growing amortized with states (and re-laid-out on the
-    /// rare stride growth) instead of one row `Vec` per state.
+    /// the target state, [`NO_STATE`] when not yet built, [`WITNESS`]
+    /// when resolved per event. One flat allocation growing amortized
+    /// with states (and re-laid-out on the rare stride growth) instead of
+    /// one row `Vec` per state.
     trans: Vec<StateId>,
     /// Row width of `trans` (power of two > the highest tag index seen).
     stride: usize,
@@ -92,21 +123,36 @@ pub struct LazyDfa {
     matches_arena: Vec<(ProjNodeId, bool)>,
     pending_arena: Vec<ProjNodeId>,
     roles_arena: Vec<Role>,
+    /// Per projection node: its bit in a fired set, [`NOT_POSITIONAL`]
+    /// for steps without `[position()=1]`.
+    fired_bit: Vec<u32>,
+    /// Words per fired set (0 when the tree has no positional step).
+    fired_words: usize,
     /// Reused construction scratch: the candidate match/pending multisets
-    /// of the state being built. Only live inside
-    /// [`LazyDfa::transition`]/[`LazyDfa::text_outcome`].
+    /// of the state being built, the distinct positional candidates of
+    /// the current event and the roles of a resolved text verdict.
     scratch_matches: Vec<(ProjNodeId, bool)>,
     scratch_pending: Vec<ProjNodeId>,
+    scratch_witness: Vec<ProjNodeId>,
+    scratch_roles: Vec<Role>,
 }
 
 impl LazyDfa {
     /// The initial state (the virtual document root).
     pub const INITIAL: StateId = 0;
 
-    /// Builds the DFA with its initial state from the root match set
-    /// (which already includes the root dos self-closure).
-    pub fn new(tree: &ProjTree, root_matches: &[(ProjNodeId, bool)]) -> Self {
-        debug_assert!(!tree.has_positional(), "DFA mode requires no predicates");
+    /// Builds the DFA with its initial state: the root plus its
+    /// `dos::node()` self-closure (the virtual root is neither element
+    /// nor text; only `node()` applies).
+    pub fn new(tree: &ProjTree) -> Self {
+        let mut fired_bit = vec![NOT_POSITIONAL; tree.len()];
+        let mut positional = 0u32;
+        for v in tree.ids() {
+            if tree.step(v).pred == Pred::First {
+                fired_bit[v.index()] = positional;
+                positional += 1;
+            }
+        }
         // Pre-sized for the common case (a handful of states over a
         // double-digit tag vocabulary): lazy DFA construction used to be
         // the engine's dominant residual allocation source per run.
@@ -118,16 +164,15 @@ impl LazyDfa {
             matches_arena: Vec::with_capacity(64),
             pending_arena: Vec::with_capacity(64),
             roles_arena: Vec::with_capacity(32),
+            fired_bit,
+            fired_words: (positional as usize).div_ceil(64),
             scratch_matches: Vec::with_capacity(16),
             scratch_pending: Vec::with_capacity(16),
+            scratch_witness: Vec::new(),
+            scratch_roles: Vec::new(),
         };
-        let mut matches = std::mem::take(&mut dfa.scratch_matches);
-        matches.extend_from_slice(root_matches);
-        let mut pending = std::mem::take(&mut dfa.scratch_pending);
-        collect_pending_into(tree, &matches, &mut pending);
-        let id = dfa.intern_scratch(tree, &mut matches, &mut pending);
-        dfa.scratch_matches = matches;
-        dfa.scratch_pending = pending;
+        dfa.scratch_matches.push((ProjTree::ROOT, false));
+        let id = dfa.intern_candidates(tree, None, |t| matches!(t, PTest::AnyNode));
         debug_assert_eq!(id, Self::INITIAL);
         dfa
     }
@@ -141,6 +186,12 @@ impl LazyDfa {
     /// `new`).
     pub fn is_empty(&self) -> bool {
         self.states.is_empty()
+    }
+
+    /// Words of one open element's fired set: the caller keeps this many
+    /// zeroed `u64`s per entry of its state stack, in stack order.
+    pub fn fired_words(&self) -> usize {
+        self.fired_words
     }
 
     #[inline]
@@ -185,57 +236,58 @@ impl LazyDfa {
         self.states[s as usize].dead_below
     }
 
-    /// Takes the transition `(from, tag)`, constructing the target state on
-    /// first use. Memoized transitions are one array load in the dense
-    /// per-state row; construction itself reuses the DFA's scratch
-    /// buffers and allocates only for genuinely new states.
-    pub fn transition(&mut self, tree: &ProjTree, from: StateId, tag: TagId) -> StateId {
+    /// Takes the memoized transition `(from, tag)`, constructing the
+    /// target state on first use; `None` when a positional step is a
+    /// candidate, for [`LazyDfa::first_witness`] to resolve. Memoized
+    /// transitions are one array load in the dense per-state row;
+    /// construction itself reuses the DFA's scratch buffers and allocates
+    /// only for genuinely new states.
+    #[inline]
+    pub fn transition(&mut self, tree: &ProjTree, from: StateId, tag: TagId) -> Option<StateId> {
         if tag.index() < self.stride {
-            let to = self.trans[from as usize * self.stride + tag.index()];
-            if to != NO_STATE {
-                return to;
+            match self.trans[from as usize * self.stride + tag.index()] {
+                NO_STATE => {}
+                WITNESS => return None,
+                to => return Some(to),
             }
         }
-        let mut new = std::mem::take(&mut self.scratch_matches);
-        new.clear();
-        for &(m, _) in self.matches_of(from) {
-            for &c in tree.children(m) {
-                let s = tree.step(c);
-                if s.axis == PAxis::Child && s.test.matches_element(tag) {
-                    new.push((c, false));
-                }
-            }
-        }
-        for &p in self.pending_of(from) {
-            if tree.step(p).test.matches_element(tag) {
-                new.push((p, false));
-            }
-        }
-        // dos self-closure.
-        let mut i = 0;
-        while i < new.len() {
-            let v = new[i].0;
-            for &c in tree.children(v) {
-                let s = tree.step(c);
-                if s.axis == PAxis::DescendantOrSelf && s.test.matches_element(tag) {
-                    debug_assert_eq!(s.pred, Pred::True);
-                    new.push((c, true));
-                }
-            }
-            i += 1;
-        }
-        let mut pending = std::mem::take(&mut self.scratch_pending);
-        pending.clear();
-        pending.extend_from_slice(self.pending_of(from)); // inherited
-        collect_pending_into(tree, &new, &mut pending);
-        let to = self.intern_scratch(tree, &mut new, &mut pending);
-        self.scratch_matches = new;
-        self.scratch_pending = pending;
+        self.build_transition(tree, from, tag)
+    }
+
+    /// The cold half of [`LazyDfa::transition`], out of line so the
+    /// memoized load inlines into the matcher.
+    #[inline(never)]
+    fn build_transition(&mut self, tree: &ProjTree, from: StateId, tag: TagId) -> Option<StateId> {
+        let accepts = |t: PTest| t.matches_element(tag);
+        self.collect_candidates(tree, from, accepts);
+        let to = if self.scratch_witness.is_empty() {
+            Some(self.intern_candidates(tree, Some(from), accepts))
+        } else {
+            None
+        };
         if tag.index() >= self.stride {
             self.grow_stride(tag.index() + 1);
         }
-        self.trans[from as usize * self.stride + tag.index()] = to;
+        self.trans[from as usize * self.stride + tag.index()] = to.unwrap_or(WITNESS);
         to
+    }
+
+    /// Resolves a transition [`LazyDfa::transition`] left to the event:
+    /// an element `tag` opens below the top of `stack` (the states of the
+    /// open elements, root first), with `fired` holding their fired sets.
+    /// Marks the origins whose first witness this element is.
+    pub fn first_witness(
+        &mut self,
+        tree: &ProjTree,
+        stack: &[StateId],
+        fired: &mut [u64],
+        tag: TagId,
+    ) -> StateId {
+        let from = *stack.last().expect("stack never empty");
+        let accepts = |t: PTest| t.matches_element(tag);
+        self.collect_candidates(tree, from, accepts);
+        self.fire(tree, stack, fired);
+        self.intern_candidates(tree, Some(from), accepts)
     }
 
     /// Widens the transition matrix to cover tag indices up to at least
@@ -253,49 +305,166 @@ impl LazyDfa {
         self.stride = new_stride;
     }
 
-    /// The verdict for a text child of a node in state `s`: whether to
-    /// buffer it and which roles to assign. Memoized per state; the
-    /// cached roles are returned by reference, so repeated text children
-    /// of the same document shape cost no allocation.
-    pub fn text_outcome(&mut self, tree: &ProjTree, s: StateId) -> (bool, &[Role]) {
-        if self.states[s as usize].text.is_none() {
-            let mut new = std::mem::take(&mut self.scratch_matches);
-            new.clear();
-            for &(m, _) in self.matches_of(s) {
-                for &c in tree.children(m) {
-                    let st = tree.step(c);
-                    if st.axis == PAxis::Child && st.test.matches_text() {
-                        new.push((c, false));
-                    }
-                }
-            }
-            for &p in self.pending_of(s) {
-                if tree.step(p).test.matches_text() {
-                    new.push((p, false));
-                }
-            }
-            let mut i = 0;
-            while i < new.len() {
-                let v = new[i].0;
-                for &c in tree.children(v) {
-                    let st = tree.step(c);
-                    if st.axis == PAxis::DescendantOrSelf && st.test.matches_text() {
-                        new.push((c, true));
-                    }
-                }
-                i += 1;
-            }
-            let start = self.roles_arena.len() as u32;
-            entry_roles_into(tree, &new, &mut self.roles_arena);
-            let range = ArenaRange {
-                start,
-                end: self.roles_arena.len() as u32,
-            };
-            self.states[s as usize].text = Some((!new.is_empty(), range));
-            self.scratch_matches = new;
+    /// The memoized verdict for a text child of a node in state `s`:
+    /// whether to buffer it and which roles to assign; `None` when a
+    /// positional step is a candidate. Built on first use; the cached
+    /// roles are returned by reference, so repeated text children of the
+    /// same document shape cost no allocation.
+    pub fn text_outcome(&mut self, tree: &ProjTree, s: StateId) -> Option<(bool, &[Role])> {
+        match self.text_verdict(tree, s) {
+            TextVerdict::Memo(buffer, roles) => Some((buffer, &self.roles_arena[roles.range()])),
+            _ => None,
         }
-        let cached = self.states[s as usize].text.expect("just computed");
-        (cached.0, &self.roles_arena[cached.1.range()])
+    }
+
+    /// The verdict for a text child of the top of `stack` (see
+    /// [`LazyDfa::first_witness`] for `stack` and `fired`): the memoized
+    /// one, or the first-witness resolution of this event.
+    pub fn text(
+        &mut self,
+        tree: &ProjTree,
+        stack: &[StateId],
+        fired: &mut [u64],
+    ) -> (bool, &[Role]) {
+        let s = *stack.last().expect("stack never empty");
+        if let TextVerdict::Memo(buffer, roles) = self.text_verdict(tree, s) {
+            return (buffer, &self.roles_arena[roles.range()]);
+        }
+        self.collect_candidates(tree, s, PTest::matches_text);
+        self.fire(tree, stack, fired);
+        let mut new = std::mem::take(&mut self.scratch_matches);
+        close_self(tree, &mut new, PTest::matches_text);
+        self.scratch_roles.clear();
+        entry_roles_into(tree, &new, &mut self.scratch_roles);
+        let buffer = !new.is_empty();
+        self.scratch_matches = new;
+        (buffer, &self.scratch_roles)
+    }
+
+    fn text_verdict(&mut self, tree: &ProjTree, s: StateId) -> TextVerdict {
+        if let TextVerdict::Unbuilt = self.states[s as usize].text {
+            self.collect_candidates(tree, s, PTest::matches_text);
+            self.states[s as usize].text = if self.scratch_witness.is_empty() {
+                let mut new = std::mem::take(&mut self.scratch_matches);
+                close_self(tree, &mut new, PTest::matches_text);
+                let start = self.roles_arena.len() as u32;
+                entry_roles_into(tree, &new, &mut self.roles_arena);
+                let roles = ArenaRange {
+                    start,
+                    end: self.roles_arena.len() as u32,
+                };
+                let buffer = !new.is_empty();
+                self.scratch_matches = new;
+                TextVerdict::Memo(buffer, roles)
+            } else {
+                TextVerdict::Witness
+            };
+        }
+        self.states[s as usize].text
+    }
+
+    /// Fills `scratch_matches` with the candidate matches of a node
+    /// entering below a node in state `from`: the child edges of its
+    /// matches, then its pending edges, whose test `accepts` the node.
+    /// Positional candidates go, distinct, to `scratch_witness` instead.
+    fn collect_candidates(
+        &mut self,
+        tree: &ProjTree,
+        from: StateId,
+        accepts: impl Fn(PTest) -> bool,
+    ) {
+        let mut new = std::mem::take(&mut self.scratch_matches);
+        let mut witness = std::mem::take(&mut self.scratch_witness);
+        new.clear();
+        witness.clear();
+        let mut push = |c: ProjNodeId| {
+            if tree.step(c).pred == Pred::First {
+                if !witness.contains(&c) {
+                    witness.push(c);
+                }
+            } else {
+                new.push((c, false));
+            }
+        };
+        for &(m, _) in self.matches_of(from) {
+            for &c in tree.children(m) {
+                let s = tree.step(c);
+                if s.axis == PAxis::Child && accepts(s.test) {
+                    push(c);
+                }
+            }
+        }
+        for &p in self.pending_of(from) {
+            if accepts(tree.step(p).test) {
+                push(p);
+            }
+        }
+        self.scratch_matches = new;
+        self.scratch_witness = witness;
+    }
+
+    /// The first-witness rule for the positional candidates in
+    /// `scratch_witness`: each lands in `scratch_matches` once per spawn
+    /// from every origin on `stack` that has not fired it, and those
+    /// origins are marked fired.
+    fn fire(&mut self, tree: &ProjTree, stack: &[StateId], fired: &mut [u64]) {
+        let words = self.fired_words;
+        debug_assert_eq!(fired.len(), stack.len() * words);
+        let mut new = std::mem::take(&mut self.scratch_matches);
+        for &c in &self.scratch_witness {
+            let bit = self.fired_bit[c.index()] as usize;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            let spawner = tree.node(c).parent.expect("a step has a parent");
+            let first_origin = match tree.step(c).axis {
+                PAxis::Child => stack.len() - 1,
+                _ => 0,
+            };
+            let mut landed = 0;
+            for (i, &s) in stack.iter().enumerate().skip(first_origin) {
+                let spawned = self
+                    .matches_of(s)
+                    .iter()
+                    .filter(|&&(m, _)| m == spawner)
+                    .count();
+                let set = &mut fired[i * words + word];
+                if spawned > 0 && *set & mask == 0 {
+                    *set |= mask;
+                    landed += spawned;
+                }
+            }
+            new.extend(std::iter::repeat_n((c, false), landed));
+        }
+        self.scratch_matches = new;
+    }
+
+    /// Completes the candidates in `scratch_matches` with the `dos::node()`
+    /// self-closure under `accepts`, adds the pending edges (inherited
+    /// from `from`, plus those the new matches spawn) and interns the
+    /// state they describe.
+    fn intern_candidates(
+        &mut self,
+        tree: &ProjTree,
+        from: Option<StateId>,
+        accepts: impl Fn(PTest) -> bool,
+    ) -> StateId {
+        let mut new = std::mem::take(&mut self.scratch_matches);
+        close_self(tree, &mut new, accepts);
+        let mut pending = std::mem::take(&mut self.scratch_pending);
+        pending.clear();
+        if let Some(from) = from {
+            pending.extend_from_slice(self.pending_of(from));
+        }
+        for &(m, _) in &new {
+            for &c in tree.children(m) {
+                if tree.step(c).axis.is_descendant_like() {
+                    pending.push(c);
+                }
+            }
+        }
+        let to = self.intern_scratch(tree, &mut new, &mut pending);
+        self.scratch_matches = new;
+        self.scratch_pending = pending;
+        to
     }
 
     /// Content hash of a canonical (matches, pending) pair.
@@ -313,16 +482,14 @@ impl LazyDfa {
     fn intern_scratch(
         &mut self,
         tree: &ProjTree,
-        matches: &mut Vec<(ProjNodeId, bool)>,
-        pending: &mut Vec<ProjNodeId>,
+        matches: &mut [(ProjNodeId, bool)],
+        pending: &mut [ProjNodeId],
     ) -> StateId {
         matches.sort_unstable();
         pending.sort_unstable();
         let hash = self.content_hash(matches, pending);
         if let Some(&id) = self.index.get(&hash) {
-            if self.matches_of(id) == matches.as_slice()
-                && self.pending_of(id) == pending.as_slice()
-            {
+            if self.matches_of(id) == &*matches && self.pending_of(id) == &*pending {
                 return id;
             }
             // A 64-bit content collision: fall through and build a
@@ -339,7 +506,7 @@ impl LazyDfa {
             && !preserve_children
             && matches.iter().all(|&(m, _)| tree.children(m).is_empty());
         let id = self.states.len() as StateId;
-        debug_assert!(id != NO_STATE, "state space exhausted");
+        debug_assert!(id < WITNESS, "state space exhausted");
         self.states.push(DfaState {
             matches: ArenaRange {
                 start: m_start,
@@ -355,7 +522,7 @@ impl LazyDfa {
             },
             preserve_children,
             dead_below,
-            text: None,
+            text: TextVerdict::Unbuilt,
         });
         // One fresh (unbuilt) row in the transition matrix.
         self.trans.resize(self.states.len() * self.stride, NO_STATE);
@@ -364,25 +531,31 @@ impl LazyDfa {
     }
 }
 
-/// Appends the descendant-like child edges of `matches` to `pending`
-/// (the caller seeds `pending` with the inherited multiset).
-fn collect_pending_into(
-    tree: &ProjTree,
-    matches: &[(ProjNodeId, bool)],
-    pending: &mut Vec<ProjNodeId>,
-) {
-    for &(m, _) in matches {
-        for &c in tree.children(m) {
-            if tree.step(c).axis.is_descendant_like() {
-                pending.push(c);
+/// Extends `new` with the `dos::node()` self-closure: whenever a matched
+/// node has a `descendant-or-self` child whose test accepts the *current*
+/// node, that child matches too (recursively).
+fn close_self(tree: &ProjTree, new: &mut Vec<(ProjNodeId, bool)>, accepts: impl Fn(PTest) -> bool) {
+    let mut i = 0;
+    while i < new.len() {
+        let v = new[i].0;
+        for &c in tree.children(v) {
+            let s = tree.step(c);
+            if s.axis == PAxis::DescendantOrSelf && accepts(s.test) {
+                debug_assert_eq!(
+                    s.pred,
+                    Pred::True,
+                    "positional predicates are not supported on dos steps"
+                );
+                new.push((c, true));
             }
         }
+        i += 1;
     }
 }
 
 /// Role instances assigned when entering a state with these matches;
 /// aggregate roles only on self matches (paper §6). Appended to the
-/// caller's buffer (the DFA's shared role arena).
+/// caller's buffer.
 fn entry_roles_into(tree: &ProjTree, matches: &[(ProjNodeId, bool)], roles: &mut Vec<Role>) {
     for &(m, via_self) in matches {
         let n = tree.node(m);
@@ -394,7 +567,11 @@ fn entry_roles_into(tree: &ProjTree, matches: &[(ProjNodeId, bool)], roles: &mut
     }
 }
 
-/// Condition (2), same logic as the NFA path (see `matcher`).
+/// Paper condition (2): children of a node in this state must be
+/// preserved when some match has a `child::τ1` edge and some
+/// descendant-like edge with test τ2 reaches below it, with τ1 and τ2
+/// able to accept the same node — otherwise discarding the child could
+/// promote a deeper τ2-match into a false `child::τ1` match.
 fn preserve_condition(
     tree: &ProjTree,
     matches: &[(ProjNodeId, bool)],
@@ -448,7 +625,7 @@ mod tests {
         let (tree, v) = fig5_tree(&mut tags);
         let a = tags.get("a").unwrap();
         let b = tags.get("b").unwrap();
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
+        let mut dfa = LazyDfa::new(&tree);
 
         // q0 maps to {v1} (the root).
         assert_eq!(
@@ -456,16 +633,16 @@ mod tests {
             vec![ProjTree::ROOT]
         );
         // q1 = δ(q0, a) maps to {v2, v5}.
-        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         assert_eq!(dfa.mapping(q1).collect::<Vec<_>>(), vec![v[0], v[3]]);
         // q2 = δ(q1, a) maps to ∅.
-        let q2 = dfa.transition(&tree, q1, a);
+        let q2 = dfa.transition(&tree, q1, a).unwrap();
         assert_eq!(dfa.mapping(q2).count(), 0);
         // q3 = δ(q2, b) maps to {v6}.
-        let q3 = dfa.transition(&tree, q2, b);
+        let q3 = dfa.transition(&tree, q2, b).unwrap();
         assert_eq!(dfa.mapping(q3).collect::<Vec<_>>(), vec![v[4]]);
         // q4 = δ(q1, b) maps to {v3, v6}.
-        let q4 = dfa.transition(&tree, q1, b);
+        let q4 = dfa.transition(&tree, q1, b).unwrap();
         assert_eq!(dfa.mapping(q4).collect::<Vec<_>>(), vec![v[1], v[4]]);
     }
 
@@ -483,14 +660,14 @@ mod tests {
             Some(Role(2)),
         );
         let v3 = tree.add_child(v2, PStep::descendant(PTest::Tag(b)), Some(Role(3)));
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a);
-        let q2 = dfa.transition(&tree, q1, a);
-        let q3 = dfa.transition(&tree, q2, b);
+        let mut dfa = LazyDfa::new(&tree);
+        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
+        let q2 = dfa.transition(&tree, q1, a).unwrap();
+        let q3 = dfa.transition(&tree, q2, b).unwrap();
         assert_eq!(dfa.mapping(q3).collect::<Vec<_>>(), vec![v3, v3]);
         assert_eq!(dfa.entry_roles(q3), &[Role(3), Role(3)]);
         // And /a/b maps to {v3} only.
-        let q4 = dfa.transition(&tree, q1, b);
+        let q4 = dfa.transition(&tree, q1, b).unwrap();
         assert_eq!(dfa.mapping(q4).collect::<Vec<_>>(), vec![v3]);
     }
 
@@ -502,13 +679,13 @@ mod tests {
         let mut tags = TagInterner::new();
         let (tree, _) = fig5_tree(&mut tags);
         let a = tags.get("a").unwrap();
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let mut dfa = LazyDfa::new(&tree);
+        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         assert!(
             dfa.preserve_children(q1),
             "child ./b and descendant .//b edges for the same tag force preservation"
         );
-        let q2 = dfa.transition(&tree, q1, a);
+        let q2 = dfa.transition(&tree, q1, a).unwrap();
         assert!(!dfa.has_matches(q2));
         // q0 has both child edges (/a) but no pending overlap (no pending at
         // all), so no preservation there.
@@ -522,13 +699,13 @@ mod tests {
         let (tree, _) = fig5_tree(&mut tags);
         let a = tags.get("a").unwrap();
         let b = tags.get("b").unwrap();
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let mut dfa = LazyDfa::new(&tree);
+        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         let before = dfa.len();
-        let q1_again = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let q1_again = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         assert_eq!(q1, q1_again);
         assert_eq!(dfa.len(), before);
-        let _ = dfa.transition(&tree, q1, b);
+        let _ = dfa.transition(&tree, q1, b).unwrap();
         assert!(dfa.len() > before);
     }
 
@@ -540,11 +717,11 @@ mod tests {
         let (tree, _) = fig5_tree(&mut tags);
         let a = tags.get("a").unwrap();
         let c = tags.intern("c");
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let mut dfa = LazyDfa::new(&tree);
+        let q1 = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         // /a/c and /a/c/c — the dead state self-collapses.
-        let qc = dfa.transition(&tree, q1, c);
-        let qcc = dfa.transition(&tree, qc, c);
+        let qc = dfa.transition(&tree, q1, c).unwrap();
+        let qcc = dfa.transition(&tree, qc, c).unwrap();
         // Both have no matches; q1's pending (.//b) is inherited by both, so
         // they are the same state.
         assert_eq!(qc, qcc);
@@ -558,13 +735,13 @@ mod tests {
         let mut tree = ProjTree::new();
         let vx = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(x)), Some(Role(1)));
         tree.add_child(vx, PStep::dos_node(), Some(Role(5)));
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let qx = dfa.transition(&tree, LazyDfa::INITIAL, x);
-        let (buf, roles) = dfa.text_outcome(&tree, qx);
+        let mut dfa = LazyDfa::new(&tree);
+        let qx = dfa.transition(&tree, LazyDfa::INITIAL, x).unwrap();
+        let (buf, roles) = dfa.text_outcome(&tree, qx).unwrap();
         assert!(buf);
         let roles = roles.to_vec();
         assert_eq!(roles, vec![Role(5)]);
-        let (buf2, roles2) = dfa.text_outcome(&tree, qx);
+        let (buf2, roles2) = dfa.text_outcome(&tree, qx).unwrap();
         assert_eq!((buf2, roles2.to_vec()), (buf, roles));
     }
 
@@ -576,11 +753,48 @@ mod tests {
         let z = tags.intern("z");
         let mut tree = ProjTree::new();
         tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(a)), Some(Role(1)));
-        let mut dfa = LazyDfa::new(&tree, &[(ProjTree::ROOT, false)]);
-        let qz = dfa.transition(&tree, LazyDfa::INITIAL, z);
+        let mut dfa = LazyDfa::new(&tree);
+        let qz = dfa.transition(&tree, LazyDfa::INITIAL, z).unwrap();
         assert!(dfa.is_dead(qz));
-        let qa = dfa.transition(&tree, LazyDfa::INITIAL, a);
+        let qa = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         assert!(dfa.is_dead(qa), "a has no children in the projection tree");
         assert!(!dfa.is_dead(LazyDfa::INITIAL));
+    }
+
+    /// `//x/price[1]`: the (x, price) transition is left to the event;
+    /// the first price below each x lands, its later siblings do not, and
+    /// a fresh fired set starts over. A known target builds no new state.
+    #[test]
+    fn first_witness_per_origin() {
+        let mut tags = TagInterner::new();
+        let x = tags.intern("x");
+        let price = tags.intern("price");
+        let mut tree = ProjTree::new();
+        let vx = tree.add_child(
+            ProjTree::ROOT,
+            PStep::descendant(PTest::Tag(x)),
+            Some(Role(1)),
+        );
+        let vp = tree.add_child(
+            vx,
+            PStep::with_pred(PAxis::Child, PTest::Tag(price), Pred::First),
+            Some(Role(4)),
+        );
+        let mut dfa = LazyDfa::new(&tree);
+        assert_eq!(dfa.fired_words(), 1);
+        let qx = dfa.transition(&tree, LazyDfa::INITIAL, x).unwrap();
+        assert_eq!(dfa.transition(&tree, qx, price), None, "left to the event");
+        let stack = [LazyDfa::INITIAL, qx];
+        let mut fired = [0u64; 2];
+        let first = dfa.first_witness(&tree, &stack, &mut fired, price);
+        assert_eq!(dfa.mapping(first).collect::<Vec<_>>(), vec![vp]);
+        assert_eq!(dfa.entry_roles(first), &[Role(4)]);
+        assert_eq!(fired, [0, 1], "x is the origin");
+        let second = dfa.first_witness(&tree, &stack, &mut fired, price);
+        assert!(!dfa.has_matches(second));
+        let states = dfa.len();
+        let mut fresh = [0u64; 2];
+        assert_eq!(dfa.first_witness(&tree, &stack, &mut fresh, price), first);
+        assert_eq!(dfa.len(), states, "a known target is interned, not rebuilt");
     }
 }

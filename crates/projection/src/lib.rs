@@ -16,8 +16,9 @@
 //!   to assign (paper Example 1/3) and the two node-preservation decisions
 //!   (paper conditions (1) and (2), Example 2).
 //! * [`dfa::LazyDfa`] — the lazily constructed deterministic automaton of
-//!   paper Fig. 5; used by the matcher whenever the projection tree carries
-//!   no positional predicates, with a per-instance NFA fallback otherwise.
+//!   paper Fig. 5, which the matcher runs for every projection tree;
+//!   `[position() = 1]` steps are resolved per event against one fired
+//!   set per open element.
 
 pub mod dfa;
 pub mod matcher;

@@ -13,602 +13,126 @@
 //! `//a//b` matches `/a/a/b` in two ways, so the node receives the role
 //! twice — Example 3, Fig. 4(c)).
 //!
-//! Two execution modes share the same semantics:
+//! Every projection tree runs on the paper's lazily constructed DFA
+//! ([`crate::dfa::LazyDfa`]): the matcher keeps the stack of DFA states
+//! of the open elements, and transitions are memoized per
+//! `(state, tag)`. `[position() = 1]` steps are "first witness below this
+//! origin instance", which no finite state captures; the matcher keeps
+//! one fired set per open element beside the state stack (only when the
+//! tree has a positional step), and the DFA filters positional
+//! candidates through it on the events that meet one (the DFA's module
+//! docs, "First witnesses").
 //!
-//! * **DFA mode** ([`crate::dfa::LazyDfa`]) — the paper's lazily
-//!   constructed deterministic automaton, used when the projection tree has
-//!   no positional predicates. Transition results are memoized per
-//!   `(state, tag)`.
-//! * **NFA mode** — per-instance simulation with explicit frames, required
-//!   when `[position() = 1]` predicates are present, because "first
-//!   witness" is relative to a concrete ancestor instance and cannot be
-//!   captured by a finite state.
-//!
-//! ## Allocation discipline (NFA mode)
-//!
-//! The NFA hot path is allocation-free in steady state, by three
-//! invariants:
-//!
-//! 1. **Frame pooling** — a frame popped on `close` keeps the capacity of
-//!    its `matches`/`pending`/`fired` vectors and is recycled by the next
-//!    `open`. The pool never exceeds the maximum element depth seen.
-//! 2. **Matcher-resident scratch** — the per-event temporaries (candidate
-//!    edges, fired-this-event records, the outcome's role list) live on
-//!    the matcher and are cleared, not reallocated, per event. This is
-//!    also why [`Outcome`] borrows its roles instead of owning a `Vec`.
-//! 3. **Edge memoization** — candidate child edges and pending-edge name
-//!    tests are memoized per (projection node, tag); rows are built on
-//!    first sight of a (node, tag) pair and read-only afterwards.
-//!
-//! Pending edges are inherited by slice copy into the pooled frame
-//! (`PendingEdge` is `Copy`), never by cloning a fresh vector.
+//! The hot path allocates nothing in steady state: states, roles and
+//! scratch live in the DFA's arenas, which is also why [`Outcome`]
+//! borrows its roles instead of owning a `Vec`.
 
-use crate::dfa::LazyDfa;
-use crate::path::{PAxis, Pred};
+use crate::dfa::{LazyDfa, StateId};
 use crate::role::Role;
-use crate::tree::{ProjNodeId, ProjTree};
+use crate::tree::ProjTree;
 use gcx_xml::TagId;
 
 /// The matcher's verdict for one input node.
 ///
-/// `roles` borrows from the matcher's internal storage (the DFA's state
-/// table or the NFA scratch), so producing an outcome allocates nothing
-/// in either mode; copy the roles out before the next matcher call.
+/// `roles` borrows from the matcher's internal storage (the DFA's role
+/// arena or scratch), so producing an outcome allocates nothing; copy the
+/// roles out before the next matcher call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome<'m> {
-    /// Copy this input node into the buffer?
+    /// Copy this input node into the buffer? True when it matches
+    /// (condition (1)) or must be kept for condition (2).
     pub buffer: bool,
     /// Role instances to assign (repeats encode multiplicity).
     pub roles: &'m [Role],
-    /// True when the node is preserved only by condition (2) — it matches
-    /// nothing but must not be discarded to protect `child::` semantics.
-    pub structural: bool,
-}
-
-impl Outcome<'_> {
-    fn skip() -> Outcome<'static> {
-        Outcome {
-            buffer: false,
-            roles: &[],
-            structural: false,
-        }
-    }
-}
-
-/// A match instance at a frame: the projection node plus whether it was
-/// reached "as self" (via the `dos::node()` self-closure). Aggregate roles
-/// (paper §6) are only assigned on self matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MatchInst {
-    node: ProjNodeId,
-    via_self: bool,
-}
-
-/// A pending descendant-like edge: `node` may match any strict descendant
-/// of the frame that spawned it; `origin` is that frame's index (the frame
-/// holding the `[position()=1]` firing record for this edge).
-#[derive(Debug, Clone, Copy)]
-struct PendingEdge {
-    node: ProjNodeId,
-    origin: u32,
-}
-
-#[derive(Debug, Default)]
-struct Frame {
-    matches: Vec<MatchInst>,
-    pending: Vec<PendingEdge>,
-    /// Positional edges that have already fired with this frame as origin.
-    fired: Vec<ProjNodeId>,
-    /// Precomputed condition (2) for children of this frame.
-    preserve_children: bool,
-    /// Nothing below this frame can match: no pending edges, no outgoing
-    /// child edges, no structural preservation.
-    dead_below: bool,
-}
-
-enum Mode {
-    Dfa { dfa: Box<LazyDfa>, stack: Vec<u32> },
-    Nfa { frames: Vec<Frame> },
-}
-
-/// Reusable NFA-mode storage (module docs, "Allocation discipline"):
-/// pooled frames, per-event temporaries, and the per-(node, tag) edge
-/// memo. Unused (and empty) in DFA mode.
-#[derive(Default)]
-struct NfaScratch {
-    /// Frames popped on `close`, recycled on `open` with their vector
-    /// capacities intact.
-    pool: Vec<Frame>,
-    /// Candidate (edge, origin frame) pairs for the current event.
-    cands: Vec<(ProjNodeId, u32)>,
-    /// Positional edges fired by the current event.
-    fired_now: Vec<(ProjNodeId, u32)>,
-    /// Roles of the current event's matches (backs [`Outcome::roles`]).
-    roles: Vec<Role>,
-    /// Match instances of the current text event (text pushes no frame,
-    /// so these cannot live in a pooled frame).
-    text_matches: Vec<MatchInst>,
-    memo: EdgeMemo,
-}
-
-/// Lazily built memo of the projection tree's edge tests, keyed by
-/// (projection node, tag): which child-axis edges of a node accept a
-/// given element tag, and whether a node's own step test does. Rows are
-/// computed on first sight and immutable afterwards — pure functions of
-/// the (immutable) tree.
-#[derive(Default)]
-struct EdgeMemo {
-    /// `child_rows[v][tag]`: the child-axis edges of `v` accepting
-    /// element `tag` (`None` = not built yet).
-    child_rows: Vec<Vec<Option<Box<[ProjNodeId]>>>>,
-    /// `test_rows[v][tag]`: does `v`'s own step test accept element
-    /// `tag`? 0 unknown, 1 no, 2 yes. Used for pending descendant edges.
-    test_rows: Vec<Vec<u8>>,
-}
-
-impl EdgeMemo {
-    fn child_edges(&mut self, tree: &ProjTree, v: ProjNodeId, tag: TagId) -> &[ProjNodeId] {
-        let (vi, ti) = (v.index(), tag.index());
-        if self.child_rows.len() <= vi {
-            self.child_rows.resize_with(vi + 1, Vec::new);
-        }
-        let row = &mut self.child_rows[vi];
-        if row.len() <= ti {
-            row.resize(ti + 1, None);
-        }
-        if row[ti].is_none() {
-            let mut edges = Vec::new();
-            for &c in tree.children(v) {
-                let s = tree.step(c);
-                if s.axis == PAxis::Child && s.test.matches_element(tag) {
-                    edges.push(c);
-                }
-            }
-            row[ti] = Some(edges.into_boxed_slice());
-        }
-        row[ti].as_deref().expect("just built")
-    }
-
-    fn edge_accepts(&mut self, tree: &ProjTree, v: ProjNodeId, tag: TagId) -> bool {
-        let (vi, ti) = (v.index(), tag.index());
-        if self.test_rows.len() <= vi {
-            self.test_rows.resize_with(vi + 1, Vec::new);
-        }
-        let row = &mut self.test_rows[vi];
-        if row.len() <= ti {
-            row.resize(ti + 1, 0);
-        }
-        if row[ti] == 0 {
-            row[ti] = if tree.step(v).test.matches_element(tag) {
-                2
-            } else {
-                1
-            };
-        }
-        row[ti] == 2
-    }
 }
 
 /// Streaming projection matcher (see module docs).
 pub struct StreamMatcher<'t> {
     tree: &'t ProjTree,
-    mode: Mode,
-    root_roles: Vec<Role>,
-    depth: usize,
-    nfa: NfaScratch,
+    dfa: LazyDfa,
+    /// DFA states of the open elements, the virtual root first.
+    stack: Vec<StateId>,
+    /// Fired sets of the open elements, [`LazyDfa::fired_words`] words
+    /// per `stack` entry (none when the tree has no positional step).
+    fired: Vec<u64>,
 }
 
 impl<'t> StreamMatcher<'t> {
-    /// Creates a matcher positioned at the virtual document root, in DFA
-    /// mode when the projection tree permits it.
+    /// Creates a matcher positioned at the virtual document root.
     pub fn new(tree: &'t ProjTree) -> Self {
-        Self::with_mode(tree, tree.has_positional())
-    }
-
-    /// Creates a matcher that runs the frame-based NFA simulation even
-    /// when the tree has no positional predicates (which would normally
-    /// select DFA mode). Both modes implement identical semantics; this
-    /// constructor lets differential tests and benches drive the pooled
-    /// NFA path over arbitrary trees.
-    pub fn new_forced_nfa(tree: &'t ProjTree) -> Self {
-        Self::with_mode(tree, true)
-    }
-
-    fn with_mode(tree: &'t ProjTree, use_nfa: bool) -> Self {
-        let mut root_matches = vec![MatchInst {
-            node: ProjTree::ROOT,
-            via_self: false,
-        }];
-        // dos-self closure at the virtual root: a `dos::node()` edge
-        // directly below a matched node also matches the node itself. The
-        // virtual root is neither element nor text; only `node()` applies.
-        let mut i = 0;
-        while i < root_matches.len() {
-            let v = root_matches[i].node;
-            for &c in tree.children(v) {
-                let s = tree.step(c);
-                if s.axis == PAxis::DescendantOrSelf
-                    && matches!(s.test, crate::path::PTest::AnyNode)
-                {
-                    root_matches.push(MatchInst {
-                        node: c,
-                        via_self: true,
-                    });
-                }
-            }
-            i += 1;
-        }
-        let root_roles = roles_of(tree, &root_matches);
-        let mode = if use_nfa {
-            let frame = make_frame(tree, root_matches, Vec::new(), 0);
-            Mode::Nfa {
-                frames: vec![frame],
-            }
-        } else {
-            let tuples: Vec<(ProjNodeId, bool)> =
-                root_matches.iter().map(|m| (m.node, m.via_self)).collect();
-            let dfa = Box::new(LazyDfa::new(tree, &tuples));
-            let stack = vec![LazyDfa::INITIAL];
-            Mode::Dfa { dfa, stack }
-        };
+        let dfa = LazyDfa::new(tree);
+        let fired = vec![0; dfa.fired_words()];
         StreamMatcher {
             tree,
-            mode,
-            root_roles,
-            depth: 0,
-            nfa: NfaScratch::default(),
+            dfa,
+            stack: vec![LazyDfa::INITIAL],
+            fired,
         }
     }
 
     /// Roles the virtual document root itself carries (non-empty only when
     /// the query outputs `$root`).
     pub fn root_roles(&self) -> &[Role] {
-        &self.root_roles
-    }
-
-    /// Current element depth (0 = at the virtual root).
-    pub fn depth(&self) -> usize {
-        self.depth
+        self.dfa.entry_roles(LazyDfa::INITIAL)
     }
 
     /// True when nothing below the current position can match: the
     /// preprojector may skip the whole subtree without consulting the
     /// matcher (it must still track nesting itself).
     pub fn is_dead(&self) -> bool {
-        match &self.mode {
-            Mode::Dfa { dfa, stack } => {
-                let s = *stack.last().expect("stack never empty");
-                dfa.is_dead(s)
-            }
-            Mode::Nfa { frames } => frames.last().expect("frames never empty").dead_below,
-        }
+        self.dfa
+            .is_dead(*self.stack.last().expect("stack never empty"))
     }
 
     /// Processes an opening tag; returns the buffering verdict.
     pub fn open(&mut self, tag: TagId) -> Outcome<'_> {
-        self.depth += 1;
-        match &mut self.mode {
-            Mode::Dfa { dfa, stack } => {
-                let from = *stack.last().expect("stack never empty");
-                let to = dfa.transition(self.tree, from, tag);
-                stack.push(to);
-                let matched = dfa.has_matches(to);
-                let structural = !matched && dfa.preserve_children(from);
-                Outcome {
-                    buffer: matched || structural,
-                    roles: dfa.entry_roles(to),
-                    structural,
-                }
-            }
-            Mode::Nfa { frames } => {
-                let pi = frames.len() - 1;
-                let tree = self.tree;
-                let NfaScratch {
-                    pool,
-                    cands,
-                    fired_now,
-                    roles,
-                    memo,
-                    ..
-                } = &mut self.nfa;
-                // Collect candidate edges first (child edges from the
-                // parent's matches, then pending descendant-like edges),
-                // then apply positional firing in order. Both lookups go
-                // through the per-(node, tag) memo.
-                cands.clear();
-                for m in &frames[pi].matches {
-                    for &c in memo.child_edges(tree, m.node, tag) {
-                        cands.push((c, pi as u32));
-                    }
-                }
-                for pe in &frames[pi].pending {
-                    if memo.edge_accepts(tree, pe.node, tag) {
-                        cands.push((pe.node, pe.origin));
-                    }
-                }
-                // The new frame comes from the pool; its vectors are
-                // empty but keep their high-water capacity.
-                let mut frame = pool.pop().unwrap_or_default();
-                // `[position()=1]` fires once per origin instance, but an
-                // origin with match multiplicity m contributes m candidate
-                // entries for the *same* element — all of them are part of
-                // this first witness (the role lands with multiplicity m,
-                // mirroring the chain-assignment count; see Example 1).
-                fired_now.clear();
-                for &(c, o) in cands.iter() {
-                    if tree.step(c).pred == Pred::First {
-                        let fired = &mut frames[o as usize].fired;
-                        if fired.contains(&c) {
-                            if !fired_now.contains(&(c, o)) {
-                                continue; // witnessed by an earlier element
-                            }
-                        } else {
-                            fired.push(c);
-                            fired_now.push((c, o));
-                        }
-                    }
-                    frame.matches.push(MatchInst {
-                        node: c,
-                        via_self: false,
-                    });
-                }
-                close_self(tree, &mut frame.matches, |t| t.matches_element(tag));
-                let structural = frame.matches.is_empty() && frames[pi].preserve_children;
-                roles.clear();
-                roles_of_into(tree, &frame.matches, roles);
-                let buffer = !frame.matches.is_empty() || structural;
-                // Inherit the parent's pending edges by slice copy, then
-                // append the new matches' descendant-like edges.
-                frame.pending.extend_from_slice(&frames[pi].pending);
-                let own_index = frames.len() as u32;
-                {
-                    let Frame {
-                        matches, pending, ..
-                    } = &mut frame;
-                    for m in matches.iter() {
-                        for &c in tree.children(m.node) {
-                            if tree.step(c).axis.is_descendant_like() {
-                                pending.push(PendingEdge {
-                                    node: c,
-                                    origin: own_index,
-                                });
-                            }
-                        }
-                    }
-                }
-                frame.preserve_children = preserve_condition(tree, &frame.matches, &frame.pending);
-                frame.dead_below = frame.pending.is_empty()
-                    && !frame.preserve_children
-                    && frame
-                        .matches
-                        .iter()
-                        .all(|m| tree.children(m.node).is_empty());
-                frames.push(frame);
-                Outcome {
-                    buffer,
-                    roles,
-                    structural,
-                }
-            }
+        let from = *self.stack.last().expect("stack never empty");
+        let to = match self.dfa.transition(self.tree, from, tag) {
+            Some(to) => to,
+            None => self
+                .dfa
+                .first_witness(self.tree, &self.stack, &mut self.fired, tag),
+        };
+        self.stack.push(to);
+        // The new element has fired no positional step yet.
+        self.fired
+            .resize(self.fired.len() + self.dfa.fired_words(), 0);
+        Outcome {
+            buffer: self.dfa.has_matches(to) || self.dfa.preserve_children(from),
+            roles: self.dfa.entry_roles(to),
         }
     }
 
-    /// Processes a closing tag. In NFA mode the popped frame is returned
-    /// to the pool with its vector capacities intact.
+    /// Processes a closing tag.
     pub fn close(&mut self) {
-        debug_assert!(self.depth > 0, "close below the document root");
-        self.depth -= 1;
-        match &mut self.mode {
-            Mode::Dfa { stack, .. } => {
-                stack.pop();
-                debug_assert!(!stack.is_empty());
-            }
-            Mode::Nfa { frames } => {
-                let mut f = frames.pop().expect("frames never empty");
-                debug_assert!(!frames.is_empty());
-                f.matches.clear();
-                f.pending.clear();
-                f.fired.clear();
-                self.nfa.pool.push(f);
-            }
-        }
+        self.stack.pop();
+        debug_assert!(!self.stack.is_empty(), "close below the document root");
+        self.fired
+            .truncate(self.stack.len() * self.dfa.fired_words());
     }
 
-    /// Processes a text node (no frame is pushed; text has no children).
+    /// Processes a text node (text has no children: nothing is pushed).
     pub fn text(&mut self) -> Outcome<'_> {
-        match &mut self.mode {
-            Mode::Dfa { dfa, stack } => {
-                let s = *stack.last().expect("stack never empty");
-                let (buffer, roles) = dfa.text_outcome(self.tree, s);
-                Outcome {
-                    buffer,
-                    roles,
-                    structural: false,
-                }
-            }
-            Mode::Nfa { frames } => {
-                let tree = self.tree;
-                let pi = frames.len() - 1;
-                let NfaScratch {
-                    cands,
-                    fired_now,
-                    roles,
-                    text_matches,
-                    ..
-                } = &mut self.nfa;
-                cands.clear();
-                for m in &frames[pi].matches {
-                    for &c in tree.children(m.node) {
-                        let s = tree.step(c);
-                        if s.axis == PAxis::Child && s.test.matches_text() {
-                            cands.push((c, pi as u32));
-                        }
-                    }
-                }
-                for pe in &frames[pi].pending {
-                    if tree.step(pe.node).test.matches_text() {
-                        cands.push((pe.node, pe.origin));
-                    }
-                }
-                text_matches.clear();
-                fired_now.clear();
-                for &(c, o) in cands.iter() {
-                    if tree.step(c).pred == Pred::First {
-                        let fired = &mut frames[o as usize].fired;
-                        if fired.contains(&c) {
-                            if !fired_now.contains(&(c, o)) {
-                                continue;
-                            }
-                        } else {
-                            fired.push(c);
-                            fired_now.push((c, o));
-                        }
-                    }
-                    text_matches.push(MatchInst {
-                        node: c,
-                        via_self: false,
-                    });
-                }
-                close_self(tree, text_matches, |t| t.matches_text());
-                if text_matches.is_empty() {
-                    return Outcome::skip();
-                }
-                roles.clear();
-                roles_of_into(tree, text_matches, roles);
-                Outcome {
-                    buffer: true,
-                    roles,
-                    structural: false,
-                }
-            }
-        }
+        let (buffer, roles) = self.dfa.text(self.tree, &self.stack, &mut self.fired);
+        Outcome { buffer, roles }
     }
 
-    /// True when the matcher runs in the paper's lazy-DFA mode.
+    /// True: every projection tree runs on the lazy DFA.
     pub fn uses_dfa(&self) -> bool {
-        matches!(self.mode, Mode::Dfa { .. })
+        true
     }
 
-    /// Number of DFA states constructed so far (0 in NFA mode). Lets tests
-    /// and the bench harness observe laziness.
+    /// Number of DFA states constructed so far. Lets tests and the bench
+    /// harness observe laziness.
     pub fn dfa_states(&self) -> usize {
-        match &self.mode {
-            Mode::Dfa { dfa, .. } => dfa.len(),
-            Mode::Nfa { .. } => 0,
-        }
+        self.dfa.len()
     }
-}
-
-/// Extends `new` with the `dos::node()` self-closure: whenever a matched
-/// node has a `descendant-or-self` child whose test accepts the *current*
-/// node, that child matches too (recursively).
-fn close_self<F: Fn(crate::path::PTest) -> bool>(
-    tree: &ProjTree,
-    new: &mut Vec<MatchInst>,
-    accepts: F,
-) {
-    let mut i = 0;
-    while i < new.len() {
-        let v = new[i].node;
-        for &c in tree.children(v) {
-            let s = tree.step(c);
-            if s.axis == PAxis::DescendantOrSelf && accepts(s.test) {
-                debug_assert_eq!(
-                    s.pred,
-                    Pred::True,
-                    "positional predicates are not supported on dos steps"
-                );
-                new.push(MatchInst {
-                    node: c,
-                    via_self: true,
-                });
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Collects the role instances for a set of match instances. Aggregate
-/// roles are assigned only when matched as self (the subtree root).
-fn roles_of(tree: &ProjTree, matches: &[MatchInst]) -> Vec<Role> {
-    let mut roles = Vec::new();
-    roles_of_into(tree, matches, &mut roles);
-    roles
-}
-
-/// [`roles_of`] into a caller-provided (reusable) vector.
-fn roles_of_into(tree: &ProjTree, matches: &[MatchInst], roles: &mut Vec<Role>) {
-    for m in matches {
-        let n = tree.node(m.node);
-        if let Some(r) = n.role {
-            if !n.aggregate || m.via_self {
-                roles.push(r);
-            }
-        }
-    }
-}
-
-/// Builds a frame for freshly matched instances: computes the new pending
-/// list (inherited + descendant-like edges of the new matches) and the
-/// condition-(2) flag for the frame's children.
-fn make_frame(
-    tree: &ProjTree,
-    matches: Vec<MatchInst>,
-    mut pending: Vec<PendingEdge>,
-    own_index: u32,
-) -> Frame {
-    for m in &matches {
-        for &c in tree.children(m.node) {
-            if tree.step(c).axis.is_descendant_like() {
-                pending.push(PendingEdge {
-                    node: c,
-                    origin: own_index,
-                });
-            }
-        }
-    }
-    let preserve_children = preserve_condition(tree, &matches, &pending);
-    let dead_below = pending.is_empty()
-        && !preserve_children
-        && matches.iter().all(|m| tree.children(m.node).is_empty());
-    Frame {
-        matches,
-        pending,
-        fired: Vec::new(),
-        preserve_children,
-        dead_below,
-    }
-}
-
-/// Paper condition (2): children of this frame must be preserved when some
-/// match has a `child::τ1` edge and some descendant-like edge with test τ2
-/// reaches below this frame, with τ1 and τ2 able to accept the same node —
-/// otherwise discarding the child could promote a deeper τ2-match into a
-/// false `child::τ1` match.
-fn preserve_condition(tree: &ProjTree, matches: &[MatchInst], pending: &[PendingEdge]) -> bool {
-    if pending.is_empty() {
-        return false;
-    }
-    for m in matches {
-        for &c in tree.children(m.node) {
-            let s = tree.step(c);
-            if s.axis != PAxis::Child {
-                continue;
-            }
-            for pe in pending {
-                if s.test.overlaps(tree.step(pe.node).test) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{PStep, PTest, RelPath};
+    use crate::path::{PAxis, PStep, PTest, Pred, RelPath};
     use crate::role::RoleSet;
     use gcx_xml::{TagInterner, XmlLexer, XmlToken};
 
@@ -884,57 +408,6 @@ mod tests {
             assert!(*b, "{p} still buffered");
             assert_eq!(r, "{}", "{p} carries no explicit role under aggregation");
         }
-    }
-
-    /// DFA mode and NFA mode agree on a mixed workload (differential).
-    #[test]
-    fn dfa_nfa_agree() {
-        let mut tags = TagInterner::new();
-        let tree = fig4b_tree(&mut tags);
-        assert!(!tree.has_positional());
-        // Force NFA by wrapping: build an identical tree and compare both
-        // matchers manually over the same token walk.
-        let doc = "<a><a><b><b></b></b></a><b></b><c><b></b></c></a>";
-        let dfa_out = run(&tree, &mut tags, doc);
-        let nfa_out = run_forced_nfa(&tree, &mut tags, doc);
-        assert_eq!(dfa_out, nfa_out);
-    }
-
-    /// Drives the NFA path directly (bypassing the has_positional check).
-    fn run_forced_nfa(
-        tree: &ProjTree,
-        tags: &mut TagInterner,
-        doc: &str,
-    ) -> Vec<(String, bool, String)> {
-        let mut lexer = XmlLexer::new(doc.as_bytes(), tags);
-        let tokens = lexer.tokenize_all().unwrap();
-        let mut m = StreamMatcher::new_forced_nfa(tree);
-        let mut out = Vec::new();
-        let mut path: Vec<String> = Vec::new();
-        for t in &tokens {
-            match t {
-                XmlToken::Open(tag) => {
-                    path.push(tags.name(*tag).to_string());
-                    let o = m.open(*tag);
-                    let rs: RoleSet = o.roles.iter().copied().collect();
-                    out.push((format!("/{}", path.join("/")), o.buffer, rs.to_string()));
-                }
-                XmlToken::Close(_) => {
-                    m.close();
-                    path.pop();
-                }
-                XmlToken::Text(_) => {
-                    let o = m.text();
-                    let rs: RoleSet = o.roles.iter().copied().collect();
-                    out.push((
-                        format!("/{}/text()", path.join("/")),
-                        o.buffer,
-                        rs.to_string(),
-                    ));
-                }
-            }
-        }
-        out
     }
 
     /// Dead-subtree detection lets the preprojector skip.

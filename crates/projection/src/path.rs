@@ -77,7 +77,7 @@ pub enum Pred {
     #[default]
     True,
     /// `[position() = 1]` — keep only the first witness (per origin
-    /// instance; see `matcher`).
+    /// instance; see `dfa`, "First witnesses").
     First,
 }
 

@@ -124,8 +124,8 @@ impl ProjTree {
         (0..self.nodes.len() as u32).map(ProjNodeId)
     }
 
-    /// True when any node carries a `[position() = 1]` predicate, which
-    /// forces the matcher into per-instance (NFA) mode.
+    /// True when any node carries a `[position() = 1]` predicate (the
+    /// matcher then keeps a fired set per open element).
     pub fn has_positional(&self) -> bool {
         self.nodes.iter().any(|n| n.step.pred == Pred::First)
     }

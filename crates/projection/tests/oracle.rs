@@ -8,11 +8,16 @@
 //!
 //! 1. the role multiset assigned by the matcher equals the naive one;
 //! 2. every node with matches is buffered (preservation condition 1);
-//! 3. nodes the matcher skips carry no roles.
+//! 3. nodes the matcher skips carry no roles;
+//! 4. buffering verdict, roles and the dead-subtree verdict equal the
+//!    frame-per-element reference matcher's (`common/nfa.rs`).
 //!
 //! A second corpus — every XMark query's compiled projection tree over a
-//! generated XMark document — pins the two matcher modes against each
-//! other at scale (`forced_nfa_agrees_with_dfa_over_xmark_corpus`).
+//! generated XMark document — pins the matcher against the reference at
+//! scale (`matcher_agrees_with_reference_over_xmark_corpus`).
+
+#[path = "common/nfa.rs"]
+mod nfa;
 
 use gcx_projection::{PAxis, PStep, PTest, Pred, ProjNodeId, ProjTree, Role, StreamMatcher};
 use gcx_xml::{Document, NodeId, NodeKind, TagInterner, XmlLexer, XmlToken};
@@ -105,16 +110,21 @@ fn naive_roles(doc: &Document, tree: &ProjTree) -> HashMap<NodeId, Vec<Role>> {
 
 const TAGS: &[&str] = &["a", "b", "c"];
 
+/// A random projection tree of up to four levels below a non-empty root.
+/// `[position()=1]` lands on child and descendant steps (any test) that
+/// may have children below them, so first witnesses nest, sit under
+/// origins matched with multiplicity, and reach text nodes.
 fn random_tree(seed: u64, tags: &mut TagInterner) -> ProjTree {
     let mut rng = StdRng::seed_from_u64(seed);
     let tag_ids: Vec<_> = TAGS.iter().map(|t| tags.intern(t)).collect();
     let mut tree = ProjTree::new();
     let mut role = 0u32;
     let mut frontier = vec![ProjTree::ROOT];
-    for _depth in 0..rng.random_range(1..=3) {
+    for _depth in 0..rng.random_range(1..=4) {
         let mut next = Vec::new();
         for &parent in &frontier {
-            for _ in 0..rng.random_range(0..=2usize) {
+            let min = usize::from(parent == ProjTree::ROOT);
+            for _ in 0..rng.random_range(min..=2) {
                 let axis = match rng.random_range(0..5) {
                     0 | 1 => PAxis::Child,
                     2 | 3 => PAxis::Descendant,
@@ -126,10 +136,7 @@ fn random_tree(seed: u64, tags: &mut TagInterner) -> ProjTree {
                     (_, 1) => PTest::Text,
                     (_, i) => PTest::Tag(tag_ids[i % tag_ids.len()]),
                 };
-                let pred = if axis != PAxis::DescendantOrSelf
-                    && !matches!(test, PTest::Text)
-                    && rng.random_bool(0.25)
-                {
+                let pred = if axis != PAxis::DescendantOrSelf && rng.random_bool(0.4) {
                     Pred::First
                 } else {
                     Pred::True
@@ -194,72 +201,62 @@ fn check_case(tree_seed: u64, doc_seed: u64) {
     let expected = naive_roles(&doc, &tree);
 
     // Stream the same document through the matcher, pairing stream events
-    // with DOM nodes by construction order (document order). Both the
-    // mode-selecting matcher and the forced pooled-frame NFA must agree
-    // with the naive semantics (and hence with each other).
+    // with DOM nodes by construction order (document order). The matcher
+    // must agree with the naive semantics on roles, and with the
+    // reference matcher on every verdict.
     let dom_nodes: Vec<NodeId> = doc.descendants(Document::ROOT);
     let mut lexer = XmlLexer::new(doc_text.as_bytes(), &mut tags);
     let mut matcher = StreamMatcher::new(&tree);
-    let mut forced = StreamMatcher::new_forced_nfa(&tree);
+    let mut reference = nfa::RefMatcher::new(&tree);
     let mut idx = 0usize;
     while let Some(tok) = lexer.next_token().expect("lex") {
-        match tok {
+        let (outcome, want) = match tok {
             XmlToken::Open(tag) => {
                 let node = dom_nodes[idx];
-                idx += 1;
                 assert!(
                     matches!(doc.node(node).kind, NodeKind::Element(t) if t == tag),
                     "event/node pairing broke"
                 );
-                let outcome = matcher.open(tag);
-                compare(
-                    &expected,
-                    node,
-                    outcome.roles,
-                    outcome.buffer,
-                    tree_seed,
-                    doc_seed,
-                );
-                let outcome = forced.open(tag);
-                compare(
-                    &expected,
-                    node,
-                    outcome.roles,
-                    outcome.buffer,
-                    tree_seed,
-                    doc_seed,
-                );
+                let o = matcher.open(tag);
+                ((o.buffer, sorted(o.roles)), reference.open(tag))
             }
             XmlToken::Close(_) => {
                 matcher.close();
-                forced.close();
+                reference.close();
+                continue;
             }
             XmlToken::Text(_) => {
-                let node = dom_nodes[idx];
-                idx += 1;
-                assert!(doc.is_text(node), "event/node pairing broke (text)");
-                let outcome = matcher.text();
-                compare(
-                    &expected,
-                    node,
-                    outcome.roles,
-                    outcome.buffer,
-                    tree_seed,
-                    doc_seed,
+                assert!(
+                    doc.is_text(dom_nodes[idx]),
+                    "event/node pairing broke (text)"
                 );
-                let outcome = forced.text();
-                compare(
-                    &expected,
-                    node,
-                    outcome.roles,
-                    outcome.buffer,
-                    tree_seed,
-                    doc_seed,
-                );
+                let o = matcher.text();
+                ((o.buffer, sorted(o.roles)), reference.text())
             }
-        }
+        };
+        compare(
+            &expected,
+            dom_nodes[idx],
+            &outcome.1,
+            outcome.0,
+            tree_seed,
+            doc_seed,
+        );
+        assert_eq!(
+            (outcome, matcher.is_dead()),
+            (want, reference.is_dead()),
+            "matcher vs reference at node {:?} (tree seed {tree_seed}, doc seed {doc_seed})",
+            dom_nodes[idx]
+        );
+        idx += 1;
     }
     assert_eq!(idx, dom_nodes.len(), "all events paired");
+}
+
+fn sorted(roles: &[Role]) -> Vec<Role> {
+    let mut v = roles.to_vec();
+    v.sort();
+    v
 }
 
 fn compare(
@@ -284,7 +281,7 @@ fn compare(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+    #![proptest_config(ProptestConfig::with_cases(2000))]
 
     #[test]
     fn matcher_agrees_with_naive_semantics(ts in 0u64..100_000, ds in 0u64..100_000) {
@@ -300,19 +297,13 @@ fn pinned_seeds() {
     }
 }
 
-/// Forced-NFA vs DFA over the full XMark corpus: every query's projection
-/// tree is driven over a generated document through `StreamMatcher::new`
-/// (lazy DFA where the tree permits it) and `new_forced_nfa` (the pooled
-/// frame simulation), comparing (buffering verdict, structural flag, role
-/// multiset, dead-subtree verdict) at every event. For Q20 (positional) both sides run NFA mode; that leg still
-/// pins the pooled matcher against itself across pool reuse.
+/// The matcher vs the reference over the full XMark corpus: every
+/// query's projection tree (Q20's `profile[1]` included) is driven over a
+/// generated document through `StreamMatcher::new` and the frame
+/// reference, comparing (buffering verdict, role multiset, dead-subtree
+/// verdict) at every event.
 #[test]
-fn forced_nfa_agrees_with_dfa_over_xmark_corpus() {
-    fn sorted(roles: &[Role]) -> Vec<Role> {
-        let mut v = roles.to_vec();
-        v.sort();
-        v
-    }
+fn matcher_agrees_with_reference_over_xmark_corpus() {
     let mut doc = Vec::new();
     let config = gcx_xmark::XmarkConfig {
         seed: 42,
@@ -323,45 +314,42 @@ fn forced_nfa_agrees_with_dfa_over_xmark_corpus() {
         let mut tags = TagInterner::new();
         let compiled = gcx_query::compile_default(query, &mut tags).expect("compile");
         let tree = &compiled.projection.tree;
-        let mut dfa = StreamMatcher::new(tree);
-        let mut nfa = StreamMatcher::new_forced_nfa(tree);
-        assert!(nfa.dfa_states() == 0, "{name}: forced NFA has no DFA");
+        let mut matcher = StreamMatcher::new(tree);
+        let mut reference = nfa::RefMatcher::new(tree);
         assert_eq!(
-            sorted(dfa.root_roles()),
-            sorted(nfa.root_roles()),
+            sorted(matcher.root_roles()),
+            reference.root_roles(),
             "{name}: root roles"
         );
         let mut lexer = XmlLexer::new(&doc[..], &mut tags);
         let mut events = 0u64;
         while let Some(tok) = lexer.next_token().expect("lex") {
             events += 1;
-            match tok {
+            let (got, want) = match tok {
                 XmlToken::Open(tag) => {
-                    let a = dfa.open(tag);
-                    let a = (a.buffer, a.structural, sorted(a.roles), dfa.is_dead());
-                    let b = nfa.open(tag);
-                    let b = (b.buffer, b.structural, sorted(b.roles), nfa.is_dead());
-                    assert_eq!(a, b, "{name}: open verdict at event {events}");
+                    let o = matcher.open(tag);
+                    ((o.buffer, sorted(o.roles)), reference.open(tag))
                 }
                 XmlToken::Close(_) => {
-                    dfa.close();
-                    nfa.close();
+                    matcher.close();
+                    reference.close();
+                    continue;
                 }
                 XmlToken::Text(_) => {
-                    let a = dfa.text();
-                    let a = (a.buffer, sorted(a.roles));
-                    let b = nfa.text();
-                    assert_eq!(
-                        a,
-                        (b.buffer, sorted(b.roles)),
-                        "{name}: text at event {events}"
-                    );
+                    let o = matcher.text();
+                    ((o.buffer, sorted(o.roles)), reference.text())
                 }
-            }
+            };
+            assert_eq!(
+                (got, matcher.is_dead()),
+                (want, reference.is_dead()),
+                "{name}: verdict at event {events}"
+            );
         }
         assert!(
             events > 10_000,
             "{name}: corpus too small ({events} events)"
         );
+        assert!(matcher.dfa_states() > 0, "{name}: runs on the DFA");
     }
 }

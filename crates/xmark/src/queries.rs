@@ -119,8 +119,7 @@ mod tests {
     fn q1_projection_uses_positional_witness() {
         let mut tags = TagInterner::new();
         let c = compile_default(Q1, &mut tags).unwrap();
-        // Q1 has a comparison (id) — no exists, so no positional predicate,
-        // and the matcher may run in DFA mode.
+        // Q1 has a comparison (id) — no exists, so no positional predicate.
         assert!(!c.projection.tree.has_positional());
     }
 

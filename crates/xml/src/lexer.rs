@@ -1152,16 +1152,25 @@ enum SkipFast {
 /// Index bookkeeping uses unchecked slicing/reads: every index is
 /// bounded by `end` before use, and the caller guarantees
 /// `pos <= end <= buf.len()` (it passes `self.pos`/`self.len`, the
-/// lexer's buffered-window invariant). The `debug_assert!` pins that
-/// contract in debug builds.
+/// lexer's buffered-window invariant). `debug_assert!`s pin that
+/// contract and every unchecked access in debug builds.
 #[inline]
 fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut usize) -> SkipFast {
     debug_assert!(pos <= end && end <= buf.len());
-    // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` at
-    // each call site — `lo`/`hi` are only ever advanced to positions a
-    // bound check against `end` has admitted.
-    let tail = |lo: usize, hi: usize| unsafe { buf.get_unchecked(lo..hi) };
-    let byte = |at: usize| unsafe { *buf.get_unchecked(at) };
+    // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` and
+    // `at < end` at each call site — indices are only ever advanced to
+    // positions a bound check against `end` has admitted.
+    let tail = |lo: usize, hi: usize| {
+        debug_assert!(
+            lo <= hi && hi <= end,
+            "skip_fast: {lo}..{hi} outside ..{end}"
+        );
+        unsafe { buf.get_unchecked(lo..hi) }
+    };
+    let byte = |at: usize| {
+        debug_assert!(at < end, "skip_fast: byte {at} outside ..{end}");
+        unsafe { *buf.get_unchecked(at) }
+    };
     let mut i = pos;
     loop {
         // Adjacent markup ("</a><b>") is the common case in dense

@@ -132,14 +132,16 @@ fn q13_allocs_per_event_bounded() {
     assert!(ratio <= 0.005, "Q13: {ratio:.5} allocations/event > 0.005");
 }
 
-/// Q20 runs the matcher in NFA mode (positional predicate): the pooled
-/// frames, matcher-resident scratch and evaluator scratch must keep the
-/// engine's amortized rate under 0.05 per materialized event, per-run
-/// set-up (lexer buffer, interner, pool growth to peak depth) included.
+/// Q20's `not(exists($p/profile))` puts a first-witness step in the
+/// projection tree, which the lazy DFA resolves per event against the
+/// matcher's fired sets: interned target states, matcher scratch and
+/// evaluator scratch must keep the engine's amortized rate under 0.05
+/// per materialized event, per-run set-up (lexer buffer, interner, DFA
+/// and fired-set growth to peak depth) included.
 #[test]
 fn q20_allocs_per_event_bounded() {
     let (ratio, dfa_states) = allocs_per_event("Q20", &xmark_doc(1.0));
-    assert_eq!(dfa_states, 0, "Q20 must exercise NFA mode");
+    assert!(dfa_states > 0, "Q20 must run on the lazy DFA");
     assert!(ratio <= 0.05, "Q20: {ratio:.4} allocations/event > 0.05");
 }
 

@@ -3,9 +3,11 @@
 //!
 //! The dense per-state rows replaced the original hash-map memo; this
 //! test drives the DFA over the XMark corpus while mirroring every
-//! transition into a hash map on the side. Any divergence — a memoized
-//! transition changing its answer, or a rebuild producing a different
-//! state — fails the run.
+//! memoized transition into a hash map on the side. Any divergence — a
+//! memoized transition changing its answer, or a rebuild producing a
+//! different state — fails the run. Transitions left to the event (a
+//! first-witness candidate) are resolved as the matcher does, and must
+//! stay left to the event.
 
 use gcx::projection::dfa::LazyDfa;
 use gcx::projection::ProjTree;
@@ -23,9 +25,10 @@ fn xmark_doc(mb: f64, seed: u64) -> Vec<u8> {
 /// Streams `doc` through a fresh DFA for `tree`, checking every
 /// transition against the oracle and against an immediate re-query.
 fn drive_and_check(tree: &ProjTree, tags: &mut TagInterner, doc: &[u8]) -> (usize, usize) {
-    let mut dfa = LazyDfa::new(tree, &[(ProjTree::ROOT, false)]);
-    let mut oracle: HashMap<(u32, u32), u32> = HashMap::new();
+    let mut dfa = LazyDfa::new(tree);
+    let mut oracle: HashMap<(u32, u32), Option<u32>> = HashMap::new();
     let mut stack = vec![LazyDfa::INITIAL];
+    let mut fired = vec![0u64; dfa.fired_words()];
     let mut lexer = XmlLexer::new(doc, tags);
     let mut transitions = 0usize;
     while let Some(tok) = lexer.next_token().expect("lex") {
@@ -47,21 +50,24 @@ fn drive_and_check(tree: &ProjTree, tags: &mut TagInterner, doc: &[u8]) -> (usiz
                     }
                 }
                 // Memoization is stable: asking again returns the same
-                // state and constructs nothing new.
+                // answer and constructs nothing new.
                 let states_before = dfa.len();
                 assert_eq!(dfa.transition(tree, from, tag), to);
                 assert_eq!(dfa.len(), states_before, "re-query grew the DFA");
-                // The text verdict for the target state is stable too.
-                let (buffered, roles_len) = {
-                    let (b, r) = dfa.text_outcome(tree, to);
-                    (b, r.len())
+                let to = match to {
+                    Some(to) => to,
+                    None => dfa.first_witness(tree, &stack, &mut fired, tag),
                 };
-                let (b2, r2) = dfa.text_outcome(tree, to);
-                assert_eq!((buffered, roles_len), (b2, r2.len()));
+                // The text verdict for the target state is stable too.
+                let verdict = dfa.text_outcome(tree, to).map(|(b, r)| (b, r.len()));
+                let again = dfa.text_outcome(tree, to).map(|(b, r)| (b, r.len()));
+                assert_eq!(verdict, again);
                 stack.push(to);
+                fired.resize(fired.len() + dfa.fired_words(), 0);
             }
             XmlToken::Close(_) => {
                 stack.pop();
+                fired.truncate(stack.len() * dfa.fired_words());
             }
             XmlToken::Text(_) => {}
         }
@@ -70,21 +76,15 @@ fn drive_and_check(tree: &ProjTree, tags: &mut TagInterner, doc: &[u8]) -> (usiz
     (transitions, oracle.len())
 }
 
-/// Every non-positional XMark query's projection DFA matches the oracle
-/// over a generated corpus.
+/// Every XMark query's projection DFA matches the oracle over a generated
+/// corpus.
 #[test]
 fn dense_tables_match_hashmap_oracle_over_xmark() {
     let doc = xmark_doc(0.3, 1234);
-    let mut checked = 0;
     for (name, query) in gcx::xmark::ALL {
         let mut tags = TagInterner::new();
         let compiled = compile(query, &mut tags, CompileOptions::default()).expect("compile");
         let tree = &compiled.projection.tree;
-        if tree.has_positional() {
-            // Positional predicates route to the NFA matcher; no DFA to
-            // compare.
-            continue;
-        }
         let (transitions, distinct) = drive_and_check(tree, &mut tags, &doc);
         assert!(
             transitions > 1000,
@@ -94,9 +94,7 @@ fn dense_tables_match_hashmap_oracle_over_xmark() {
             distinct < transitions / 10,
             "{name}: memoization ineffective ({distinct} distinct of {transitions})"
         );
-        checked += 1;
     }
-    assert!(checked >= 2, "expected at least two DFA-mode XMark queries");
 }
 
 /// The dense rows also agree with the oracle across *interleaved* use of
@@ -112,7 +110,6 @@ fn late_tags_grow_rows_correctly() {
     )
     .expect("compile");
     let tree = &compiled.projection.tree;
-    assert!(!tree.has_positional());
     // Late-interned tags get high TagIds; transitions on them must still
     // memoize correctly after the small-id tags built short rows.
     let mut doc = String::from("<site>");
