@@ -127,12 +127,16 @@ pub struct RunReport {
     /// Lazy-DFA states constructed.
     pub dfa_states: usize,
     /// Input tokens read / skipped by the preprojector. Tokens inside
-    /// raw-skipped dead subtrees are never materialized and appear only
-    /// in `bytes_skipped`.
+    /// raw-skipped dead subtrees or consumed by the lexer's search scan
+    /// are never materialized and appear only in `bytes_skipped`. Under a
+    /// chunked reader the scan stops at every buffer window's end, so
+    /// `tokens_read` may exceed the one-shot count; outputs, roles and
+    /// buffer peaks never differ.
     pub tokens_read: u64,
     pub tokens_skipped: u64,
-    /// Input bytes consumed by skip-mode lexing (dead subtrees scanned
-    /// as raw bytes; 0 when nothing was dead).
+    /// Input bytes never built into events: dead subtrees scanned as raw
+    /// bytes plus bytes the search scan consumed inside descendant
+    /// searches (0 when nothing was dead or searched).
     pub bytes_skipped: u64,
     /// `Some(true)` when GC ran and every assigned role instance was
     /// removed (paper safety requirement 2 + Theorem 1 precondition).

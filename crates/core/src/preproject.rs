@@ -13,8 +13,19 @@
 //! proves nothing below can match — are handed wholesale to the lexer's
 //! raw skip scanner ([`XmlLexer::skip_subtree`]): the bytes are consumed
 //! without copying text, decoding entities, interning attribute names or
-//! materializing events, and are reported by
-//! [`Preprojector::bytes_skipped`].
+//! materializing events.
+//!
+//! Inside a descendant search most of the input is not dead, yet still
+//! irrelevant: below `//item`, an element that is not an `item` (nor a
+//! child the current matches ask for) matches nothing and is not kept,
+//! and neither is any text. When the matcher's state is such a *search
+//! state* ([`StreamMatcher::search_exits`]), each pump first lets the
+//! lexer scan to the next tag the matcher can act on
+//! ([`XmlLexer::scan_search`]), which consumes only constructs it checks
+//! in full, so outputs, roles, buffer peaks and errors are exactly those
+//! of building every event. Dead-skipped and searched bytes are both
+//! reported by [`Preprojector::bytes_skipped`]; neither counts in
+//! [`Preprojector::tokens_read`].
 
 use crate::error::EngineError;
 use crate::metrics::{EngineStageMetrics, STAGE_SAMPLE_EVERY};
@@ -55,8 +66,9 @@ pub struct Preprojector<'t, 'q, R: Read> {
     stack: Vec<OpenEntry>,
     eof: bool,
     /// Tokens read from the input (statistics). Tokens inside raw-skipped
-    /// dead subtrees are never materialized and are *not* counted here;
-    /// see [`Self::bytes_skipped`] for their byte volume.
+    /// dead subtrees or consumed by the search scan are never materialized
+    /// and are *not* counted here; see [`Self::bytes_skipped`] for their
+    /// byte volume.
     pub tokens_read: u64,
     /// Tokens skipped without buffering (statistics).
     pub tokens_skipped: u64,
@@ -146,8 +158,9 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         self.flight = Some((recorder, trace_id));
     }
 
-    /// Bytes consumed by the lexer's raw dead-subtree scanner (the
-    /// lexer owns the counter; this is its only skip-driving caller).
+    /// Bytes consumed by the lexer's raw dead-subtree scanner and by its
+    /// search scan (the lexer owns the counter; this is its only caller
+    /// driving either).
     pub fn bytes_skipped(&self) -> u64 {
         self.lexer.bytes_skipped()
     }
@@ -209,10 +222,17 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
             self.tokens_skipped += 1;
             return Ok(PumpEvent::Skipped);
         }
+        let t_lex = sampled.then(Instant::now);
+        // Search mode: in a search state no element outside the exit tags
+        // (nor anything below it, nor any text) can change the matcher or
+        // the buffer, so the lexer jumps to the next item the matcher can
+        // act on instead of building those events.
+        if let Some(exits) = self.matcher.search_exits() {
+            self.lexer.scan_search(exits);
+        }
         // Token-start offset, captured before lexing: borrowed events
         // (`Text`) keep the lexer borrowed, so it cannot be read later.
         let tok_offset = self.lexer.offset();
-        let t_lex = sampled.then(Instant::now);
         let event = self.lexer.next_event()?;
         if self.flight.is_some() {
             // Stamp subsequent buffer events with where the stream is.

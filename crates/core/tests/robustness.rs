@@ -273,3 +273,92 @@ fn utf8_content_roundtrips() {
     assert!(s.contains("Grüße — ØØ"));
     assert!(s.contains("日本語テキスト"));
 }
+
+/// A reader that yields one byte per `read` call.
+struct OneByte<'a>(&'a [u8]);
+
+impl Read for OneByte<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.0.split_first() {
+            Some((&b, rest)) if !buf.is_empty() => {
+                buf[0] = b;
+                self.0 = rest;
+                Ok(1)
+            }
+            _ => Ok(0),
+        }
+    }
+}
+
+/// Error parity inside the region a `//` query scans: in the Q6-shaped
+/// query below, everything inside `<regions>` outside `item`/`name` is
+/// consumed by the lexer's search scan, never built into events. A
+/// malformed construct there must fail the GCX run with exactly the error
+/// — text and byte offset — that the DOM baseline reports from lexing
+/// every event, one-shot and behind a 1-byte reader. (Errors inside *dead*
+/// subtrees keep their documented skip relaxation; none is dead here.)
+#[test]
+fn errors_inside_scanned_regions_match_the_dom() {
+    let query = "<r>{ for $b in /site/regions return for $i in $b//item return $i/name }</r>";
+    let head: &[u8] = b"<site><regions><africa>\
+        <item><name>one</name><desc><p>t</p><br/></desc></item><desc><p>";
+    let tail: &[u8] = b"</p></desc><item><name>two</name></item></africa></regions></site>";
+    let cases: &[(&str, &[u8], bool)] = &[
+        ("mismatched inner close", b"x</q><p>", true),
+        ("mismatched outer close", b"x</p></wrong><desc><p>", true),
+        ("unknown entity", b"a &bogus; b", true),
+        ("invalid UTF-8 in text", b"a \xff b", true),
+        ("UTF-8 split by a comment", b"\xc3\xa9<!-- c -->\xa9", true),
+        ("truncated UTF-8 before a tag", b"a \xc3<i/>", true),
+        ("invalid UTF-8 in an attribute", b"<i k=\"\xff\"/>", true),
+        ("unquoted attribute value", b"<i k=v/>", true),
+        ("attribute without '='", b"<i k\"v\"/>", true),
+        ("empty tag name", b"< i/>", true),
+        ("junk in a close tag", b"x</p y><p>", true),
+        ("unterminated comment", b"<!-- never closed", false),
+        ("unterminated CDATA", b"<![CDATA[ never closed", false),
+        ("EOF mid-region", b"<i>text", false),
+        ("EOF inside a tag name", b"<i><longname", false),
+    ];
+    for &(what, bad, with_tail) in cases {
+        let mut doc = head.to_vec();
+        doc.extend_from_slice(bad);
+        if with_tail {
+            doc.extend_from_slice(tail);
+        }
+        let mut tags = TagInterner::new();
+        let compiled = compile_default(query, &mut tags).unwrap();
+        let want = run_dom(&compiled, &mut tags, &doc[..], Vec::new())
+            .expect_err(what)
+            .to_string();
+        for one_byte in [false, true] {
+            let mut tags = TagInterner::new();
+            let compiled = compile_default(query, &mut tags).unwrap();
+            let got = if one_byte {
+                run_gcx(&compiled, &mut tags, OneByte(&doc), Vec::new())
+            } else {
+                run_gcx(&compiled, &mut tags, &doc[..], Vec::new())
+            };
+            let got = got.expect_err(what).to_string();
+            assert_eq!(got, want, "{what} (1-byte reader: {one_byte})");
+        }
+    }
+    // The scan does run over this region: the well-formed document skips
+    // bytes and builds fewer events than the DOM baseline lexes.
+    let mut doc = head.to_vec();
+    doc.extend_from_slice(b"x");
+    doc.extend_from_slice(tail);
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(query, &mut tags).unwrap();
+    let mut out = Vec::new();
+    let report = run_gcx(&compiled, &mut tags, &doc[..], &mut out).unwrap();
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        "<r><name>one</name><name>two</name></r>"
+    );
+    assert!(
+        report.bytes_skipped > 20,
+        "scanned {}",
+        report.bytes_skipped
+    );
+}

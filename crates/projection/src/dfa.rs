@@ -35,6 +35,21 @@
 //!
 //! Fired positional edges stay in the pending multiset, so condition (2),
 //! the dead-subtree verdict and the skipped bytes never read a fired bit.
+//!
+//! ## Search states
+//!
+//! Beside the dead-subtree verdict, each state memoizes whether it is a
+//! *search state*: not dead, a non-empty pending set, no condition-(2)
+//! preservation, and every candidate edge (the child edges of its matches
+//! and its pending edges) a [`PTest::Tag`] test without `[position()=1]`.
+//! Its *exit tags* are the tags of those edges ([`LazyDfa::search_exits`]).
+//! An element with any other tag has no candidate in a search state, so it
+//! opens with no matches and no roles, is not buffered (no condition (2)),
+//! inherits the pending set unchanged — so it is not dead — and lands in a
+//! search state whose exits are the pending tags, a subset of these. Text
+//! below either state matches nothing. The preprojector therefore lets the
+//! lexer consume such elements and text without building their events
+//! ([`gcx_xml::XmlLexer::scan_search`]).
 
 use crate::path::{PAxis, PTest, Pred};
 use crate::role::Role;
@@ -90,6 +105,9 @@ struct DfaState {
     preserve_children: bool,
     /// Nothing below a node in this state can match.
     dead_below: bool,
+    /// The exit tags of a search state (range into `exits_arena`), `None`
+    /// for any other state (module docs, "Search states").
+    exits: Option<ArenaRange>,
     text: TextVerdict,
 }
 
@@ -123,6 +141,7 @@ pub struct LazyDfa {
     matches_arena: Vec<(ProjNodeId, bool)>,
     pending_arena: Vec<ProjNodeId>,
     roles_arena: Vec<Role>,
+    exits_arena: Vec<TagId>,
     /// Per projection node: its bit in a fired set, [`NOT_POSITIONAL`]
     /// for steps without `[position()=1]`.
     fired_bit: Vec<u32>,
@@ -164,6 +183,7 @@ impl LazyDfa {
             matches_arena: Vec::with_capacity(64),
             pending_arena: Vec::with_capacity(64),
             roles_arena: Vec::with_capacity(32),
+            exits_arena: Vec::with_capacity(16),
             fired_bit,
             fired_words: (positional as usize).div_ceil(64),
             scratch_matches: Vec::with_capacity(16),
@@ -234,6 +254,15 @@ impl LazyDfa {
     /// True when nothing below a node in state `s` can match.
     pub fn is_dead(&self, s: StateId) -> bool {
         self.states[s as usize].dead_below
+    }
+
+    /// The exit tags of `s` when it is a search state (module docs), `None`
+    /// otherwise.
+    #[inline]
+    pub fn search_exits(&self, s: StateId) -> Option<&[TagId]> {
+        self.states[s as usize]
+            .exits
+            .map(|r| &self.exits_arena[r.range()])
     }
 
     /// Takes the memoized transition `(from, tag)`, constructing the
@@ -505,6 +534,11 @@ impl LazyDfa {
         let dead_below = pending.is_empty()
             && !preserve_children
             && matches.iter().all(|&(m, _)| tree.children(m).is_empty());
+        let exits = if dead_below || preserve_children || pending.is_empty() {
+            None
+        } else {
+            exit_tags_into(tree, matches, pending, &mut self.exits_arena)
+        };
         let id = self.states.len() as StateId;
         debug_assert!(id < WITNESS, "state space exhausted");
         self.states.push(DfaState {
@@ -522,6 +556,7 @@ impl LazyDfa {
             },
             preserve_children,
             dead_below,
+            exits,
             text: TextVerdict::Unbuilt,
         });
         // One fresh (unbuilt) row in the transition matrix.
@@ -565,6 +600,44 @@ fn entry_roles_into(tree: &ProjTree, matches: &[(ProjNodeId, bool)], roles: &mut
             }
         }
     }
+}
+
+/// Appends the distinct tags of a state's candidate edges — the child
+/// edges of its matches, then its pending edges — to `out` and returns
+/// their range. `None`, with `out` unchanged, as soon as an edge is not a
+/// plain tag test: `*`, `text()`, `node()` or `[position()=1]` keep the
+/// state out of search mode.
+fn exit_tags_into(
+    tree: &ProjTree,
+    matches: &[(ProjNodeId, bool)],
+    pending: &[ProjNodeId],
+    out: &mut Vec<TagId>,
+) -> Option<ArenaRange> {
+    let start = out.len();
+    let child_edges = matches.iter().flat_map(|&(m, _)| {
+        tree.children(m)
+            .iter()
+            .copied()
+            .filter(|&c| tree.step(c).axis == PAxis::Child)
+    });
+    for c in child_edges.chain(pending.iter().copied()) {
+        let step = tree.step(c);
+        match step.test {
+            PTest::Tag(t) if step.pred == Pred::True => {
+                if !out[start..].contains(&t) {
+                    out.push(t);
+                }
+            }
+            _ => {
+                out.truncate(start);
+                return None;
+            }
+        }
+    }
+    Some(ArenaRange {
+        start: start as u32,
+        end: out.len() as u32,
+    })
 }
 
 /// Paper condition (2): children of a node in this state must be
@@ -759,6 +832,60 @@ mod tests {
         let qa = dfa.transition(&tree, LazyDfa::INITIAL, a).unwrap();
         assert!(dfa.is_dead(qa), "a has no children in the projection tree");
         assert!(!dfa.is_dead(LazyDfa::INITIAL));
+    }
+
+    /// Search states (module docs): Q6's `/site/regions//item/name`.
+    /// Below `regions` only `item` can act; below `item`, `name` and
+    /// `item`; an element with any other tag lands in a search state
+    /// whose exits are a subset. `*`, `text()`, `node()` and
+    /// `[position()=1]` edges keep a state out of search mode.
+    #[test]
+    fn search_states_and_exits() {
+        let mut tags = TagInterner::new();
+        let [site, regions, item, name, other] =
+            ["site", "regions", "item", "name", "other"].map(|t| tags.intern(t));
+        let mut tree = ProjTree::new();
+        let v_site = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
+        let v_regions = tree.add_child(v_site, PStep::child(PTest::Tag(regions)), Some(Role(0)));
+        let v_item = tree.add_child(
+            v_regions,
+            PStep::descendant(PTest::Tag(item)),
+            Some(Role(1)),
+        );
+        let v_name = tree.add_child(v_item, PStep::child(PTest::Tag(name)), Some(Role(2)));
+        tree.add_child(v_name, PStep::dos_node(), Some(Role(3)));
+        let mut dfa = LazyDfa::new(&tree);
+        let mut walk = |from, tag| dfa.transition(&tree, from, tag).unwrap();
+        let q_site = walk(LazyDfa::INITIAL, site);
+        let q_regions = walk(q_site, regions);
+        let q_other = walk(q_regions, other);
+        let q_item = walk(q_other, item);
+        let q_deeper = walk(q_item, other);
+        let q_name = walk(q_item, name);
+        assert_eq!(dfa.search_exits(LazyDfa::INITIAL), None, "no pending edge");
+        assert_eq!(dfa.search_exits(q_site), None, "no pending edge");
+        assert_eq!(dfa.search_exits(q_regions), Some(&[item][..]));
+        assert_eq!(dfa.search_exits(q_other), Some(&[item][..]));
+        assert_eq!(dfa.search_exits(q_item), Some(&[name, item][..]));
+        assert_eq!(dfa.search_exits(q_deeper), Some(&[item][..]));
+        assert_eq!(dfa.search_exits(q_name), None, "dos::node() is pending");
+
+        for test in [PTest::Star, PTest::Text] {
+            let mut tree = ProjTree::new();
+            let v = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
+            tree.add_child(v, PStep::descendant(PTest::Tag(item)), Some(Role(0)));
+            tree.add_child(v, PStep::child(test), Some(Role(1)));
+            let mut dfa = LazyDfa::new(&tree);
+            let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
+            assert_eq!(dfa.search_exits(q), None, "{test:?} child edge");
+        }
+        let mut tree = ProjTree::new();
+        let v = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
+        let first = PStep::with_pred(PAxis::Descendant, PTest::Tag(item), Pred::First);
+        tree.add_child(v, first, Some(Role(0)));
+        let mut dfa = LazyDfa::new(&tree);
+        let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
+        assert_eq!(dfa.search_exits(q), None, "positional pending edge");
     }
 
     /// `//x/price[1]`: the (x, price) transition is left to the event;

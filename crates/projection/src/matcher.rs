@@ -84,6 +84,17 @@ impl<'t> StreamMatcher<'t> {
             .is_dead(*self.stack.last().expect("stack never empty"))
     }
 
+    /// The exit tags of the current position when its DFA state is a
+    /// search state: an element with any other tag would open unbuffered,
+    /// roleless and not dead, text would not be buffered, and every such
+    /// element's own exits are a subset of these (the DFA's module docs,
+    /// "Search states"). `None` for any other state.
+    #[inline]
+    pub fn search_exits(&self) -> Option<&[TagId]> {
+        self.dfa
+            .search_exits(*self.stack.last().expect("stack never empty"))
+    }
+
     /// Processes an opening tag; returns the buffering verdict.
     pub fn open(&mut self, tag: TagId) -> Outcome<'_> {
         let from = *self.stack.last().expect("stack never empty");
@@ -134,7 +145,9 @@ mod tests {
     use super::*;
     use crate::path::{PAxis, PStep, PTest, Pred, RelPath};
     use crate::role::RoleSet;
-    use gcx_xml::{TagInterner, XmlLexer, XmlToken};
+    use gcx_xml::{TagInterner, XmlError, XmlLexer, XmlToken};
+
+    include!("../../xml/tests/support/tokens.rs");
 
     /// Drives a matcher over a document string; returns per-node outcomes
     /// rendered as `(path-ish label, buffered, roles)`.

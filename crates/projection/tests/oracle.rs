@@ -10,7 +10,12 @@
 //! 2. every node with matches is buffered (preservation condition 1);
 //! 3. nodes the matcher skips carry no roles;
 //! 4. buffering verdict, roles and the dead-subtree verdict equal the
-//!    frame-per-element reference matcher's (`common/nfa.rs`).
+//!    frame-per-element reference matcher's (`common/nfa.rs`);
+//! 5. wherever the matcher reports search-state exit tags E, an element
+//!    with any tag outside E opens, in the reference, unbuffered, roleless
+//!    and not dead, text there is not buffered, and the matcher's exits
+//!    one level down are a subset of E (the preprojector's search scan
+//!    consumes exactly such elements without building their events).
 //!
 //! A second corpus — every XMark query's compiled projection tree over a
 //! generated XMark document — pins the matcher against the reference at
@@ -20,11 +25,13 @@
 mod nfa;
 
 use gcx_projection::{PAxis, PStep, PTest, Pred, ProjNodeId, ProjTree, Role, StreamMatcher};
-use gcx_xml::{Document, NodeId, NodeKind, TagInterner, XmlLexer, XmlToken};
+use gcx_xml::{Document, NodeId, NodeKind, TagId, TagInterner, XmlError, XmlLexer, XmlToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
+
+include!("../../xml/tests/support/tokens.rs");
 
 // ----------------------------------------------------------------------
 // Naive declarative semantics
@@ -191,10 +198,62 @@ fn random_doc(seed: u64) -> String {
 // The comparison
 // ----------------------------------------------------------------------
 
-fn check_case(tree_seed: u64, doc_seed: u64) {
+/// Check 5 at the current position: when the matcher is in a search
+/// state, drive both matchers one level down with every probe tag outside
+/// the exits, and back up. Returns the number of probes made.
+fn probe_search_state(
+    matcher: &mut StreamMatcher,
+    reference: &mut nfa::RefMatcher,
+    probes: &[TagId],
+    at: &str,
+) -> usize {
+    let Some(exits) = matcher.search_exits().map(<[TagId]>::to_vec) else {
+        return 0;
+    };
+    assert_eq!(
+        reference.text(),
+        (false, Vec::new()),
+        "text in a search state is buffered ({at})"
+    );
+    let mut made = 0;
+    for &tag in probes.iter().filter(|t| !exits.contains(t)) {
+        assert_eq!(
+            (reference.open(tag), reference.is_dead()),
+            ((false, Vec::new()), false),
+            "a non-exit element must open unbuffered, roleless and not dead ({at})"
+        );
+        assert_eq!(
+            reference.text(),
+            (false, Vec::new()),
+            "text below a non-exit element is buffered ({at})"
+        );
+        matcher.open(tag);
+        let below = matcher
+            .search_exits()
+            .unwrap_or_else(|| panic!("below a non-exit element: not a search state ({at})"));
+        assert!(
+            below.iter().all(|t| exits.contains(t)),
+            "exits {below:?} below a non-exit element are not a subset of {exits:?} ({at})"
+        );
+        matcher.close();
+        reference.close();
+        made += 1;
+    }
+    made
+}
+
+/// Runs one (tree, document) case; returns the number of search-state
+/// probes made (check 5).
+fn check_case(tree_seed: u64, doc_seed: u64) -> usize {
     let mut tags = TagInterner::new();
     let tree = random_tree(tree_seed, &mut tags);
     let doc_text = random_doc(doc_seed);
+    // Every document tag, plus one the document never uses.
+    let probes: Vec<TagId> = TAGS
+        .iter()
+        .chain(&["fresh"])
+        .map(|t| tags.intern(t))
+        .collect();
 
     // DOM + naive role enumeration.
     let doc = Document::parse_str(&doc_text, &mut tags).expect("doc parses");
@@ -209,7 +268,10 @@ fn check_case(tree_seed: u64, doc_seed: u64) {
     let mut matcher = StreamMatcher::new(&tree);
     let mut reference = nfa::RefMatcher::new(&tree);
     let mut idx = 0usize;
+    let mut probed = 0;
     while let Some(tok) = lexer.next_token().expect("lex") {
+        let at = format!("event {idx}, tree seed {tree_seed}, doc seed {doc_seed}");
+        probed += probe_search_state(&mut matcher, &mut reference, &probes, &at);
         let (outcome, want) = match tok {
             XmlToken::Open(tag) => {
                 let node = dom_nodes[idx];
@@ -251,6 +313,7 @@ fn check_case(tree_seed: u64, doc_seed: u64) {
         idx += 1;
     }
     assert_eq!(idx, dom_nodes.len(), "all events paired");
+    probed
 }
 
 fn sorted(roles: &[Role]) -> Vec<Role> {
@@ -297,11 +360,19 @@ fn pinned_seeds() {
     }
 }
 
+/// Check 5 is not vacuous: over a fixed seed range the random trees reach
+/// search states (descendant tag steps under tag-only siblings) often.
+#[test]
+fn search_states_are_probed() {
+    let probed: usize = (0..400).map(|s| check_case(s, s * 7 + 3)).sum();
+    assert!(probed >= 500, "only {probed} search-state probes");
+}
+
 /// The matcher vs the reference over the full XMark corpus: every
 /// query's projection tree (Q20's `profile[1]` included) is driven over a
 /// generated document through `StreamMatcher::new` and the frame
 /// reference, comparing (buffering verdict, role multiset, dead-subtree
-/// verdict) at every event.
+/// verdict) at every event, and probing every search state (check 5).
 #[test]
 fn matcher_agrees_with_reference_over_xmark_corpus() {
     let mut doc = Vec::new();
@@ -321,10 +392,17 @@ fn matcher_agrees_with_reference_over_xmark_corpus() {
             reference.root_roles(),
             "{name}: root roles"
         );
+        let probes: Vec<TagId> = ["fresh", "item", "name", "text", "keyword"]
+            .iter()
+            .map(|t| tags.intern(t))
+            .collect();
         let mut lexer = XmlLexer::new(&doc[..], &mut tags);
         let mut events = 0u64;
+        let mut probed = 0;
         while let Some(tok) = lexer.next_token().expect("lex") {
             events += 1;
+            let at = format!("{name}, event {events}");
+            probed += probe_search_state(&mut matcher, &mut reference, &probes, &at);
             let (got, want) = match tok {
                 XmlToken::Open(tag) => {
                     let o = matcher.open(tag);
@@ -351,5 +429,8 @@ fn matcher_agrees_with_reference_over_xmark_corpus() {
             "{name}: corpus too small ({events} events)"
         );
         assert!(matcher.dfa_states() > 0, "{name}: runs on the DFA");
+        if *name == "Q6" {
+            assert!(probed > 10_000, "Q6 searches //item: {probed} probes");
+        }
     }
 }

@@ -4,8 +4,7 @@
 //! (paper Fig. 11: the buffer manager issues `nextNode()` requests). This
 //! lexer delivers exactly that interface: [`XmlLexer::next_event`] returns
 //! the next borrowed [`XmlEvent`] without ever materializing the document.
-//! ([`XmlLexer::next_token`] is the owning wrapper over it, for the DOM
-//! baseline and the token-stream oracles.)
+//! ([`XmlEvent::into_owned`] copies an event out, for the DOM baseline.)
 //!
 //! Supported input constructs: elements, character data, entity references
 //! (`&lt; &gt; &amp; &apos; &quot; &#10; &#x0A;`), CDATA sections, comments,
@@ -35,6 +34,28 @@
 //! data — is intentionally not, because the bytes are discarded anyway.
 //! Skipped byte counts accumulate in [`XmlLexer::bytes_skipped`].
 //!
+//! ## Search mode
+//!
+//! When a consumer has proven that, below the current element, only
+//! elements with a few *exit* names matter — everything else, and all text,
+//! would be discarded (the projection matcher's search states) —
+//! [`XmlLexer::scan_search`] jumps to the next item an event is needed
+//! for instead of building the events in between. Unlike skip mode it
+//! relaxes nothing. The rule is *consume only what is checked*: the scan
+//! consumes a text run only when it is complete in the buffered window,
+//! free of `&` and valid UTF-8; an open tag only when it is `<name>` or
+//! `<name/>` exactly, with a name outside the exits; and a close tag only
+//! when it is `</name>` exactly and matches the innermost element the scan
+//! itself opened. At anything else — an exit name, the current element's
+//! own close, attributes, whitespace inside a tag, a mismatched close,
+//! entities, comments, CDATA sections, processing instructions,
+//! declarations, the window end — it stops before the item (or before the
+//! text run) and the event path lexes it, so well-formedness errors and
+//! their offsets are exactly those of per-event lexing. The scan never
+//! reads input, so it never blocks. Elements it opened and did not close
+//! by its stop are pushed on the open stack and queued as `Open` events.
+//! Scanned byte counts also accumulate in [`XmlLexer::bytes_skipped`].
+//!
 //! ## Non-blocking readers
 //!
 //! The lexer is resumable over readers that return
@@ -53,7 +74,7 @@
 use crate::error::XmlError;
 use crate::scan::{self, ScanKernel};
 use crate::tags::{TagId, TagInterner};
-use crate::token::{XmlEvent, XmlToken};
+use crate::token::XmlEvent;
 use crate::Result;
 use std::collections::VecDeque;
 use std::io::Read;
@@ -112,6 +133,9 @@ pub struct XmlLexer<'t, R: Read> {
     /// An in-flight [`Self::skip_subtree`] interrupted by `WouldBlock`:
     /// call `skip_subtree` again to resume it.
     skip: Option<SkipState>,
+    /// [`Self::scan_search`] scratch: the `buf` ranges of the names of
+    /// the elements the scan has opened and not yet closed.
+    scan_stack: Vec<(usize, usize)>,
 }
 
 /// Persisted state of a raw subtree skip across `WouldBlock` returns.
@@ -146,6 +170,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
             ckpt: 0,
             ckpt_text: 0,
             skip: None,
+            scan_stack: Vec::with_capacity(16),
         }
     }
 
@@ -169,8 +194,9 @@ impl<'t, R: Read> XmlLexer<'t, R> {
         self.document_done && self.pending.is_empty()
     }
 
-    /// Total bytes consumed by [`Self::skip_subtree`] raw scans (for
-    /// throughput statistics: these bytes never became events).
+    /// Total bytes consumed by [`Self::skip_subtree`] raw scans and
+    /// [`Self::scan_search`] (for throughput statistics: these bytes never
+    /// became events).
     pub fn bytes_skipped(&self) -> u64 {
         self.bytes_skipped
     }
@@ -1112,20 +1138,165 @@ impl<'t, R: Read> XmlLexer<'t, R> {
         Ok(false)
     }
 
-    /// Returns the next token as an owned value, or `None` at the end of
-    /// the document. Allocating compatibility wrapper over
-    /// [`Self::next_event`]; hot paths should prefer the borrowed API.
-    pub fn next_token(&mut self) -> Result<Option<XmlToken>> {
-        Ok(self.next_event()?.map(XmlEvent::into_owned))
-    }
-
-    /// Drains the remaining stream into a vector (convenience for tests).
-    pub fn tokenize_all(&mut self) -> Result<Vec<XmlToken>> {
-        let mut v = Vec::new();
-        while let Some(t) = self.next_token()? {
-            v.push(t);
+    /// Search mode (see the module docs): consumes, from the buffered
+    /// window only, the content of the current element up to the next tag
+    /// named in `exits` and returns the number of bytes consumed. Call it
+    /// between events when the consumer has proven that every element
+    /// whose name is not in `exits` — and everything below it — is
+    /// irrelevant. The stop is an item boundary: the `<` of an exit tag,
+    /// of the current element's own close tag or of any construct the
+    /// scan does not check, the start of a text run it does not check, or
+    /// the end of the buffered window. Elements the scan opened and did
+    /// not close by then are pushed on the open-element stack and queued
+    /// as `Open` events, so the consumer sees them as if lexed.
+    ///
+    /// Never reads input (so never blocks), and does nothing while an
+    /// event is queued, text is accumulated, or outside the document
+    /// element.
+    pub fn scan_search(&mut self, exits: &[TagId]) -> u64 {
+        if self.text_emitted {
+            self.text.clear();
+            self.text_emitted = false;
         }
-        Ok(v)
+        if !self.pending.is_empty()
+            || !self.text.is_empty()
+            || self.open.is_empty()
+            || self.skip.is_some()
+        {
+            return 0;
+        }
+        let (buf, pos, end, tags) = (&self.buf, self.pos, self.len, &*self.tags);
+        let stack = &mut self.scan_stack;
+        let stop = match scan::active_kernel() {
+            ScanKernel::Scalar => search_fast::<scan::ScalarOps>(buf, pos, end, tags, exits, stack),
+            ScanKernel::Swar => search_fast::<scan::SwarOps>(buf, pos, end, tags, exits, stack),
+            #[cfg(target_arch = "x86_64")]
+            ScanKernel::Sse2 | ScanKernel::Avx2 => {
+                search_fast::<scan::SimdOps>(buf, pos, end, tags, exits, stack)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => search_fast::<scan::SwarOps>(buf, pos, end, tags, exits, stack),
+        };
+        for k in 0..self.scan_stack.len() {
+            let (start, end) = self.scan_stack[k];
+            let id = self
+                .tags
+                .intern_bytes(&self.buf[start..end])
+                .expect("name bytes are an ASCII subset");
+            self.open.push(id);
+            self.pending.push_back(Pending::Open(id));
+        }
+        self.scan_stack.clear();
+        self.pos = stop;
+        self.set_ckpt();
+        let scanned = (stop - pos) as u64;
+        self.bytes_skipped += scanned;
+        scanned
+    }
+}
+
+/// The register-resident core of [`XmlLexer::scan_search`]: consumes the
+/// items of `buf[pos..end]` that it can check in full and whose events the
+/// caller has proven irrelevant, and returns the index it stopped at.
+/// Consumed are text runs without `&` (checked as UTF-8 in place),
+/// attribute-free open tags `<x>` whose name is not an exit (their name
+/// ranges are pushed on `stack`), `<x/>` with a non-exit name, and close
+/// tags `</x>` matching the top of `stack`. Everything else stops the
+/// scan before the item: an exit name, the current element's own close
+/// (`stack` empty), attributes, whitespace inside a tag, a mismatched
+/// close, entities, comments, CDATA sections, PIs, declarations, and an
+/// item or text run that reaches the window end. On return `stack` holds
+/// the names of the elements open at the stop. The event path then
+/// re-lexes the stopping item, so every byte this scan consumes is one the
+/// event path would have accepted, and every error is raised there.
+///
+/// Index bookkeeping uses unchecked slicing/reads under the same contract
+/// as [`skip_fast`]: `pos <= end <= buf.len()`, and every index is bounded
+/// by `end` before use.
+#[inline]
+fn search_fast<K: scan::ScanOps>(
+    buf: &[u8],
+    pos: usize,
+    end: usize,
+    tags: &TagInterner,
+    exits: &[TagId],
+    stack: &mut Vec<(usize, usize)>,
+) -> usize {
+    debug_assert!(pos <= end && end <= buf.len());
+    // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` and
+    // `at < end` at each call site.
+    let tail = |lo: usize, hi: usize| {
+        debug_assert!(
+            lo <= hi && hi <= end,
+            "search_fast: {lo}..{hi} outside ..{end}"
+        );
+        unsafe { buf.get_unchecked(lo..hi) }
+    };
+    let byte = |at: usize| {
+        debug_assert!(at < end, "search_fast: byte {at} outside ..{end}");
+        unsafe { *buf.get_unchecked(at) }
+    };
+    let is_exit = |name: &[u8]| exits.iter().any(|&t| tags.name(t).as_bytes() == name);
+    let mut i = pos;
+    loop {
+        // Character data up to the next item: consumed only when it is
+        // entity-free, complete within the window and valid UTF-8 (the
+        // inlined ASCII test spares most runs the validator call).
+        let lt = if i < end && byte(i) == b'<' {
+            i
+        } else {
+            match K::find_byte2(tail(i, end), b'<', b'&') {
+                Some(k) if byte(i + k) == b'<' => {
+                    let run = tail(i, i + k);
+                    if !run.is_ascii() && std::str::from_utf8(run).is_err() {
+                        return i;
+                    }
+                    i + k
+                }
+                _ => return i,
+            }
+        };
+        if lt + 1 >= end {
+            return lt;
+        }
+        match byte(lt + 1) {
+            b'/' => {
+                let name = lt + 2;
+                let name_end = name + K::name_run_len(tail(name, end));
+                if name_end == name || name_end >= end || byte(name_end) != b'>' {
+                    return lt;
+                }
+                match stack.last() {
+                    Some(&(s, e)) if tail(s, e) == tail(name, name_end) => {
+                        stack.pop();
+                    }
+                    _ => return lt,
+                }
+                i = name_end + 1;
+            }
+            b'!' | b'?' => return lt,
+            _ => {
+                let name = lt + 1;
+                let name_end = name + K::name_run_len(tail(name, end));
+                if name_end == name || name_end >= end {
+                    return lt;
+                }
+                let self_closing = match byte(name_end) {
+                    b'>' => false,
+                    b'/' if name_end + 1 < end && byte(name_end + 1) == b'>' => true,
+                    _ => return lt,
+                };
+                if is_exit(tail(name, name_end)) {
+                    return lt;
+                }
+                if self_closing {
+                    i = name_end + 2;
+                } else {
+                    stack.push((name, name_end));
+                    i = name_end + 1;
+                }
+            }
+        }
     }
 }
 
@@ -1301,6 +1472,9 @@ fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::XmlToken;
+
+    include!("../tests/support/tokens.rs");
 
     fn lex(input: &str) -> Vec<String> {
         let mut tags = TagInterner::new();
@@ -1882,6 +2056,147 @@ mod tests {
                     "skipped content leaked at chunk {chunk} on {doc:?}: {shown:?}"
                 );
             }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Search mode
+    // ------------------------------------------------------------------
+
+    /// Documents whose `<r>` content mixes elements named `x` (the exit
+    /// tag below) with everything the search scan consumes or stops at.
+    const SEARCH_CORPUS: &[&str] = &[
+        "<r><a><b>t</b><c/><x>in<y/>side</x>tail</a><x/></r>",
+        // Attributes stop the scan; the event path lexes the tag.
+        "<r><a k=\"v\"><b>t</b></a><x>1</x><b k='>'/></r>",
+        // Comments, CDATA, PIs and references inside scanned text.
+        "<r><a>p<!--c-->q<![CDATA[<x>]]>&amp;<?pi x?></a><x>2</x></r>",
+        // Whitespace inside tags.
+        "<r><a ><b></b ></a><x>3</x><c\n/></r>",
+        // Multi-byte UTF-8 text, split anywhere by the chunked readers.
+        "<r><a>h\u{e9}llo \u{2014} w\u{f6}rld</a><x>\u{e9}</x></r>",
+        // Nesting: same-name non-exit elements, an exit deep inside.
+        "<r><a><a><a><b>t</b></a></a></a><b><c><x>deep<a/></x></c></b></r>",
+        "<r><a><x/></a>tail</r>",
+    ];
+
+    /// Lexes as the preprojector does in search mode — `scan_search`
+    /// before every `next_event` outside `x` elements — retrying on
+    /// `WouldBlock`. Returns the events inside `x` elements (their own
+    /// tags included), the bytes scanned, and the final offset.
+    fn search_mode<R: Read>(reader: R, scan: bool) -> (Vec<String>, u64, u64) {
+        let mut tags = TagInterner::new();
+        let exits = [tags.intern("x")];
+        let mut lexer = XmlLexer::new(reader, &mut tags);
+        let (mut inside, mut shown, mut scanned) = (0usize, Vec::new(), 0u64);
+        loop {
+            if scan && inside == 0 {
+                scanned += lexer.scan_search(&exits);
+            }
+            let token = match lexer.next_event() {
+                Ok(Some(event)) => event.into_owned(),
+                Ok(None) => break,
+                Err(e) if e.is_would_block() => continue,
+                Err(e) => panic!("{e}"),
+            };
+            match token {
+                XmlToken::Open(t) if inside > 0 || exits.contains(&t) => inside += 1,
+                XmlToken::Close(_) if inside > 0 => inside -= 1,
+                XmlToken::Text(_) if inside > 0 => {}
+                _ => continue,
+            }
+            shown.push(token.display(lexer.tags()).to_string());
+        }
+        assert!(lexer.document_done());
+        (shown, scanned, lexer.offset())
+    }
+
+    /// The scan consumes only what it proves irrelevant: the events inside
+    /// exit elements and the final offset are those of plain lexing, one
+    /// shot, under every chunking and behind a reader that runs dry
+    /// between chunks — and one shot, it does consume bytes.
+    #[test]
+    fn scan_search_keeps_exit_events() {
+        for doc in SEARCH_CORPUS {
+            let (want, _, end) = search_mode(doc.as_bytes(), false);
+            let (got, scanned, got_end) = search_mode(doc.as_bytes(), true);
+            assert_eq!((&got, got_end), (&want, end), "one shot on {doc:?}");
+            assert!(scanned > 0, "nothing scanned in {doc:?}");
+            for chunk in 1..=7 {
+                let data = doc.as_bytes();
+                let (got, _, got_end) = search_mode(ChunkedReader { data, chunk }, true);
+                assert_eq!((&got, got_end), (&want, end), "chunk {chunk} on {doc:?}");
+                let blocky = BlockyReader {
+                    data,
+                    chunk,
+                    ready: false,
+                };
+                let (got, _, got_end) = search_mode(blocky, true);
+                assert_eq!((&got, got_end), (&want, end), "blocky {chunk} on {doc:?}");
+            }
+        }
+    }
+
+    /// Elements the scan opens and does not close before its stop are
+    /// pushed on the open stack and queued as `Open` events; the stop is
+    /// the exit tag's `<`.
+    #[test]
+    fn scan_search_queues_the_elements_it_stops_in() {
+        let doc = "<r><a><b>t</b><c/><x>y</x></a></r>";
+        let mut tags = TagInterner::new();
+        let exits = [tags.intern("x")];
+        let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
+        assert!(matches!(
+            lexer.next_event().unwrap(),
+            Some(XmlEvent::Open(_))
+        ));
+        assert_eq!(lexer.scan_search(&exits), "<a><b>t</b><c/>".len() as u64);
+        assert_eq!(lexer.depth(), 2, "<r> and the scanned <a>");
+        assert_eq!(
+            lexer.scan_search(&exits),
+            0,
+            "nothing while an event is queued"
+        );
+        let rest = lexer.tokenize_all().unwrap();
+        let shown: Vec<String> = rest
+            .iter()
+            .map(|t| t.display(lexer.tags()).to_string())
+            .collect();
+        assert_eq!(shown, ["<a>", "<x>", "\"y\"", "</x>", "</a>", "</r>"]);
+        assert_eq!(lexer.bytes_skipped(), "<a><b>t</b><c/>".len() as u64);
+    }
+
+    /// Malformed input inside a scanned region fails exactly as plain
+    /// lexing does: same error, same offset.
+    #[test]
+    fn scan_search_errors_match_plain_lexing() {
+        let docs: &[&[u8]] = &[
+            b"<r><a><b></c></a></r>",
+            b"<r><a>t</b></r>",
+            b"<r><a>&bogus;</a></r>",
+            b"<r><a>\xff</a></r>",
+            b"<r><a>\xc3\xa9<!--c-->\xa9</a></r>",
+            b"<r><a k=v/></r>",
+            b"<r><a><!-- open",
+            b"<r><a><b>t",
+        ];
+        let run = |doc: &[u8], scan: bool| {
+            let mut tags = TagInterner::new();
+            let exits = [tags.intern("x")];
+            let mut lexer = XmlLexer::new(doc, &mut tags);
+            loop {
+                if scan {
+                    lexer.scan_search(&exits);
+                }
+                match lexer.next_event() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{doc:?} must fail"),
+                    Err(e) => return e.to_string(),
+                }
+            }
+        };
+        for doc in docs {
+            assert_eq!(run(doc, true), run(doc, false), "{doc:?}");
         }
     }
 

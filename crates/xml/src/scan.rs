@@ -308,12 +308,15 @@ pub fn name_run_len_with(k: ScanKernel, hay: &[u8]) -> usize {
 // ---------------------------------------------------------------------
 
 /// Scan primitives as a monomorphizable trait: a caller driving a tight
-/// per-item state machine (the lexer's `skip_subtree`) selects one impl
-/// per buffer window, which hoists kernel dispatch — and, for the SIMD
-/// impl, the vector splat constants — out of the per-item loop entirely.
+/// per-item state machine (the lexer's `skip_subtree` and search scan)
+/// selects one impl per buffer window, which hoists kernel dispatch —
+/// and, for the SIMD impl, the vector splat constants — out of the
+/// per-item loop entirely.
 pub trait ScanOps {
     fn find_byte(hay: &[u8], b0: u8) -> Option<usize>;
+    fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize>;
     fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize>;
+    fn name_run_len(hay: &[u8]) -> usize;
 }
 
 /// [`ScanOps`] through the scalar reference kernel.
@@ -329,6 +332,16 @@ impl ScanOps for ScalarOps {
     fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize> {
         scalar::find_byte3(hay, b0, b1, b2)
     }
+
+    #[inline]
+    fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize> {
+        scalar::find_byte2(hay, b0, b1)
+    }
+
+    #[inline]
+    fn name_run_len(hay: &[u8]) -> usize {
+        scalar::name_run_len(hay)
+    }
 }
 
 /// [`ScanOps`] through the SWAR kernel.
@@ -343,6 +356,16 @@ impl ScanOps for SwarOps {
     #[inline]
     fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize> {
         swar::find_byte3(hay, b0, b1, b2)
+    }
+
+    #[inline]
+    fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize> {
+        swar::find_byte2(hay, b0, b1)
+    }
+
+    #[inline]
+    fn name_run_len(hay: &[u8]) -> usize {
+        swar::name_run_len(hay)
     }
 }
 
@@ -365,6 +388,18 @@ impl ScanOps for SimdOps {
     fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize> {
         // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { sse2::find_byte3(hay, b0, b1, b2) }
+    }
+
+    #[inline]
+    fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize> {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { sse2::find_byte2(hay, b0, b1) }
+    }
+
+    #[inline]
+    fn name_run_len(hay: &[u8]) -> usize {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { sse2::name_run_len(hay) }
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::lexer::XmlLexer;
 use crate::tags::{TagId, TagInterner};
-use crate::token::XmlToken;
+use crate::token::{XmlEvent, XmlToken};
 use crate::writer::XmlWriter;
 use crate::Result;
 use std::io::Read;
@@ -82,19 +82,19 @@ impl Document {
         let mut lexer = XmlLexer::new(reader, tags);
         let mut doc = Document::new();
         let mut stack = vec![Document::ROOT];
-        while let Some(tok) = lexer.next_token()? {
-            match tok {
-                XmlToken::Open(t) => {
+        while let Some(event) = lexer.next_event()? {
+            match event {
+                XmlEvent::Open(t) => {
                     let parent = *stack.last().expect("stack never empty");
                     let id = doc.add_child(parent, NodeKind::Element(t));
                     stack.push(id);
                 }
-                XmlToken::Close(_) => {
+                XmlEvent::Close(_) => {
                     stack.pop();
                 }
-                XmlToken::Text(s) => {
+                XmlEvent::Text(s) => {
                     let parent = *stack.last().expect("stack never empty");
-                    doc.add_child(parent, NodeKind::Text(s));
+                    doc.add_child(parent, NodeKind::Text(s.to_string()));
                 }
             }
         }

@@ -151,6 +151,7 @@ pub fn tokens_to_string(tokens: &[XmlToken], tags: &TagInterner) -> String {
 mod tests {
     use super::*;
     use crate::lexer::XmlLexer;
+    use crate::XmlError;
 
     #[test]
     fn writes_tokens() {
@@ -188,6 +189,8 @@ mod tests {
         w.close(a, &tags).unwrap();
         assert_eq!(w.depth(), 0);
     }
+
+    include!("../tests/support/tokens.rs");
 
     /// Lex → write → lex must be the identity on token streams.
     #[test]

@@ -5,8 +5,10 @@
 //! size combination — including chunk-boundary straddles.
 
 use gcx_xml::scan::{self, ScanKernel};
-use gcx_xml::{TagInterner, XmlLexer, XmlToken};
+use gcx_xml::{TagInterner, XmlError, XmlLexer, XmlToken};
 use std::io::Read;
+
+include!("support/tokens.rs");
 
 /// Deterministic xorshift64* so the random corpus is reproducible.
 struct Rng(u64);

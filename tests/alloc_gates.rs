@@ -75,15 +75,20 @@ fn xmark_doc(mb: f64) -> Vec<u8> {
 }
 
 /// Cold `run_gcx` of the named XMark query over `doc`: allocator
-/// round-trips of the evaluation alone (compilation excluded) per
-/// materialized event, plus the DFA state count.
-fn allocs_per_event(query_name: &str, doc: &[u8]) -> (f64, usize) {
+/// round-trips of the evaluation alone (compilation excluded), and the
+/// run's report.
+fn cold_run(query_name: &str, doc: &[u8]) -> (u64, gcx::RunReport) {
     let query = xmark::by_name(query_name).expect("known query");
     let mut tags = TagInterner::new();
     let compiled = gcx::compile_default(query, &mut tags).expect("compile");
     let before = allocations();
     let report = gcx::run_gcx(&compiled, &mut tags, doc, std::io::sink()).expect("run");
-    let allocs = allocations() - before;
+    (allocations() - before, report)
+}
+
+/// [`cold_run`] per materialized event, plus the DFA state count.
+fn allocs_per_event(query_name: &str, doc: &[u8]) -> (f64, usize) {
+    let (allocs, report) = cold_run(query_name, doc);
     let events = report.tokens_read.max(1);
     let ratio = allocs as f64 / events as f64;
     eprintln!("{query_name}: {allocs} allocations over {events} events ({ratio:.5}/event)");
@@ -130,6 +135,35 @@ fn lexer_steady_state_is_allocation_free() {
 fn q13_allocs_per_event_bounded() {
     let (ratio, _) = allocs_per_event("Q13", &xmark_doc(16.0));
     assert!(ratio <= 0.005, "Q13: {ratio:.5} allocations/event > 0.005");
+}
+
+/// Q6 (`$b//item`) spends most of its input in the lexer's search scan,
+/// which keeps the elements it steps into as buffer ranges on a scratch
+/// stack and interns nothing unless it stops inside one. No allocation
+/// may scale with the scanned volume: 16× the document (1 → 16 MB, the
+/// scan covering 16× the bytes and ~8 000 more items) may cost at most 12
+/// more allocator round-trips. What does grow is the high-water of
+/// scratch the event path still uses at the scan's stops (the text run
+/// and event queue at a window end), one doubling at a time: measured
+/// +6 (43 → 49, flat from 8 MB on). A count, not a per-event rate: the
+/// scan removes ~9 of every 10 events, so the rate rises while the count
+/// stays put.
+#[test]
+fn q6_search_scan_allocations_do_not_scale() {
+    let (small, small_report) = cold_run("Q6", &xmark_doc(1.0));
+    let (large, large_report) = cold_run("Q6", &xmark_doc(16.0));
+    eprintln!(
+        "Q6: {small} allocations at 1 MB ({} events), {large} at 16 MB ({} events)",
+        small_report.tokens_read, large_report.tokens_read
+    );
+    assert!(
+        large_report.bytes_skipped > 15 * small_report.bytes_skipped,
+        "the scan must cover the larger regions"
+    );
+    assert!(
+        large <= small + 12,
+        "Q6: {large} allocations at 16 MB vs {small} at 1 MB"
+    );
 }
 
 /// Q20's `not(exists($p/profile))` puts a first-witness step in the

@@ -13,8 +13,10 @@ use gcx::projection::dfa::LazyDfa;
 use gcx::projection::ProjTree;
 use gcx::query::{compile, CompileOptions};
 use gcx::xmark::XmarkConfig;
-use gcx::xml::{TagInterner, XmlLexer, XmlToken};
+use gcx::xml::{TagInterner, XmlError, XmlLexer, XmlToken};
 use std::collections::HashMap;
+
+include!("../crates/xml/tests/support/tokens.rs");
 
 fn xmark_doc(mb: f64, seed: u64) -> Vec<u8> {
     let mut buf = Vec::new();

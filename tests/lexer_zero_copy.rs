@@ -6,15 +6,15 @@
 //! behaviour regardless of how the input arrives:
 //!
 //! * whole-document, 1-byte and random chunkings produce the same stream;
-//! * the borrowed-event API ([`XmlLexer::next_event`]) agrees with the
-//!   owned-token API ([`XmlLexer::next_token`]);
+//! * the DOM that `Document::parse` builds from the borrowed events
+//!   serializes back to exactly the lexer's event stream;
 //! * lex → write → lex is the identity.
 //!
 //! Documents are generated randomly with every construct the lexer
 //! supports: nested elements, attributes, entities, CDATA, comments,
 //! processing instructions and multi-byte UTF-8 text.
 
-use gcx::xml::{TagInterner, XmlEvent, XmlLexer, XmlToken};
+use gcx::xml::{Document, TagInterner, XmlError, XmlLexer, XmlToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -124,6 +124,8 @@ fn lex_with_chunks(doc: &str, sizes: Vec<usize>) -> Vec<String> {
         .collect()
 }
 
+include!("../crates/xml/tests/support/tokens.rs");
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -142,8 +144,8 @@ proptest! {
         prop_assert_eq!(&whole, &random_chunks, "random chunking {:?} changed the stream", sizes);
     }
 
-    /// The borrowed-event API and the owned-token API describe the same
-    /// stream.
+    /// The DOM that `Document::parse` builds from the borrowed events
+    /// describes the same stream as the events themselves.
     #[test]
     fn events_agree_with_tokens(seed in 0u64..100_000) {
         let doc = random_doc(seed);
@@ -153,17 +155,10 @@ proptest! {
         let tokens = lexer_a.tokenize_all().expect("lex ok");
 
         let mut tags_b = TagInterner::new();
-        let mut lexer_b = XmlLexer::new(doc.as_bytes(), &mut tags_b);
-        let mut from_events: Vec<XmlToken> = Vec::new();
-        while let Some(ev) = lexer_b.next_event().expect("lex ok") {
-            let owned = match ev {
-                XmlEvent::Open(t) => XmlToken::Open(t),
-                XmlEvent::Close(t) => XmlToken::Close(t),
-                XmlEvent::Text(s) => XmlToken::Text(s.to_string()),
-            };
-            from_events.push(owned);
-        }
-        prop_assert_eq!(tokens, from_events);
+        let dom = Document::parse(doc.as_bytes(), &mut tags_b).expect("parse ok");
+        let mut from_dom: Vec<XmlToken> = Vec::new();
+        dom.subtree_tokens(Document::ROOT, &mut from_dom);
+        prop_assert_eq!(tokens, from_dom);
     }
 
     /// Lex → write → lex is the identity on token streams.

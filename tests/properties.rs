@@ -13,10 +13,14 @@
 //!   DOM oracle and the one-shot engine's peak on decorated documents
 //!   (attributes, comments, PIs, CDATA, references, indentation) and on
 //!   the shared corpus.
+//! * **Search scan under schedules**: queries with a descendant step over
+//!   decorated documents, fed 1–7 bytes at a time under step budgets
+//!   1/7/unbounded, match the DOM oracle and the one-shot peak, and enough
+//!   cases actually reach the preprojector's search scan.
 
 use gcx::core::StepOutcome;
 use gcx::query::{compile, compile_default, CompileOptions};
-use gcx::xml::{TagInterner, XmlLexer};
+use gcx::xml::{TagInterner, XmlError, XmlLexer, XmlToken};
 use gcx::{GcxEngine, Strategy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,6 +37,7 @@ mod corpus;
 // ----------------------------------------------------------------------
 
 include!("common/prop_gen.rs");
+include!("../crates/xml/tests/support/tokens.rs");
 
 // ----------------------------------------------------------------------
 // The properties
@@ -202,6 +207,109 @@ fn corpus_matches_dom_under_engine_schedules() {
             schedule_case(query, doc, seed);
         }
     }
+}
+
+/// The events the preprojector would build for `doc` without its search
+/// scan: its event path replayed on the same matcher, dead subtrees
+/// raw-skipped after their counted `Open` as in `Preprojector::pump`.
+fn events_without_search_scan(query: &str, doc: &str) -> u64 {
+    use gcx::projection::StreamMatcher;
+    use gcx::xml::XmlEvent;
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(query, &mut tags).expect("compiles");
+    let mut matcher = StreamMatcher::new(&compiled.projection.tree);
+    let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
+    let mut events = 0;
+    while let Some(event) = lexer.next_event().expect("well-formed") {
+        events += 1;
+        match event {
+            XmlEvent::Open(tag) => {
+                if !matcher.open(tag).buffer && matcher.is_dead() {
+                    lexer.skip_subtree().expect("well-formed");
+                    matcher.close();
+                }
+            }
+            XmlEvent::Close(_) => matcher.close(),
+            XmlEvent::Text(_) => {
+                matcher.text();
+            }
+        }
+    }
+    events
+}
+
+/// One search-scan case: a random query with a descendant step over a
+/// decorated document (attributes, references, CDATA sections, comments
+/// and PIs land inside the regions the scan consumes), run as a session
+/// fed 1–7 bytes at a time under step budgets 1, 7 and unbounded. Output
+/// equals the DOM oracle's, every role comes back, and the peak equals
+/// the one-shot run's. Returns whether the one-shot run's search scan
+/// consumed any event (it built fewer events than its event path would).
+fn search_scan_case(seed: u64) -> bool {
+    use gcx::service::SessionConfig;
+    use std::sync::Arc;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let query = loop {
+        let q = random_query(rng.random_range(0..u64::MAX));
+        if q.contains("//") {
+            break q;
+        }
+    };
+    let dseed = rng.random_range(0..1_000_000);
+    let doc = decorate_doc(dseed, &render_doc(dseed, 4, 4));
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(&query, &mut tags)
+        .unwrap_or_else(|e| panic!("query failed to compile: {e}\n{query}"));
+    let mut want = Vec::new();
+    gcx::run_dom(&compiled, &mut tags.clone(), doc.as_bytes(), &mut want)
+        .unwrap_or_else(|e| panic!("dom failed: {e}\n{query}\n{doc}"));
+    let one_shot = gcx::run_gcx(&compiled, &mut tags.clone(), doc.as_bytes(), io::sink())
+        .unwrap_or_else(|e| panic!("gcx failed: {e}\n{query}\n{doc}"));
+    let compiled = Arc::new(compiled);
+    for step_budget in [1, 7, u32::MAX] {
+        let config = SessionConfig {
+            step_budget,
+            ..Default::default()
+        };
+        let mut session = gcx::StreamSession::new(compiled.clone(), tags.clone(), config);
+        let mut got = Vec::new();
+        let mut rest = doc.as_bytes();
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(rng.random_range(1..=7).min(rest.len()));
+            got.extend_from_slice(&session.feed(now).expect("feed"));
+            rest = later;
+        }
+        let outcome = session.finish().expect("finish");
+        got.extend_from_slice(&outcome.output);
+        let what = format!("seed {seed}, step budget {step_budget}:\n{query}\nover\n{doc}");
+        assert_eq!(
+            String::from_utf8_lossy(&want),
+            String::from_utf8_lossy(&got),
+            "output differs at {what}"
+        );
+        let stats = &outcome.report.stats;
+        assert_eq!(
+            stats.roles_assigned, stats.roles_removed,
+            "roles unbalanced at {what}"
+        );
+        assert_eq!(
+            stats.peak_nodes, one_shot.stats.peak_nodes,
+            "peak at {what}"
+        );
+    }
+    one_shot.tokens_read < events_without_search_scan(&query, &doc)
+}
+
+/// The search scan under schedules; fails unless at least a quarter of
+/// the cases reached it.
+#[test]
+fn search_scan_matches_dom_under_schedules() {
+    let cases = 300;
+    let reached = (0..cases).filter(|&seed| search_scan_case(seed)).count();
+    assert!(
+        reached * 4 >= cases as usize,
+        "only {reached} of {cases} cases reached the search scan"
+    );
 }
 
 proptest! {
