@@ -23,6 +23,8 @@
 //!   covering aggregate instance triggers a pruning sweep that restores
 //!   the exact purge timing of the non-aggregated scheme.
 
+#![forbid(unsafe_code)]
+
 pub mod node;
 pub mod serialize;
 pub mod stats;

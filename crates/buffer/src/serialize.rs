@@ -7,7 +7,7 @@
 //! it), so marked nodes can only be stale structural leftovers.
 
 use crate::node::{BufKind, BufNodeId, BufferTree};
-use gcx_xml::{TagInterner, XmlToken, XmlWriter};
+use gcx_xml::{TagInterner, XmlWriter};
 use std::io::{self, Write};
 
 impl BufferTree {
@@ -40,33 +40,6 @@ impl BufferTree {
                     c = self.next_sibling(x);
                 }
                 w.close(tag, tags)
-            }
-        }
-    }
-
-    /// Collects the subtree as tokens (tests, traces).
-    pub fn subtree_tokens(&self, id: BufNodeId, out: &mut Vec<XmlToken>) {
-        if self.is_marked(id) {
-            return;
-        }
-        match self.kind(id) {
-            BufKind::Root => {
-                let mut c = self.first_child(id);
-                while let Some(x) = c {
-                    self.subtree_tokens(x, out);
-                    c = self.next_sibling(x);
-                }
-            }
-            BufKind::Text(sp) => out.push(XmlToken::Text(self.span_str(*sp).to_string())),
-            BufKind::Element(tag) => {
-                let tag = *tag;
-                out.push(XmlToken::Open(tag));
-                let mut c = self.first_child(id);
-                while let Some(x) = c {
-                    self.subtree_tokens(x, out);
-                    c = self.next_sibling(x);
-                }
-                out.push(XmlToken::Close(tag));
             }
         }
     }
@@ -118,25 +91,21 @@ mod tests {
         (b, tags, n1)
     }
 
-    #[test]
-    fn serializes_with_escaping() {
-        let (b, tags, n1) = build();
+    /// The subtree of `id` serialized through the writer.
+    fn render(b: &BufferTree, tags: &TagInterner, id: BufNodeId) -> String {
         let mut out = Vec::new();
-        let mut w = XmlWriter::new(&mut out);
-        b.write_subtree(n1, &tags, &mut w).unwrap();
-        assert_eq!(
-            String::from_utf8(out).unwrap(),
-            "<book><title>T&lt;&amp;ext</title></book>"
-        );
+        b.write_subtree(id, tags, &mut XmlWriter::new(&mut out))
+            .unwrap();
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
-    fn tokens_roundtrip() {
+    fn serializes_with_escaping() {
         let (b, tags, n1) = build();
-        let mut toks = Vec::new();
-        b.subtree_tokens(n1, &mut toks);
-        assert_eq!(toks.len(), 5);
-        let _ = tags;
+        assert_eq!(
+            render(&b, &tags, n1),
+            "<book><title>T&lt;&amp;ext</title></book>"
+        );
     }
 
     #[test]
@@ -164,8 +133,6 @@ mod tests {
         // purges it.
         b.unpin(dead);
         b.finish(n1);
-        let mut toks = Vec::new();
-        b.subtree_tokens(n1, &mut toks);
-        assert_eq!(toks.len(), 2, "only <x></x> remains");
+        assert_eq!(render(&b, &tags, n1), "<x></x>", "only <x></x> remains");
     }
 }

@@ -91,12 +91,7 @@ impl<'a> DomEval<'a> {
     }
 
     fn write_node<W: Write>(&self, n: NodeId, w: &mut XmlWriter<W>) -> Result<(), EngineError> {
-        let mut toks = Vec::new();
-        self.doc.subtree_tokens(n, &mut toks);
-        for t in &toks {
-            w.write_token(t, self.tags)?;
-        }
-        Ok(())
+        Ok(self.doc.write_subtree(n, self.tags, w)?)
     }
 
     fn eval<W: Write>(&mut self, e: &Expr, w: &mut XmlWriter<W>) -> Result<(), EngineError> {

@@ -25,6 +25,12 @@
 //! engine holding only its frames + buffer — a few KB. The classic
 //! blocking [`GcxEngine::run`] is a thin loop over `step`.
 //!
+//! The engine runs the compiled query's flat [`gcx_query::Program`], and a
+//! frame names its place in it by ids, not references. A suspended engine
+//! therefore borrows nothing: it owns or lends its query and interner
+//! through its type parameters ([`GcxEngine`]), so a serving session can
+//! own one and move it between threads.
+//!
 //! **A suspended engine holds no output.** `step` flushes the sink
 //! before it returns from any slice that ran, and once right after the
 //! output root's open tag, so the slice is the unit of output exchange:
@@ -41,14 +47,17 @@
 
 use crate::error::EngineError;
 use crate::join::{collect_matches, node_matches, still_under, JoinIndexes};
-use crate::metrics::EngineStageMetrics;
+use crate::metrics::{EngineStageMetrics, StageProbe};
 use crate::preproject::{Preprojector, PumpEvent};
 use crate::value::compare_values;
 use gcx_buffer::{BufNodeId, BufferStats, BufferTree};
 use gcx_obs::log_debug;
-use gcx_projection::{PStep, PTest, Pred, RelPath, Role};
-use gcx_query::{Axis, CompiledQuery, Cond, Expr, Step, VarId};
-use gcx_xml::{TagId, TagInterner, XmlLexer, XmlWriter};
+use gcx_projection::{PStep, PTest, Pred, ProjTree, Role};
+use gcx_query::{
+    Axis, CompiledQuery, Cond, CondId, CondOp, LeafId, Op, OpId, PathId, Program, Step, VarId,
+};
+use gcx_xml::{TagInterner, XmlLexer, XmlWriter};
+use std::borrow::{Borrow, BorrowMut};
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -152,6 +161,7 @@ pub struct RunReport {
 /// Cursor over the matches of one step, relative to a base node. The
 /// current scan position is pinned in the buffer so that active GC cannot
 /// purge the node the cursor stands on and invalidate navigation.
+#[derive(Clone, Copy)]
 struct Cursor {
     base: BufNodeId,
     step: Step,
@@ -206,7 +216,13 @@ enum CursorStep {
 /// `GcxEngine::frames` runs first); a frame that runs out of fuel or
 /// hits `NeedInput` pushes itself back (with its mutated state) before
 /// returning, which is what makes every suspension point resumable.
-enum Frame<'q> {
+///
+/// A frame names its place in the query by ids into the compiled
+/// query's [`Program`] ([`OpId`], [`CondId`], [`LeafId`], [`PathId`]), never by
+/// reference: a suspended engine borrows nothing from its query, so it
+/// can own the query and move between threads.
+#[derive(Clone, Copy)]
+enum Frame {
     /// Materialize the whole projected document (static-projection
     /// baseline) before evaluation starts.
     Preload,
@@ -215,12 +231,8 @@ enum Frame<'q> {
     Begin,
     /// Close the output root.
     End,
-    /// Evaluate an expression (dispatches to the frames below).
-    Eval(&'q Expr),
-    /// A sequence, about to evaluate `items[idx]`.
-    Seq { items: &'q [Expr], idx: usize },
-    /// Emit a closing tag after an element's content frame finished.
-    CloseTag(TagId),
+    /// Evaluate an op (dispatches to the frames below).
+    Eval(OpId),
     /// Emit a variable binding's subtree once it is finished.
     VarEmit { node: BufNodeId },
     /// Emit every match of a path step (`$x/π` in output position);
@@ -231,52 +243,69 @@ enum Frame<'q> {
     },
     /// A for-loop between iterations: advance the cursor, bind, and
     /// evaluate the body once per match.
-    ForLoop {
-        var: VarId,
-        body: &'q Expr,
-        cur: Cursor,
-    },
+    ForLoop { var: VarId, body: OpId, cur: Cursor },
     /// A key-filtered for-loop (see [`crate::join`]) between iterations:
     /// bind the next candidate in `join.cands[next..]` still under
     /// `base`. `bound` is the pinned binding of the last iteration.
     KeyedLoop {
         var: VarId,
-        body: &'q Expr,
+        body: OpId,
         base: BufNodeId,
         next: u32,
         bound: Option<BufNodeId>,
     },
-    /// Pick the branch once the condition frames left their verdict in
-    /// `cond_reg`.
-    IfBranch {
-        then_branch: &'q Expr,
-        else_branch: &'q Expr,
-    },
+    /// Pick the branch of an `if` op once the condition frames left
+    /// their verdict in `cond_reg`.
+    IfBranch(OpId),
     /// Evaluate a condition into `cond_reg`.
-    Cond(&'q Cond),
-    /// Short-circuit `and`: run the right side only if `cond_reg`.
-    CondAnd(&'q Cond),
-    /// Short-circuit `or`: run the right side only if `!cond_reg`.
-    CondOr(&'q Cond),
+    Cond(CondId),
+    /// Short-circuit `and` (`true`) or `or` (`false`): run the right
+    /// side only if `cond_reg` equals the flag.
+    CondRight(CondId, bool),
     /// Negate `cond_reg`.
     CondNot,
     /// An exists-check mid-scan.
     CondExists { cur: Cursor },
     /// A comparison condition waiting for its base subtree(s) to finish.
-    CondPump(&'q Cond),
+    CondPump(LeafId),
     /// A `signOff($x/π, r)` waiting for the base subtree to finish.
     SignOff {
         base: BufNodeId,
-        path: &'q RelPath,
+        path: PathId,
         role: Role,
     },
 }
 
+/// The projection tree inside the compiled query `Q` owns or lends: what
+/// the engine hands its matcher, so matcher and evaluator share one query.
+struct QueryTree<Q>(Q);
+
+impl<Q: Borrow<CompiledQuery>> Borrow<ProjTree> for QueryTree<Q> {
+    fn borrow(&self) -> &ProjTree {
+        &self.0.borrow().projection.tree
+    }
+}
+
 /// The streaming engine. Construct via [`run_gcx`] and friends (module
 /// functions below) unless you need custom wiring.
-pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
-    compiled: &'q CompiledQuery,
-    projector: Preprojector<'t, 'q, R>,
+///
+/// The engine owns or borrows its inputs through its type parameters:
+/// `Q` the compiled query (`&CompiledQuery` in a stack frame,
+/// `Arc<CompiledQuery>` in a session that moves between threads), `T`
+/// the tag interner (`&mut TagInterner` or `TagInterner`), `R` the input
+/// and `W` the output sink.
+pub struct GcxEngine<Q, T, R, W>
+where
+    Q: Borrow<CompiledQuery>,
+    T: BorrowMut<TagInterner>,
+    R: Read,
+    W: Write,
+{
+    /// The compiled query. Evaluation reads its [`Program`] through this
+    /// field alone, a shared borrow kept apart from the mutable state
+    /// below.
+    query: Q,
+    projector: Preprojector<R, T, QueryTree<Q>>,
     buffer: BufferTree,
     writer: XmlWriter<W>,
     bindings: Vec<Option<BufNodeId>>,
@@ -287,13 +316,10 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     /// construction — even the logger's filter lookup is too much for a
     /// tight for-loop body.
     debug: bool,
-    /// Sampled per-stage timing sink; the pump stages live in the
-    /// projector, the engine itself times `emit` (output subtrees).
-    stage_metrics: Option<Arc<EngineStageMetrics>>,
-    emit_tick: u32,
-    /// Request-scoped flight recorder + trace ID (emit spans; the pump
-    /// stages record in the projector, buffer events in the buffer).
-    flight: Option<(Arc<gcx_obs::FlightRecorder>, u64)>,
+    /// Sampled `emit` timing and the request's flight recorder (emit and
+    /// yield spans; the pump stages record in the projector, buffer
+    /// events in the buffer).
+    probe: StageProbe,
     /// Reusable scratch: nodes matched by a comparison step, a node's
     /// string value, a comparison's left values (concatenated, with end
     /// offsets), and the signOff path frontier/next sets. Taken/restored
@@ -307,14 +333,12 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     path_next: Vec<(BufNodeId, u32)>,
     /// Key indexes of the query's filterable join loops.
     join: JoinIndexes,
-    /// The explicit evaluation stack (see [`Frame`]): empty before the
-    /// first step and after the run ends.
-    frames: Vec<Frame<'q>>,
+    /// The explicit evaluation stack (see [`Frame`]): empty once the
+    /// run finishes.
+    frames: Vec<Frame>,
     /// Condition result register: `Cond*` frames leave their verdict
     /// here for the consuming frame ([`Frame::IfBranch`] etc.).
     cond_reg: bool,
-    /// The first step ran (root bound, initial frames pushed).
-    started: bool,
     /// The run finished or failed; further `step` calls are an error.
     complete: bool,
     /// Evaluation wall-clock accumulated across step slices. Time
@@ -325,22 +349,28 @@ pub struct GcxEngine<'t, 'q, R: Read, W: Write> {
     output_gate: Option<Box<dyn Fn() -> bool + Send>>,
 }
 
-impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
+impl<Q, T, R, W> GcxEngine<Q, T, R, W>
+where
+    Q: Borrow<CompiledQuery> + Clone,
+    T: BorrowMut<TagInterner>,
+    R: Read,
+    W: Write,
+{
     /// Wires up an engine over an input stream and an output sink.
-    pub fn new(
-        compiled: &'q CompiledQuery,
-        tags: &'t mut TagInterner,
-        input: R,
-        output: W,
-        strategy: Strategy,
-    ) -> Self {
+    pub fn new(query: Q, tags: T, input: R, output: W, strategy: Strategy) -> Self {
+        let compiled = query.borrow();
         let mut buffer = BufferTree::new(compiled.roles.len(), &compiled.projection.aggregates);
+        let mut bindings = vec![None; compiled.program.vars];
+        bindings[VarId::ROOT.index()] = Some(BufferTree::ROOT);
+        let mut frames = vec![Frame::End, Frame::Eval(compiled.program.body), Frame::Begin];
+        if strategy == Strategy::StaticProjection {
+            frames.push(Frame::Preload);
+        }
         let lexer = XmlLexer::new(input, tags);
-        let projector = Preprojector::new(lexer, &compiled.projection.tree, &mut buffer);
+        let projector = Preprojector::new(lexer, QueryTree(query.clone()), &mut buffer);
         let writer = XmlWriter::new(output);
-        let bindings = vec![None; compiled.rewritten.vars.len()];
         GcxEngine {
-            compiled,
+            query,
             projector,
             buffer,
             writer,
@@ -349,9 +379,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             tracer: None,
             cancel: None,
             debug: gcx_obs::log::enabled(gcx_obs::Level::Debug, LOG_TARGET),
-            stage_metrics: None,
-            emit_tick: 0,
-            flight: None,
+            probe: StageProbe::default(),
             cmp_nodes: Vec::new(),
             cmp_text: String::new(),
             cmp_left: String::new(),
@@ -359,9 +387,8 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             path_frontier: Vec::new(),
             path_next: Vec::new(),
             join: JoinIndexes::default(),
-            frames: Vec::new(),
+            frames,
             cond_reg: false,
-            started: false,
             complete: false,
             run_elapsed: Duration::ZERO,
             output_gate: None,
@@ -405,7 +432,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// a server.
     pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>) {
         self.projector.set_stage_metrics(metrics.clone());
-        self.stage_metrics = Some(metrics);
+        self.probe.metrics = Some(metrics);
     }
 
     /// Installs a request-scoped flight recorder under `trace_id` across
@@ -417,37 +444,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         self.projector
             .set_flight_recorder(recorder.clone(), trace_id);
         self.buffer.set_flight_recorder(recorder.clone(), trace_id);
-        self.flight = Some((recorder, trace_id));
-    }
-
-    /// Starts an emit-stage timer for one in [`EMIT_SAMPLE_EVERY`]
-    /// `write_subtree` calls (None when metrics are off or not sampled).
-    #[inline]
-    fn emit_timer(&mut self) -> Option<Instant> {
-        if self.stage_metrics.is_none() && self.flight.is_none() {
-            return None;
-        }
-        self.emit_tick += 1;
-        if self.emit_tick >= EMIT_SAMPLE_EVERY {
-            self.emit_tick = 0;
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn record_emit(&self, t0: Option<Instant>) {
-        let Some(t0) = t0 else { return };
-        let dur = t0.elapsed();
-        if let Some(m) = &self.stage_metrics {
-            m.emit.record(dur);
-        }
-        if let Some((rec, tid)) = &self.flight {
-            let dur_ns = dur.as_nanos() as u64;
-            let start = rec.now_ns().saturating_sub(dur_ns);
-            rec.record_span(*tid, gcx_obs::SpanKind::Emit, start, dur_ns, 0);
-        }
+        self.probe.flight = Some((recorder, trace_id));
     }
 
     #[inline]
@@ -517,7 +514,7 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             Ok(None) => {
                 // A yield always means the fuel ran dry, so the slice
                 // consumed exactly `budget` events.
-                if let Some((rec, tid)) = &self.flight {
+                if let Some((rec, tid)) = &self.probe.flight {
                     let dur_ns = slice.as_nanos() as u64;
                     let start = rec.now_ns().saturating_sub(dur_ns);
                     rec.record_span(*tid, gcx_obs::SpanKind::Yield, start, dur_ns, budget as u64);
@@ -557,19 +554,6 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// evaluation fails (`Err`; on `NeedInput` the interrupted frame is
     /// back on the stack and the call is retryable).
     fn drive(&mut self, mut fuel: u32) -> Result<Option<RunReport>, EngineError> {
-        if !self.started {
-            self.started = true;
-            self.bindings[VarId::ROOT.index()] = Some(BufferTree::ROOT);
-            // `compiled` outlives the engine ('q): borrow the body
-            // instead of deep-cloning the expression tree per run.
-            let body: &'q Expr = &self.compiled.rewritten.body;
-            self.frames.push(Frame::End);
-            self.frames.push(Frame::Eval(body));
-            self.frames.push(Frame::Begin);
-            if self.strategy == Strategy::StaticProjection {
-                self.frames.push(Frame::Preload);
-            }
-        }
         loop {
             let Some(frame) = self.frames.pop() else {
                 return Ok(Some(self.build_report()));
@@ -590,7 +574,8 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
             Strategy::StaticProjection => ("static-projection", None),
         };
         let role_balance = self
-            .compiled
+            .query
+            .borrow()
             .roles
             .roles()
             .map(|r| self.buffer.role_accounting(r))
@@ -610,9 +595,10 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
         }
     }
 
-    /// Access to the buffer (tests and traces).
-    pub fn buffer(&self) -> &BufferTree {
-        &self.buffer
+    /// The compiled query's program. Borrows the whole engine: copy an
+    /// op out before mutating, or borrow `self.query` field by field.
+    fn program(&self) -> &Program {
+        &self.query.borrow().program
     }
 
     // ------------------------------------------------------------------
@@ -736,30 +722,60 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     // Frame execution (the step machine's inner dispatch)
     // ------------------------------------------------------------------
 
-    /// Pushes `frame` back for retry when `e` is a need-input
-    /// suspension, then propagates the error either way. Non-resumable
-    /// errors end the run, so not re-pushing them is fine.
-    fn suspend_err(&mut self, frame: Frame<'q>, e: EngineError) -> Result<(), EngineError> {
-        if e.is_need_input() {
+    /// Pushes `frame` back and ends its execution with `e`: a need-input
+    /// error leaves it to resume once more input arrives, and any other
+    /// error ends the run, which never steps again.
+    fn suspend_err(&mut self, frame: Frame, e: EngineError) -> Result<(), EngineError> {
+        self.frames.push(frame);
+        Err(e)
+    }
+
+    /// [`Self::pump_finish_fuel`] inside the executing `frame`: when the
+    /// fuel (`Ok(false)`) or the input (`Err`) runs out first, the frame
+    /// is pushed back to resume.
+    fn finish_or_park(
+        &mut self,
+        node: BufNodeId,
+        fuel: &mut u32,
+        frame: Frame,
+    ) -> Result<bool, EngineError> {
+        let done = self.pump_finish_fuel(node, fuel);
+        if !matches!(done, Ok(true)) {
             self.frames.push(frame);
         }
-        Err(e)
+        done
+    }
+
+    /// [`Self::cursor_next_fuel`] inside an executing frame: when the
+    /// fuel (`OutOfFuel`) or the input (`Err`) runs out first,
+    /// `resume(cur)` is pushed back to continue the scan.
+    fn next_or_park(
+        &mut self,
+        cur: &mut Cursor,
+        fuel: &mut u32,
+        resume: impl FnOnce(Cursor) -> Frame,
+    ) -> Result<CursorStep, EngineError> {
+        let step = self.cursor_next_fuel(cur, fuel);
+        if !matches!(step, Ok(CursorStep::Found(_) | CursorStep::End)) {
+            self.frames.push(resume(*cur));
+        }
+        step
     }
 
     /// Executes one frame. Frames that suspend (out of fuel, input ran
     /// dry) push themselves back — with whatever state they mutated —
     /// before returning, so the next `drive` resumes mid-construct.
-    fn exec_frame(&mut self, frame: Frame<'q>, fuel: &mut u32) -> Result<(), EngineError> {
+    fn exec_frame(&mut self, frame: Frame, fuel: &mut u32) -> Result<(), EngineError> {
         match frame {
             Frame::Preload => loop {
                 match self.pump_step() {
                     Ok(PumpEvent::Eof) => return Ok(()),
                     Ok(_) => {}
-                    Err(e) => return self.suspend_err(Frame::Preload, e),
+                    Err(e) => return self.suspend_err(frame, e),
                 }
                 *fuel = fuel.saturating_sub(1);
                 if *fuel == 0 {
-                    self.frames.push(Frame::Preload);
+                    self.frames.push(frame);
                     return Ok(());
                 }
             },
@@ -769,82 +785,52 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 // with zero output bytes, and a run still waiting for
                 // its first byte has said nothing yet.
                 if let Err(e) = self.pump_step() {
-                    return self.suspend_err(Frame::Begin, e);
+                    return self.suspend_err(frame, e);
                 }
-                let root_tag = self.compiled.rewritten.root_tag;
+                let root_tag = self.program().root_tag;
                 self.writer.open(root_tag, self.projector.tags())?;
                 // Commit the response as evaluation starts: the first
                 // slice may run long before it suspends.
                 self.writer.flush()?;
                 self.trace("output root open");
-                Ok(())
             }
             Frame::End => {
-                let root_tag = self.compiled.rewritten.root_tag;
+                let root_tag = self.program().root_tag;
                 self.writer.close(root_tag, self.projector.tags())?;
-                Ok(())
             }
-            Frame::Eval(e) => self.eval_frame(e, fuel),
-            Frame::Seq { items, idx } => {
-                if let Some(item) = items.get(idx) {
-                    self.frames.push(Frame::Seq {
-                        items,
-                        idx: idx + 1,
-                    });
-                    self.frames.push(Frame::Eval(item));
-                }
-                Ok(())
-            }
-            Frame::CloseTag(t) => {
-                self.writer.close(t, self.projector.tags())?;
-                Ok(())
-            }
+            Frame::Eval(id) => self.eval_frame(id, fuel)?,
             Frame::VarEmit { node } => {
-                match self.pump_finish_fuel(node, fuel) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.frames.push(Frame::VarEmit { node });
-                        return Ok(());
-                    }
-                    Err(e) => return self.suspend_err(Frame::VarEmit { node }, e),
+                if self.finish_or_park(node, fuel, frame)? {
+                    self.emit(node)?;
+                    self.trace("output binding subtree");
                 }
-                let t_emit = self.emit_timer();
-                self.buffer
-                    .write_subtree(node, self.projector.tags(), &mut self.writer)?;
-                self.record_emit(t_emit);
-                self.trace("output binding subtree");
-                Ok(())
             }
-            Frame::PathOut { mut cur, mut emit } => loop {
+            Frame::PathOut { mut cur, emit } => {
                 if let Some(n) = emit {
-                    match self.pump_finish_fuel(n, fuel) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            self.frames.push(Frame::PathOut { cur, emit });
-                            return Ok(());
-                        }
-                        Err(e) => return self.suspend_err(Frame::PathOut { cur, emit }, e),
-                    }
-                    let t_emit = self.emit_timer();
-                    self.buffer
-                        .write_subtree(n, self.projector.tags(), &mut self.writer)?;
-                    self.record_emit(t_emit);
-                    emit = None;
-                }
-                match self.cursor_next_fuel(&mut cur, fuel) {
-                    Ok(CursorStep::Found(n)) => emit = Some(n),
-                    Ok(CursorStep::End) => return Ok(()),
-                    Ok(CursorStep::OutOfFuel) => {
-                        self.frames.push(Frame::PathOut { cur, emit });
+                    if !self.finish_or_park(n, fuel, frame)? {
                         return Ok(());
                     }
-                    Err(e) => return self.suspend_err(Frame::PathOut { cur, emit }, e),
+                    self.emit(n)?;
                 }
-            },
+                loop {
+                    let resume = |cur| Frame::PathOut { cur, emit: None };
+                    match self.next_or_park(&mut cur, fuel, resume)? {
+                        CursorStep::Found(n) => {
+                            let frame = Frame::PathOut { cur, emit: Some(n) };
+                            if !self.finish_or_park(n, fuel, frame)? {
+                                return Ok(());
+                            }
+                            self.emit(n)?;
+                        }
+                        CursorStep::End | CursorStep::OutOfFuel => return Ok(()),
+                    }
+                }
+            }
             Frame::ForLoop { var, body, mut cur } => {
                 self.check_cancelled()?;
-                match self.cursor_next_fuel(&mut cur, fuel) {
-                    Ok(CursorStep::Found(n)) => {
+                let resume = |cur| Frame::ForLoop { var, body, cur };
+                match self.next_or_park(&mut cur, fuel, resume)? {
+                    CursorStep::Found(n) => {
                         if self.debug {
                             let name = self
                                 .buffer
@@ -861,21 +847,15 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                             );
                         }
                         self.bindings[var.index()] = Some(n);
-                        self.frames.push(Frame::ForLoop { var, body, cur });
+                        self.frames.push(resume(cur));
                         self.frames.push(Frame::Eval(body));
-                        Ok(())
                     }
-                    Ok(CursorStep::End) => {
+                    CursorStep::End => {
                         self.bindings[var.index()] = None;
-                        self.join
-                            .release(var, &self.compiled.key_filters, &mut self.buffer);
-                        Ok(())
+                        let filters = &self.query.borrow().key_filters;
+                        self.join.release(var, filters, &mut self.buffer);
                     }
-                    Ok(CursorStep::OutOfFuel) => {
-                        self.frames.push(Frame::ForLoop { var, body, cur });
-                        Ok(())
-                    }
-                    Err(e) => self.suspend_err(Frame::ForLoop { var, body, cur }, e),
+                    CursorStep::OutOfFuel => {}
                 }
             }
             Frame::KeyedLoop {
@@ -907,123 +887,97 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                 }
                 self.bindings[var.index()] = None;
                 self.join.leave();
-                Ok(())
             }
-            Frame::IfBranch {
-                then_branch,
-                else_branch,
-            } => {
+            Frame::IfBranch(id) => {
+                let Op::If(_, then_branch, else_branch) = self.program()[id] else {
+                    unreachable!("IfBranch names an if op")
+                };
                 let branch = if self.cond_reg {
                     then_branch
                 } else {
                     else_branch
                 };
                 self.frames.push(Frame::Eval(branch));
-                Ok(())
             }
             Frame::Cond(c) => self.cond_frame(c),
-            Frame::CondAnd(b) => {
-                if self.cond_reg {
+            Frame::CondRight(b, when) => {
+                if self.cond_reg == when {
                     self.frames.push(Frame::Cond(b));
                 }
-                Ok(())
             }
-            Frame::CondOr(b) => {
-                if !self.cond_reg {
-                    self.frames.push(Frame::Cond(b));
-                }
-                Ok(())
-            }
-            Frame::CondNot => {
-                self.cond_reg = !self.cond_reg;
-                Ok(())
-            }
-            Frame::CondExists { mut cur } => match self.cursor_next_fuel(&mut cur, fuel) {
-                Ok(CursorStep::Found(_)) => {
-                    self.cursor_abort(&mut cur);
-                    self.cond_reg = true;
-                    Ok(())
-                }
-                Ok(CursorStep::End) => {
-                    self.cond_reg = false;
-                    Ok(())
-                }
-                Ok(CursorStep::OutOfFuel) => {
-                    self.frames.push(Frame::CondExists { cur });
-                    Ok(())
-                }
-                Err(e) => self.suspend_err(Frame::CondExists { cur }, e),
-            },
-            Frame::CondPump(c) => self.exec_cond_pump(c, fuel),
-            Frame::SignOff { base, path, role } => {
-                match self.pump_finish_fuel(base, fuel) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.frames.push(Frame::SignOff { base, path, role });
-                        return Ok(());
+            Frame::CondNot => self.cond_reg = !self.cond_reg,
+            Frame::CondExists { mut cur } => {
+                match self.next_or_park(&mut cur, fuel, |cur| Frame::CondExists { cur })? {
+                    CursorStep::Found(_) => {
+                        self.cursor_abort(&mut cur);
+                        self.cond_reg = true;
                     }
-                    Err(e) => return self.suspend_err(Frame::SignOff { base, path, role }, e),
+                    CursorStep::End => self.cond_reg = false,
+                    CursorStep::OutOfFuel => {}
                 }
-                self.signoff_commit(base, path, role)
+            }
+            Frame::CondPump(leaf) => self.exec_cond_pump(leaf, fuel)?,
+            Frame::SignOff { base, path, role } => {
+                if self.finish_or_park(base, fuel, frame)? {
+                    self.signoff_commit(base, path, role)?;
+                }
             }
         }
+        Ok(())
     }
 
-    /// Dispatches one expression onto the frame stack. Pure stack
-    /// manipulation plus the leaf cases that cannot suspend (writer
-    /// opens/closes, building a join index — charged to `fuel`);
-    /// anything that pumps gets its own frame.
-    fn eval_frame(&mut self, e: &'q Expr, fuel: &mut u32) -> Result<(), EngineError> {
-        match e {
-            Expr::Empty => Ok(()),
-            Expr::OpenTag(t) => {
-                self.writer.open(*t, self.projector.tags())?;
-                Ok(())
+    /// Writes a finished subtree to the output (a sampled emit stage).
+    fn emit(&mut self, node: BufNodeId) -> Result<(), EngineError> {
+        let t_emit = self.probe.sample(EMIT_SAMPLE_EVERY).then(Instant::now);
+        self.buffer
+            .write_subtree(node, self.projector.tags(), &mut self.writer)?;
+        self.probe.record(gcx_obs::SpanKind::Emit, t_emit, 0);
+        Ok(())
+    }
+
+    /// Dispatches one op onto the frame stack. Pure stack manipulation
+    /// plus the leaf cases that cannot suspend (writer opens/closes,
+    /// building a join index — charged to `fuel`); anything that pumps
+    /// gets its own frame.
+    fn eval_frame(&mut self, id: OpId, fuel: &mut u32) -> Result<(), EngineError> {
+        let op = self.program()[id];
+        match op {
+            Op::Empty => {}
+            Op::OpenTag(t) => self.writer.open(t, self.projector.tags())?,
+            Op::CloseTag(t) => self.writer.close(t, self.projector.tags())?,
+            Op::Seq { first, len } => {
+                let items = (first.0..first.0 + len).rev().map(|i| Frame::Eval(OpId(i)));
+                self.frames.extend(items);
             }
-            Expr::CloseTag(t) => {
-                self.writer.close(*t, self.projector.tags())?;
-                Ok(())
-            }
-            Expr::Element { tag, content } => {
-                self.writer.open(*tag, self.projector.tags())?;
-                self.frames.push(Frame::CloseTag(*tag));
-                self.frames.push(Frame::Eval(content));
-                Ok(())
-            }
-            Expr::Sequence(items) => {
-                self.frames.push(Frame::Seq { items, idx: 0 });
-                Ok(())
-            }
-            Expr::VarRef(v) => {
-                let node = self.binding(*v);
+            Op::VarRef(v) => {
+                let node = self.binding(v);
                 self.frames.push(Frame::VarEmit { node });
-                Ok(())
             }
-            Expr::PathOutput { var, step } => {
-                let base = self.binding(*var);
+            Op::PathOutput(var, step) => {
+                let base = self.binding(var);
                 self.frames.push(Frame::PathOut {
-                    cur: Cursor::new(base, *step),
+                    cur: Cursor::new(base, step),
                     emit: None,
                 });
-                Ok(())
             }
-            Expr::For {
+            Op::For {
                 var,
                 source,
                 step,
                 body,
+                filter,
             } => {
-                let base = self.binding(*source);
-                let filters = &self.compiled.key_filters;
-                if let Some(id) = filters.iter().position(|f| f.loop_var == *var) {
-                    let f = &filters[id];
+                let base = self.binding(source);
+                if let Some(id) = filter {
+                    let f = &self.query.borrow().key_filters[id as usize];
                     let outer = self.binding(f.outer_var);
-                    if let Some(built) =
-                        self.join.enter(id, f, *step, base, outer, &mut self.buffer)
-                    {
+                    let entered =
+                        self.join
+                            .enter(id as usize, f, step, base, outer, &mut self.buffer);
+                    if let Some(built) = entered {
                         *fuel = fuel.saturating_sub(u32::try_from(built).unwrap_or(u32::MAX));
                         self.frames.push(Frame::KeyedLoop {
-                            var: *var,
+                            var,
                             body,
                             base,
                             next: 0,
@@ -1033,42 +987,30 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
                     }
                 }
                 self.frames.push(Frame::ForLoop {
-                    var: *var,
+                    var,
                     body,
-                    cur: Cursor::new(base, *step),
+                    cur: Cursor::new(base, step),
                 });
-                Ok(())
             }
-            Expr::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.frames.push(Frame::IfBranch {
-                    then_branch,
-                    else_branch,
-                });
+            Op::If(cond, ..) => {
+                self.frames.push(Frame::IfBranch(id));
                 self.frames.push(Frame::Cond(cond));
-                Ok(())
             }
-            Expr::SignOff { var, path, role } => {
+            Op::SignOff(var, path, role) => {
                 if self.strategy != Strategy::Gcx {
                     return Ok(());
                 }
-                let base = self.binding(*var);
-                if path.is_empty() {
-                    self.buffer.sign_off(base, *role, 1)?;
-                    self.trace("signOff(ε)");
-                    return Ok(());
+                let base = self.binding(var);
+                match path {
+                    None => {
+                        self.buffer.sign_off(base, role, 1)?;
+                        self.trace("signOff(ε)");
+                    }
+                    Some(path) => self.frames.push(Frame::SignOff { base, path, role }),
                 }
-                self.frames.push(Frame::SignOff {
-                    base,
-                    path,
-                    role: *role,
-                });
-                Ok(())
             }
         }
+        Ok(())
     }
 
     fn binding(&self, v: VarId) -> BufNodeId {
@@ -1082,37 +1024,26 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
 
     /// Dispatches one condition onto the frame stack; leaves (or
     /// arranges for) its verdict in `cond_reg`.
-    fn cond_frame(&mut self, c: &'q Cond) -> Result<(), EngineError> {
-        match c {
-            Cond::True => {
-                self.cond_reg = true;
-                Ok(())
-            }
-            Cond::Exists { var, step } => {
-                let base = self.binding(*var);
-                self.frames.push(Frame::CondExists {
-                    cur: Cursor::new(base, *step),
-                });
-                Ok(())
-            }
-            Cond::CmpStr { .. } | Cond::CmpVar { .. } => {
-                self.frames.push(Frame::CondPump(c));
-                Ok(())
-            }
-            Cond::And(a, b) => {
-                self.frames.push(Frame::CondAnd(b));
+    fn cond_frame(&mut self, id: CondId) {
+        match self.program()[id] {
+            CondOp::True => self.cond_reg = true,
+            CondOp::Leaf(leaf) => match self.program()[leaf] {
+                Cond::Exists { var, step } => {
+                    let base = self.binding(var);
+                    self.frames.push(Frame::CondExists {
+                        cur: Cursor::new(base, step),
+                    });
+                }
+                _ => self.frames.push(Frame::CondPump(leaf)),
+            },
+            CondOp::And(a, b) | CondOp::Or(a, b) => {
+                let and = matches!(self.program()[id], CondOp::And(..));
+                self.frames.push(Frame::CondRight(b, and));
                 self.frames.push(Frame::Cond(a));
-                Ok(())
             }
-            Cond::Or(a, b) => {
-                self.frames.push(Frame::CondOr(b));
-                self.frames.push(Frame::Cond(a));
-                Ok(())
-            }
-            Cond::Not(inner) => {
+            CondOp::Not(inner) => {
                 self.frames.push(Frame::CondNot);
                 self.frames.push(Frame::Cond(inner));
-                Ok(())
             }
         }
     }
@@ -1121,63 +1052,40 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// (fueled — re-entry is idempotent because a finished base pumps
     /// zero events), then compute the verdict in one non-suspending
     /// commit.
-    fn exec_cond_pump(&mut self, c: &'q Cond, fuel: &mut u32) -> Result<(), EngineError> {
-        match c {
-            Cond::CmpStr {
-                var,
-                step,
-                op,
-                value,
-            } => {
-                let base = self.binding(*var);
-                match self.pump_finish_fuel(base, fuel) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.frames.push(Frame::CondPump(c));
-                        return Ok(());
-                    }
-                    Err(e) => return self.suspend_err(Frame::CondPump(c), e),
-                }
-                self.cond_reg = self.cmp_str_commit(base, *step, *op, value);
-                Ok(())
-            }
+    fn exec_cond_pump(&mut self, leaf: LeafId, fuel: &mut u32) -> Result<(), EngineError> {
+        let (lbase, rbase) = match self.program()[leaf] {
+            Cond::CmpStr { var, .. } => (self.binding(var), None),
             Cond::CmpVar {
                 left_var,
-                left_step,
-                op,
                 right_var,
-                right_step,
-            } => {
-                let lbase = self.binding(*left_var);
-                let rbase = self.binding(*right_var);
-                for base in [lbase, rbase] {
-                    match self.pump_finish_fuel(base, fuel) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            self.frames.push(Frame::CondPump(c));
-                            return Ok(());
-                        }
-                        Err(e) => return self.suspend_err(Frame::CondPump(c), e),
-                    }
-                }
-                self.cond_reg = self.cmp_var_commit(lbase, *left_step, *op, rbase, *right_step);
-                Ok(())
-            }
+                ..
+            } => (self.binding(left_var), Some(self.binding(right_var))),
             _ => unreachable!("CondPump only holds comparison conditions"),
+        };
+        for base in std::iter::once(lbase).chain(rbase) {
+            if !self.finish_or_park(base, fuel, Frame::CondPump(leaf))? {
+                return Ok(());
+            }
         }
+        self.cond_reg = match rbase {
+            None => self.cmp_str_commit(lbase, leaf),
+            Some(rbase) => self.cmp_var_commit(lbase, rbase, leaf),
+        };
+        Ok(())
     }
 
     /// `$x/π op "literal"` over a *finished* base. Hot path (every
     /// binding of a conditioned for-loop runs this): match nodes and
     /// string values go through the engine's reusable scratch, not
     /// fresh allocations.
-    fn cmp_str_commit(
-        &mut self,
-        base: BufNodeId,
-        step: Step,
-        op: gcx_query::RelOp,
-        value: &str,
-    ) -> bool {
+    fn cmp_str_commit(&mut self, base: BufNodeId, leaf: LeafId) -> bool {
+        let Cond::CmpStr {
+            step, op, value, ..
+        } = &self.query.borrow().program[leaf]
+        else {
+            unreachable!("a string comparison")
+        };
+        let (step, op) = (*step, *op);
         let mut matches = std::mem::take(&mut self.cmp_nodes);
         matches.clear();
         collect_matches(&self.buffer, base, step, &mut matches);
@@ -1200,14 +1108,16 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     /// comparison semantics). Hot path (a join runs it per inner
     /// binding): the left values are concatenated into one scratch string
     /// with end offsets, the right value reuses another.
-    fn cmp_var_commit(
-        &mut self,
-        lbase: BufNodeId,
-        left_step: Step,
-        op: gcx_query::RelOp,
-        rbase: BufNodeId,
-        right_step: Step,
-    ) -> bool {
+    fn cmp_var_commit(&mut self, lbase: BufNodeId, rbase: BufNodeId, leaf: LeafId) -> bool {
+        let Cond::CmpVar {
+            left_step,
+            op,
+            right_step,
+            ..
+        } = self.query.borrow().program[leaf]
+        else {
+            unreachable!("a join comparison")
+        };
         let mut nodes = std::mem::take(&mut self.cmp_nodes);
         let mut left = std::mem::take(&mut self.cmp_left);
         let mut ends = std::mem::take(&mut self.cmp_left_ends);
@@ -1253,25 +1163,15 @@ impl<'t, 'q, R: Read, W: Write> GcxEngine<'t, 'q, R, W> {
     fn signoff_commit(
         &mut self,
         base: BufNodeId,
-        path: &RelPath,
+        path: PathId,
         role: Role,
     ) -> Result<(), EngineError> {
-        // Aggregate roles (paper §6) are carried by the subtree root only:
-        // evaluate the path without its dos::node() terminal.
-        let steps: &[PStep] = if self.compiled.is_aggregate(role) {
-            match path.steps.last() {
-                Some(last) if last.test == PTest::AnyNode => &path.steps[..path.steps.len() - 1],
-                _ => &path.steps,
-            }
-        } else {
-            &path.steps
-        };
         // Path evaluation runs per signOff per binding: the frontier sets
         // live in engine scratch (taken/restored so the buffer stays
         // accessible), not in per-call vectors.
         let mut frontier = std::mem::take(&mut self.path_frontier);
         let mut next = std::mem::take(&mut self.path_next);
-        self.eval_relpath_into(base, steps, &mut frontier, &mut next);
+        self.eval_relpath_into(base, &self.program()[path], &mut frontier, &mut next);
         if self.debug {
             log_debug!(
                 LOG_TARGET,

@@ -26,6 +26,8 @@
 //! | [`run_static_projection`] | full projection, then evaluate | Galax + projection \[13\] |
 //! | [`baseline::run_dom`] | full DOM, then evaluate | Galax/Saxon/QizX class; also the Theorem 1 oracle |
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod engine;
 pub mod error;

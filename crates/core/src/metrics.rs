@@ -22,7 +22,9 @@
 //! and allocation-free, so one shared `Arc<EngineStageMetrics>` can be
 //! installed into every concurrent session of a server.
 
-use gcx_obs::LatencyHistogram;
+use gcx_obs::{FlightRecorder, LatencyHistogram, SpanKind};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Sampling interval: one timed pump step per N.
 pub(crate) const STAGE_SAMPLE_EVERY: u32 = 512;
@@ -54,6 +56,18 @@ impl EngineStageMetrics {
         }
     }
 
+    /// The histogram of one engine stage's span kind.
+    fn stage(&self, kind: SpanKind) -> &LatencyHistogram {
+        match kind {
+            SpanKind::Lex => &self.lex,
+            SpanKind::Skip => &self.skip,
+            SpanKind::Match => &self.matching,
+            SpanKind::Buffer => &self.buffer,
+            SpanKind::Emit => &self.emit,
+            other => unreachable!("{other:?} is not an engine stage"),
+        }
+    }
+
     /// `(stage name, histogram)` pairs in pipeline order, for renderers.
     pub fn stages(&self) -> [(&'static str, &LatencyHistogram); 5] {
         [
@@ -63,5 +77,48 @@ impl EngineStageMetrics {
             ("buffer", &self.buffer),
             ("emit", &self.emit),
         ]
+    }
+}
+
+/// Where sampled stage timings go: the shared histograms, and a request's
+/// flight recorder under its trace ID. With neither installed the hot
+/// path does no timing work at all.
+#[derive(Default)]
+pub(crate) struct StageProbe {
+    pub(crate) metrics: Option<Arc<EngineStageMetrics>>,
+    pub(crate) flight: Option<(Arc<FlightRecorder>, u64)>,
+    tick: u32,
+}
+
+impl StageProbe {
+    /// Counts one event; true for one in `every` while a sink is installed.
+    #[inline]
+    pub(crate) fn sample(&mut self, every: u32) -> bool {
+        if self.metrics.is_none() && self.flight.is_none() {
+            return false;
+        }
+        self.tick += 1;
+        if self.tick < every {
+            return false;
+        }
+        self.tick = 0;
+        true
+    }
+
+    /// Records `t0.elapsed()` (when this is a timed sample) into the
+    /// histogram of stage `kind` and as a span stamped with the input byte
+    /// `offset`.
+    #[inline]
+    pub(crate) fn record(&self, kind: SpanKind, t0: Option<Instant>, offset: u64) {
+        let Some(t0) = t0 else { return };
+        let dur = t0.elapsed();
+        if let Some(m) = &self.metrics {
+            m.stage(kind).record(dur);
+        }
+        if let Some((rec, tid)) = &self.flight {
+            let dur_ns = dur.as_nanos() as u64;
+            let start = rec.now_ns().saturating_sub(dur_ns);
+            rec.record_span(*tid, kind, start, dur_ns, offset);
+        }
     }
 }

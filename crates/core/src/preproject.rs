@@ -28,11 +28,12 @@
 //! [`Preprojector::tokens_read`].
 
 use crate::error::EngineError;
-use crate::metrics::{EngineStageMetrics, STAGE_SAMPLE_EVERY};
+use crate::metrics::{EngineStageMetrics, StageProbe, STAGE_SAMPLE_EVERY};
 use gcx_buffer::{BufNodeId, BufferTree};
-use gcx_obs::{FlightRecorder, LatencyHistogram, SpanKind};
+use gcx_obs::{FlightRecorder, SpanKind};
 use gcx_projection::{ProjTree, StreamMatcher};
-use gcx_xml::{XmlEvent, XmlLexer};
+use gcx_xml::{TagInterner, XmlEvent, XmlLexer};
+use std::borrow::{Borrow, BorrowMut};
 use std::io::Read;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,10 +60,11 @@ struct OpenEntry {
     attach: BufNodeId,
 }
 
-/// Streaming projector over a lexer. See module docs.
-pub struct Preprojector<'t, 'q, R: Read> {
-    lexer: XmlLexer<'t, R>,
-    matcher: StreamMatcher<'q>,
+/// Streaming projector over a lexer. See module docs. `T` owns or lends
+/// the lexer's tag interner, `P` the projection tree.
+pub struct Preprojector<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> {
+    lexer: XmlLexer<R, T>,
+    matcher: StreamMatcher<P>,
     stack: Vec<OpenEntry>,
     eof: bool,
     /// Tokens read from the input (statistics). Tokens inside raw-skipped
@@ -72,15 +74,10 @@ pub struct Preprojector<'t, 'q, R: Read> {
     pub tokens_read: u64,
     /// Tokens skipped without buffering (statistics).
     pub tokens_skipped: u64,
-    /// Sampled per-stage timing sink (see [`crate::metrics`]). `None`
-    /// keeps the hot path free of any timing work.
-    stage_metrics: Option<Arc<EngineStageMetrics>>,
-    /// Request-scoped flight recorder + trace ID: sampled pump steps also
-    /// record per-stage spans stamped with the input byte offset, and the
-    /// buffer is fed the lexer offset so its events carry it too.
-    flight: Option<(Arc<FlightRecorder>, u64)>,
-    /// Pump steps since the last timed sample.
-    sample_tick: u32,
+    /// Sampled per-stage timing (see [`crate::metrics`]) and the
+    /// request's flight recorder: with a recorder, the buffer is also fed
+    /// the lexer offset so its events carry it.
+    probe: StageProbe,
     /// A dead-subtree skip blocked on `WouldBlock` (the lexer holds the
     /// position and depth). The matcher consumed the subtree's `Open`
     /// *before* the skip started, so the next [`Self::pump`] must resume
@@ -89,36 +86,10 @@ pub struct Preprojector<'t, 'q, R: Read> {
     pending_skip: bool,
 }
 
-/// Records `t0.elapsed()` into the stage picked by `pick` when this pump
-/// step is a timed sample, and — when a flight recorder is installed —
-/// as a trace span of `kind` stamped with the input byte `offset`. Free
-/// function over the fields (not a `&self` method) so it composes with
-/// the matcher's outcome borrows.
-#[inline]
-fn record_stage(
-    metrics: &Option<Arc<EngineStageMetrics>>,
-    flight: &Option<(Arc<FlightRecorder>, u64)>,
-    pick: fn(&EngineStageMetrics) -> &LatencyHistogram,
-    kind: SpanKind,
-    t0: Option<Instant>,
-    offset: u64,
-) {
-    let Some(t0) = t0 else { return };
-    let dur = t0.elapsed();
-    if let Some(m) = metrics {
-        pick(m).record(dur);
-    }
-    if let Some((rec, tid)) = flight {
-        let dur_ns = dur.as_nanos() as u64;
-        let start = rec.now_ns().saturating_sub(dur_ns);
-        rec.record_span(*tid, kind, start, dur_ns, offset);
-    }
-}
-
-impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
+impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T, P> {
     /// Creates a projector and assigns the root roles (a query that
     /// outputs `$root` projects the whole document).
-    pub fn new(lexer: XmlLexer<'t, R>, tree: &'q ProjTree, buffer: &mut BufferTree) -> Self {
+    pub fn new(lexer: XmlLexer<R, T>, tree: P, buffer: &mut BufferTree) -> Self {
         let matcher = StreamMatcher::new(tree);
         for &r in matcher.root_roles() {
             buffer.add_role(BufferTree::ROOT, r);
@@ -135,9 +106,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
             eof: false,
             tokens_read: 0,
             tokens_skipped: 0,
-            stage_metrics: None,
-            flight: None,
-            sample_tick: 0,
+            probe: StageProbe::default(),
             pending_skip: false,
         }
     }
@@ -146,8 +115,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
     /// `STAGE_SAMPLE_EVERY` (512) is timed stage by stage into `metrics`
     /// (shared, wait-free). Untimed steps pay one counter increment.
     pub fn set_stage_metrics(&mut self, metrics: Arc<EngineStageMetrics>) {
-        self.stage_metrics = Some(metrics);
-        self.sample_tick = 0;
+        self.probe.metrics = Some(metrics);
     }
 
     /// Installs a request-scoped flight recorder: sampled pump steps
@@ -155,7 +123,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
     /// the input byte offset. Shares the [`Self::set_stage_metrics`]
     /// sampling cadence.
     pub fn set_flight_recorder(&mut self, recorder: Arc<FlightRecorder>, trace_id: u64) {
-        self.flight = Some((recorder, trace_id));
+        self.probe.flight = Some((recorder, trace_id));
     }
 
     /// Bytes consumed by the lexer's raw dead-subtree scanner and by its
@@ -166,7 +134,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
     }
 
     /// Access to the tag interner (for output rendering).
-    pub fn tags(&self) -> &gcx_xml::TagInterner {
+    pub fn tags(&self) -> &TagInterner {
         self.lexer.tags()
     }
 
@@ -194,15 +162,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         // Sampled stage timing: every `STAGE_SAMPLE_EVERY`th pump step is
         // timed stage by stage; the rest pay one counter increment (and
         // nothing at all when no metrics sink is installed).
-        let sampled = (self.stage_metrics.is_some() || self.flight.is_some()) && {
-            self.sample_tick += 1;
-            if self.sample_tick >= STAGE_SAMPLE_EVERY {
-                self.sample_tick = 0;
-                true
-            } else {
-                false
-            }
-        };
+        let sampled = self.probe.sample(STAGE_SAMPLE_EVERY);
         // A dead-subtree skip blocked mid-way last pump: finish it before
         // lexing anything new, then do the matcher close + accounting
         // that the original skip never reached (exactly once).
@@ -210,14 +170,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
             let tok_offset = self.lexer.offset();
             let t_skip = sampled.then(Instant::now);
             self.skip_dead_subtree()?;
-            record_stage(
-                &self.stage_metrics,
-                &self.flight,
-                |m| &m.skip,
-                SpanKind::Skip,
-                t_skip,
-                tok_offset,
-            );
+            self.probe.record(SpanKind::Skip, t_skip, tok_offset);
             self.matcher.close();
             self.tokens_skipped += 1;
             return Ok(PumpEvent::Skipped);
@@ -234,18 +187,11 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
         // (`Text`) keep the lexer borrowed, so it cannot be read later.
         let tok_offset = self.lexer.offset();
         let event = self.lexer.next_event()?;
-        if self.flight.is_some() {
+        if self.probe.flight.is_some() {
             // Stamp subsequent buffer events with where the stream is.
             buffer.set_stream_offset(tok_offset);
         }
-        record_stage(
-            &self.stage_metrics,
-            &self.flight,
-            |m| &m.lex,
-            SpanKind::Lex,
-            t_lex,
-            tok_offset,
-        );
+        self.probe.record(SpanKind::Lex, t_lex, tok_offset);
         match event {
             None => {
                 self.eof = true;
@@ -256,14 +202,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                 self.tokens_read += 1;
                 let t_match = sampled.then(Instant::now);
                 let outcome = self.matcher.open(tag);
-                record_stage(
-                    &self.stage_metrics,
-                    &self.flight,
-                    |m| &m.matching,
-                    SpanKind::Match,
-                    t_match,
-                    tok_offset,
-                );
+                self.probe.record(SpanKind::Match, t_match, tok_offset);
                 let top_attach = self.stack.last().expect("stack nonempty").attach;
                 if outcome.buffer {
                     let t_buf = sampled.then(Instant::now);
@@ -271,14 +210,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                     for &r in outcome.roles {
                         buffer.add_role(node, r);
                     }
-                    record_stage(
-                        &self.stage_metrics,
-                        &self.flight,
-                        |m| &m.buffer,
-                        SpanKind::Buffer,
-                        t_buf,
-                        tok_offset,
-                    );
+                    self.probe.record(SpanKind::Buffer, t_buf, tok_offset);
                     self.stack.push(OpenEntry {
                         buf: Some(node),
                         attach: node,
@@ -289,14 +221,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                     // matching close as a raw byte scan.
                     let t_skip = sampled.then(Instant::now);
                     self.skip_dead_subtree()?;
-                    record_stage(
-                        &self.stage_metrics,
-                        &self.flight,
-                        |m| &m.skip,
-                        SpanKind::Skip,
-                        t_skip,
-                        tok_offset,
-                    );
+                    self.probe.record(SpanKind::Skip, t_skip, tok_offset);
                     self.matcher.close();
                     self.tokens_skipped += 1;
                     Ok(PumpEvent::Skipped)
@@ -313,27 +238,13 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                 self.tokens_read += 1;
                 let t_match = sampled.then(Instant::now);
                 self.matcher.close();
-                record_stage(
-                    &self.stage_metrics,
-                    &self.flight,
-                    |m| &m.matching,
-                    SpanKind::Match,
-                    t_match,
-                    tok_offset,
-                );
+                self.probe.record(SpanKind::Match, t_match, tok_offset);
                 let entry = self.stack.pop().expect("balanced stream");
                 match entry.buf {
                     Some(node) => {
                         let t_buf = sampled.then(Instant::now);
                         buffer.finish(node);
-                        record_stage(
-                            &self.stage_metrics,
-                            &self.flight,
-                            |m| &m.buffer,
-                            SpanKind::Buffer,
-                            t_buf,
-                            tok_offset,
-                        );
+                        self.probe.record(SpanKind::Buffer, t_buf, tok_offset);
                         Ok(PumpEvent::Closed(node))
                     }
                     None => {
@@ -346,14 +257,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                 self.tokens_read += 1;
                 let t_match = sampled.then(Instant::now);
                 let outcome = self.matcher.text();
-                record_stage(
-                    &self.stage_metrics,
-                    &self.flight,
-                    |m| &m.matching,
-                    SpanKind::Match,
-                    t_match,
-                    tok_offset,
-                );
+                self.probe.record(SpanKind::Match, t_match, tok_offset);
                 if outcome.buffer {
                     let parent = self.stack.last().expect("stack nonempty").attach;
                     let t_buf = sampled.then(Instant::now);
@@ -361,14 +265,7 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
                     for &r in outcome.roles {
                         buffer.add_role(node, r);
                     }
-                    record_stage(
-                        &self.stage_metrics,
-                        &self.flight,
-                        |m| &m.buffer,
-                        SpanKind::Buffer,
-                        t_buf,
-                        tok_offset,
-                    );
+                    self.probe.record(SpanKind::Buffer, t_buf, tok_offset);
                     Ok(PumpEvent::Buffered(node))
                 } else {
                     self.tokens_skipped += 1;
@@ -398,7 +295,6 @@ impl<'t, 'q, R: Read> Preprojector<'t, 'q, R> {
 mod tests {
     use super::*;
     use gcx_projection::{PStep, PTest, Role};
-    use gcx_xml::TagInterner;
 
     /// Projection for /bib/book/dos::node() over a small document.
     #[test]

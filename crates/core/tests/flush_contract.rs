@@ -5,7 +5,7 @@
 //! first flush is the output root's open tag on its own.
 
 use gcx_core::{run_gcx, GcxEngine, StepOutcome, Strategy};
-use gcx_query::compile_default;
+use gcx_query::{compile_default, CompiledQuery};
 use gcx_xml::TagInterner;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -65,7 +65,7 @@ impl Read for FedReader {
 /// Steps until the engine asks for input (`false`) or finishes (`true`),
 /// checking after every return that nothing is left staged.
 fn step_until_blocked(
-    engine: &mut GcxEngine<'_, '_, FedReader, FlushOnlyWriter>,
+    engine: &mut GcxEngine<&CompiledQuery, &mut TagInterner, FedReader, FlushOnlyWriter>,
     sink: &Rc<RefCell<Sink>>,
     budget: u32,
     what: &str,

@@ -43,6 +43,8 @@
 //! | `eval.panic`     | panic inside the evaluator job                      |
 //! | `budget.reject`  | `MemoryBudget::try_reserve` rejects the reservation |
 
+#![forbid(unsafe_code)]
+
 #[cfg(feature = "chaos")]
 mod imp {
     use std::collections::HashMap;

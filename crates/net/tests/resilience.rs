@@ -98,15 +98,21 @@ fn budgeted_server() -> GcxServer {
     .unwrap()
 }
 
-/// After the broken upload, the server must have answered 400 (framing
-/// error caught before any output) and released every resource.
-fn assert_rejected_cleanly(server: &GcxServer, bytes: &[u8], expect_msg: &str) {
+/// After the broken upload, the server must have answered `status`
+/// (the error caught before any output) and released every resource.
+fn assert_rejected_cleanly(server: &GcxServer, bytes: &[u8], status: u16, expect_msg: &str) {
     let text = String::from_utf8_lossy(bytes);
     assert!(
-        text.starts_with("HTTP/1.1 400"),
-        "expected a 400, got: {text:?}"
+        text.starts_with(&format!("HTTP/1.1 {status}")),
+        "expected a {status}, got: {text:?}"
     );
     assert!(text.contains(expect_msg), "body mismatch: {text:?}");
+    assert_drained(server);
+}
+
+/// The session registry is empty, the budget is back at zero and the
+/// server still answers `/healthz`.
+fn assert_drained(server: &GcxServer) {
     assert!(
         wait_for(|| server.active_sessions() == 0, Duration::from_secs(5)),
         "session registry did not drain"
@@ -132,7 +138,7 @@ fn non_hex_chunk_size_line_yields_400() {
     let mut s = open_chunked_post(&server);
     s.write_all(b"ZZZ\r\nwhatever\r\n0\r\n\r\n").unwrap();
     let bytes = read_until_close(&mut s, Duration::from_secs(10));
-    assert_rejected_cleanly(&server, &bytes, "malformed chunked body");
+    assert_rejected_cleanly(&server, &bytes, 400, "malformed chunked body");
     server.shutdown();
 }
 
@@ -143,7 +149,7 @@ fn missing_crlf_after_chunk_data_yields_400() {
     // 4-byte chunk followed by garbage where CRLF must be.
     s.write_all(b"4\r\n<bibXX0\r\n\r\n").unwrap();
     let bytes = read_until_close(&mut s, Duration::from_secs(10));
-    assert_rejected_cleanly(&server, &bytes, "malformed chunked body");
+    assert_rejected_cleanly(&server, &bytes, 400, "malformed chunked body");
     server.shutdown();
 }
 
@@ -190,7 +196,7 @@ fn ambiguous_request_framing_yields_400_and_closes() {
         );
         s.write_all(request.as_bytes()).unwrap();
         let bytes = read_until_close(&mut s, Duration::from_secs(10));
-        assert_rejected_cleanly(&server, &bytes, expect_msg);
+        assert_rejected_cleanly(&server, &bytes, 400, expect_msg);
         let text = String::from_utf8_lossy(&bytes);
         assert!(
             text.to_ascii_lowercase().contains("connection: close"),
@@ -216,20 +222,82 @@ fn eof_mid_chunk_closes_cleanly_without_leaking() {
         bytes.is_empty() || text.starts_with("HTTP/1.1 4"),
         "unexpected reply to truncated upload: {text:?}"
     );
-    assert!(
-        wait_for(|| server.active_sessions() == 0, Duration::from_secs(5)),
-        "session registry did not drain"
-    );
-    let budget = server.service().budget().expect("budget configured");
-    assert!(
-        wait_for(
-            || budget.used() == 0 && budget.engine_used() == 0,
-            Duration::from_secs(5)
-        ),
-        "budget leaked after truncated upload"
-    );
-    let health = client::get(server.local_addr(), "/healthz").unwrap();
-    assert_eq!(health.status, 200);
+    assert_drained(&server);
+    server.shutdown();
+}
+
+/// A head that never terminates gets `431` once it passes the server's
+/// 16 KiB head limit, and the connection holds nothing afterwards.
+#[test]
+fn unterminated_oversized_head_yields_431() {
+    let server = budgeted_server();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    let mut head = format!("POST {} HTTP/1.1\r\nHost: gcx\r\n", query_path(QUERY));
+    while head.len() <= 17 * 1024 {
+        head.push_str("X-Padding: 0123456789abcdef0123456789abcdef\r\n");
+    }
+    // Never the blank line that would end the head; a server that
+    // stopped reading may reset the rest of the write.
+    let _ = s.write_all(head.as_bytes());
+    let bytes = read_until_close(&mut s, Duration::from_secs(10));
+    assert_rejected_cleanly(&server, &bytes, 431, "head too large");
+    server.shutdown();
+}
+
+/// A chunk-size line longer than the decoder's 32-byte limit fails the
+/// upload with `400` instead of buffering the line.
+#[test]
+fn oversized_chunk_size_line_yields_400() {
+    let server = budgeted_server();
+    let mut s = open_chunked_post(&server);
+    let line = format!("{}1\r\n", "0".repeat(40));
+    s.write_all(line.as_bytes()).unwrap();
+    s.write_all(b"<\r\n0\r\n\r\n").unwrap();
+    let bytes = read_until_close(&mut s, Duration::from_secs(10));
+    assert_rejected_cleanly(&server, &bytes, 400, "malformed chunked body");
+    server.shutdown();
+}
+
+/// A `Content-Length` body cut short by the client's FIN is never
+/// answered as a success. Cut before its first event can be read, the
+/// upload gets no `200` at all. Cut after output has streamed (the `200`
+/// head goes out with the first output byte, the GCX property), the
+/// response is aborted: its chunked body never gets the final chunk.
+/// Either way the server releases everything.
+#[test]
+fn content_length_body_cut_short_by_fin_gets_no_200() {
+    let server = budgeted_server();
+    let doc = make_doc(2_000);
+    for (sent, streamed) in [(3, false), (doc.len() / 2, true)] {
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        let head = format!(
+            "POST {} HTTP/1.1\r\nHost: gcx\r\nContent-Length: {}\r\n\r\n",
+            query_path(QUERY),
+            doc.len()
+        );
+        s.write_all(head.as_bytes()).unwrap();
+        s.write_all(&doc[..sent]).unwrap();
+        if streamed {
+            // Let the evaluator stream what the half body decides.
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let bytes = read_until_close(&mut s, Duration::from_secs(10));
+        let text = String::from_utf8_lossy(&bytes);
+        if streamed {
+            assert!(text.starts_with("HTTP/1.1 200"), "{text:?}");
+            assert!(
+                !text.ends_with("0\r\n\r\n"),
+                "truncated upload got a complete response: {text:?}"
+            );
+        } else {
+            assert!(
+                bytes.is_empty() || text.starts_with("HTTP/1.1 4"),
+                "unexpected reply to truncated upload: {text:?}"
+            );
+        }
+        assert_drained(&server);
+    }
     server.shutdown();
 }
 

@@ -25,6 +25,8 @@
 //! inside `Arc`s shared across threads without initialization order
 //! concerns.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod hist;
 pub mod log;

@@ -8,11 +8,15 @@
 //!
 //! States are created on demand: the key of a state is the canonical pair
 //! (match multiset, pending-descendant-edge multiset). Transitions are
-//! memoized in *dense per-state tables* — one `Vec<StateId>` per state,
-//! indexed by [`TagId`] and lazily grown with a sentinel for
-//! not-yet-built entries — so repeated document shapes (the common case
-//! in data-centric XML like XMark) cost one bounds-checked array load per
-//! opening tag instead of a hash probe.
+//! memoized in *dense per-state rows* with a sentinel for not-yet-built
+//! entries, so repeated document shapes (the common case in data-centric
+//! XML like XMark) cost two array loads per opening tag instead of a hash
+//! probe. A row has one column per *tag class*, not per tag: the k tags
+//! some [`PTest::Tag`] in the tree names get classes 1..=k, and every
+//! other tag shares class 0, because only `*`, `node()` and `text()`
+//! tests can match it and they match all such tags alike. The matrix is
+//! therefore `states × (k + 1)`, fixed by the query, however large the
+//! document's vocabulary.
 //!
 //! ## First witnesses
 //!
@@ -129,14 +133,15 @@ pub struct LazyDfa {
     /// identical duplicate state would be built); correctness never
     /// depends on the hash.
     index: HashMap<u64, StateId, FxBuildHasher>,
-    /// Dense transition matrix: `trans[state * stride + tag.index()]` is
-    /// the target state, [`NO_STATE`] when not yet built, [`WITNESS`]
-    /// when resolved per event. One flat allocation growing amortized
-    /// with states (and re-laid-out on the rare stride growth) instead of
-    /// one row `Vec` per state.
+    /// Dense transition matrix: `trans[state * width + class]` is the
+    /// target state, [`NO_STATE`] when not yet built, [`WITNESS`] when
+    /// resolved per event. One flat allocation growing amortized with
+    /// states instead of one row `Vec` per state.
     trans: Vec<StateId>,
-    /// Row width of `trans` (power of two > the highest tag index seen).
-    stride: usize,
+    /// Tag id → tag class (module docs); ids past the end are class 0.
+    class: Vec<u32>,
+    /// Row width of `trans`: the named tags' classes plus class 0.
+    width: usize,
     /// Shared payload arenas (see [`DfaState`]).
     matches_arena: Vec<(ProjNodeId, bool)>,
     pending_arena: Vec<ProjNodeId>,
@@ -166,10 +171,21 @@ impl LazyDfa {
     pub fn new(tree: &ProjTree) -> Self {
         let mut fired_bit = vec![NOT_POSITIONAL; tree.len()];
         let mut positional = 0u32;
+        let (mut class, mut width) = (Vec::new(), 1);
         for v in tree.ids() {
-            if tree.step(v).pred == Pred::First {
+            let step = tree.step(v);
+            if step.pred == Pred::First {
                 fired_bit[v.index()] = positional;
                 positional += 1;
+            }
+            if let PTest::Tag(t) = step.test {
+                if class.len() <= t.index() {
+                    class.resize(t.index() + 1, 0);
+                }
+                if class[t.index()] == 0 {
+                    class[t.index()] = width as u32;
+                    width += 1;
+                }
             }
         }
         // Pre-sized for the common case (a handful of states over a
@@ -178,8 +194,9 @@ impl LazyDfa {
         let mut dfa = LazyDfa {
             states: Vec::with_capacity(16),
             index: HashMap::with_capacity_and_hasher(16, FxBuildHasher::default()),
-            trans: Vec::with_capacity(16 * 64),
-            stride: 64,
+            trans: Vec::with_capacity(16 * width),
+            class,
+            width,
             matches_arena: Vec::with_capacity(64),
             pending_arena: Vec::with_capacity(64),
             roles_arena: Vec::with_capacity(32),
@@ -273,14 +290,18 @@ impl LazyDfa {
     /// only for genuinely new states.
     #[inline]
     pub fn transition(&mut self, tree: &ProjTree, from: StateId, tag: TagId) -> Option<StateId> {
-        if tag.index() < self.stride {
-            match self.trans[from as usize * self.stride + tag.index()] {
-                NO_STATE => {}
-                WITNESS => return None,
-                to => return Some(to),
-            }
+        match self.trans[self.cell(from, tag)] {
+            NO_STATE => self.build_transition(tree, from, tag),
+            WITNESS => None,
+            to => Some(to),
         }
-        self.build_transition(tree, from, tag)
+    }
+
+    /// The `trans` index of `(from, tag)`'s class.
+    #[inline]
+    fn cell(&self, from: StateId, tag: TagId) -> usize {
+        let class = self.class.get(tag.index()).map_or(0, |&c| c as usize);
+        from as usize * self.width + class
     }
 
     /// The cold half of [`LazyDfa::transition`], out of line so the
@@ -294,10 +315,8 @@ impl LazyDfa {
         } else {
             None
         };
-        if tag.index() >= self.stride {
-            self.grow_stride(tag.index() + 1);
-        }
-        self.trans[from as usize * self.stride + tag.index()] = to.unwrap_or(WITNESS);
+        let cell = self.cell(from, tag);
+        self.trans[cell] = to.unwrap_or(WITNESS);
         to
     }
 
@@ -317,21 +336,6 @@ impl LazyDfa {
         self.collect_candidates(tree, from, accepts);
         self.fire(tree, stack, fired);
         self.intern_candidates(tree, Some(from), accepts)
-    }
-
-    /// Widens the transition matrix to cover tag indices up to at least
-    /// `need`, re-laying the rows out at the new stride. Rare: strides
-    /// are powers of two, so a run over a `t`-tag vocabulary re-lays out
-    /// at most `log2(t) - 5` times.
-    fn grow_stride(&mut self, need: usize) {
-        let new_stride = need.next_power_of_two().max(self.stride * 2);
-        let mut new_trans = vec![NO_STATE; self.states.len() * new_stride];
-        for s in 0..self.states.len() {
-            new_trans[s * new_stride..s * new_stride + self.stride]
-                .copy_from_slice(&self.trans[s * self.stride..(s + 1) * self.stride]);
-        }
-        self.trans = new_trans;
-        self.stride = new_stride;
     }
 
     /// The memoized verdict for a text child of a node in state `s`:
@@ -560,7 +564,7 @@ impl LazyDfa {
             text: TextVerdict::Unbuilt,
         });
         // One fresh (unbuilt) row in the transition matrix.
-        self.trans.resize(self.states.len() * self.stride, NO_STATE);
+        self.trans.resize(self.states.len() * self.width, NO_STATE);
         self.index.insert(hash, id);
         id
     }
@@ -923,5 +927,57 @@ mod tests {
         let mut fresh = [0u64; 2];
         assert_eq!(dfa.first_witness(&tree, &stack, &mut fresh, price), first);
         assert_eq!(dfa.len(), states, "a known target is interned, not rebuilt");
+    }
+
+    /// The transition matrix is sized by the query's named tags, not by
+    /// the document's vocabulary: over `//a//b` (k = 2), a document with
+    /// T distinct unnamed tags before D nested `<a>`s builds the same
+    /// states and a `states × 3` matrix at T = 1 000 and at T = 2 000.
+    #[test]
+    fn matrix_width_is_independent_of_the_vocabulary() {
+        use gcx_xml::{XmlEvent, XmlLexer};
+        let mut sizes = Vec::new();
+        for t in [1_000, 2_000] {
+            let mut tags = TagInterner::new();
+            let (a, b) = (tags.intern("a"), tags.intern("b"));
+            let mut tree = ProjTree::new();
+            let va = tree.add_child(
+                ProjTree::ROOT,
+                PStep::descendant(PTest::Tag(a)),
+                Some(Role(0)),
+            );
+            tree.add_child(va, PStep::descendant(PTest::Tag(b)), Some(Role(1)));
+            let mut doc = String::from("<r>");
+            for i in 0..t {
+                doc.push_str(&format!("<x{i}/>"));
+            }
+            doc.push_str(&"<a>".repeat(50));
+            doc.push_str("<b/>");
+            doc.push_str(&"</a>".repeat(50));
+            doc.push_str("</r>");
+            let mut dfa = LazyDfa::new(&tree);
+            let mut stack = vec![LazyDfa::INITIAL];
+            let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
+            while let Some(event) = lexer.next_event().unwrap() {
+                match event {
+                    XmlEvent::Open(tag) => {
+                        let from = *stack.last().unwrap();
+                        stack.push(dfa.transition(&tree, from, tag).unwrap());
+                    }
+                    XmlEvent::Close(_) => {
+                        stack.pop();
+                    }
+                    XmlEvent::Text(_) => {}
+                }
+            }
+            assert!(lexer.tags().len() > t, "every x{{i}} was interned");
+            assert_eq!(dfa.width, 3, "k = 2 named tags plus class 0");
+            assert_eq!(dfa.trans.len(), dfa.len() * 3);
+            sizes.push((dfa.len(), dfa.trans.len()));
+        }
+        assert_eq!(
+            sizes[0], sizes[1],
+            "states and matrix size do not depend on T"
+        );
     }
 }

@@ -20,6 +20,8 @@
 //!   `[position() = 1]` steps are resolved per event against one fired
 //!   set per open element.
 
+#![forbid(unsafe_code)]
+
 pub mod dfa;
 pub mod matcher;
 pub mod path;

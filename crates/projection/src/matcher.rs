@@ -31,6 +31,7 @@ use crate::dfa::{LazyDfa, StateId};
 use crate::role::Role;
 use crate::tree::ProjTree;
 use gcx_xml::TagId;
+use std::borrow::Borrow;
 
 /// The matcher's verdict for one input node.
 ///
@@ -46,9 +47,11 @@ pub struct Outcome<'m> {
     pub roles: &'m [Role],
 }
 
-/// Streaming projection matcher (see module docs).
-pub struct StreamMatcher<'t> {
-    tree: &'t ProjTree,
+/// Streaming projection matcher (see module docs). `P` owns or lends the
+/// projection tree: `&ProjTree` in a stack frame, an owner of the whole
+/// compiled query inside a suspended engine.
+pub struct StreamMatcher<P: Borrow<ProjTree>> {
+    tree: P,
     dfa: LazyDfa,
     /// DFA states of the open elements, the virtual root first.
     stack: Vec<StateId>,
@@ -57,10 +60,10 @@ pub struct StreamMatcher<'t> {
     fired: Vec<u64>,
 }
 
-impl<'t> StreamMatcher<'t> {
+impl<P: Borrow<ProjTree>> StreamMatcher<P> {
     /// Creates a matcher positioned at the virtual document root.
-    pub fn new(tree: &'t ProjTree) -> Self {
-        let dfa = LazyDfa::new(tree);
+    pub fn new(tree: P) -> Self {
+        let dfa = LazyDfa::new(tree.borrow());
         let fired = vec![0; dfa.fired_words()];
         StreamMatcher {
             tree,
@@ -98,11 +101,11 @@ impl<'t> StreamMatcher<'t> {
     /// Processes an opening tag; returns the buffering verdict.
     pub fn open(&mut self, tag: TagId) -> Outcome<'_> {
         let from = *self.stack.last().expect("stack never empty");
-        let to = match self.dfa.transition(self.tree, from, tag) {
+        let to = match self.dfa.transition(self.tree.borrow(), from, tag) {
             Some(to) => to,
             None => self
                 .dfa
-                .first_witness(self.tree, &self.stack, &mut self.fired, tag),
+                .first_witness(self.tree.borrow(), &self.stack, &mut self.fired, tag),
         };
         self.stack.push(to);
         // The new element has fired no positional step yet.
@@ -124,7 +127,9 @@ impl<'t> StreamMatcher<'t> {
 
     /// Processes a text node (text has no children: nothing is pushed).
     pub fn text(&mut self) -> Outcome<'_> {
-        let (buffer, roles) = self.dfa.text(self.tree, &self.stack, &mut self.fired);
+        let (buffer, roles) = self
+            .dfa
+            .text(self.tree.borrow(), &self.stack, &mut self.fired);
         Outcome { buffer, roles }
     }
 
@@ -145,14 +150,14 @@ mod tests {
     use super::*;
     use crate::path::{PAxis, PStep, PTest, Pred, RelPath};
     use crate::role::RoleSet;
-    use gcx_xml::{TagInterner, XmlError, XmlLexer, XmlToken};
+    use gcx_xml::{TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
 
     include!("../../xml/tests/support/tokens.rs");
 
     /// Drives a matcher over a document string; returns per-node outcomes
     /// rendered as `(path-ish label, buffered, roles)`.
     fn run(tree: &ProjTree, tags: &mut TagInterner, doc: &str) -> Vec<(String, bool, String)> {
-        let mut lexer = XmlLexer::new(doc.as_bytes(), tags);
+        let mut lexer = XmlLexer::new(doc.as_bytes(), &mut *tags);
         let tokens = lexer.tokenize_all().unwrap();
         let mut m = StreamMatcher::new(tree);
         let mut out = Vec::new();

@@ -25,7 +25,9 @@
 mod nfa;
 
 use gcx_projection::{PAxis, PStep, PTest, Pred, ProjNodeId, ProjTree, Role, StreamMatcher};
-use gcx_xml::{Document, NodeId, NodeKind, TagId, TagInterner, XmlError, XmlLexer, XmlToken};
+use gcx_xml::{
+    Document, NodeId, NodeKind, TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -202,7 +204,7 @@ fn random_doc(seed: u64) -> String {
 /// state, drive both matchers one level down with every probe tag outside
 /// the exits, and back up. Returns the number of probes made.
 fn probe_search_state(
-    matcher: &mut StreamMatcher,
+    matcher: &mut StreamMatcher<&ProjTree>,
     reference: &mut nfa::RefMatcher,
     probes: &[TagId],
     at: &str,

@@ -15,8 +15,13 @@
 //! * [`projection`] — projection-tree derivation (§4, Fig. 1).
 //! * [`keyfilter`] — equality-join loops the evaluator may key-filter.
 //! * [`optimize`] — early updates and redundant-role elimination (§6).
+//! * [`program`] — the rewritten query lowered to a flat [`Program`] of
+//!   `Copy` ops linked by `u32` ids, which the evaluator's suspended
+//!   frames index instead of borrowing the query.
 //! * [`pipeline`] — [`compile`] bundling everything into a
 //!   [`CompiledQuery`].
+
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod deps;
@@ -27,6 +32,7 @@ pub mod optimize;
 pub mod parser;
 pub mod pipeline;
 pub mod pretty;
+pub mod program;
 pub mod projection;
 pub mod signoff;
 pub mod vartree;
@@ -37,5 +43,6 @@ pub use keyfilter::KeyFilter;
 pub use parser::{parse, ParseError};
 pub use pipeline::{compile, compile_default, CompileError, CompileOptions, CompiledQuery};
 pub use pretty::{pretty_expr, pretty_query};
+pub use program::{CondId, CondOp, LeafId, Op, OpId, PathId, Program};
 pub use projection::Projection;
 pub use vartree::{analyze, VarAnalysis};

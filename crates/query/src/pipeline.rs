@@ -3,8 +3,8 @@
 //! projection-tree derivation.
 //!
 //! The output bundles everything the engines need: the normalized query
-//! for oracle evaluation, the rewritten query for GCX, the projection
-//! tree, and the role catalog.
+//! for oracle evaluation, the rewritten query and its flat program for
+//! GCX, the projection tree, and the role catalog.
 
 use crate::ast::Query;
 use crate::deps::{collect_deps, DepTable};
@@ -12,10 +12,11 @@ use crate::ifpush::{no_for_under_if, push_ifs};
 use crate::keyfilter::{find_key_filters, KeyFilter};
 use crate::optimize::{early_updates, eliminate_redundant_roles};
 use crate::parser::{parse, ParseError};
+use crate::program::Program;
 use crate::projection::{build_projection, Projection};
 use crate::signoff::{insert_signoffs, no_signoff_under_if};
 use crate::vartree::{analyze, AnalysisError, VarAnalysis};
-use gcx_projection::{Role, RoleCatalog};
+use gcx_projection::RoleCatalog;
 use gcx_xml::TagInterner;
 use std::fmt;
 
@@ -98,6 +99,8 @@ pub struct CompiledQuery {
     pub original: Query,
     /// The rewritten query: if-pushed, with signOff statements.
     pub rewritten: Query,
+    /// `rewritten` lowered to flat ops: what the GCX evaluator runs.
+    pub program: Program,
     /// The projection artifacts (tree, per-variable nodes, aggregates).
     pub projection: Projection,
     /// Role catalog (origins for tracing).
@@ -111,13 +114,6 @@ pub struct CompiledQuery {
     /// Loops of `rewritten` the evaluator may run over an equality-key
     /// index (see [`crate::keyfilter`]).
     pub key_filters: Vec<KeyFilter>,
-}
-
-impl CompiledQuery {
-    /// Convenience: is `role` aggregate?
-    pub fn is_aggregate(&self, role: Role) -> bool {
-        self.projection.aggregates.contains(&role)
-    }
 }
 
 /// Compiles a query with the given options.
@@ -147,9 +143,11 @@ pub fn compile(
     }
     let projection = build_projection(&analysis, &deps, options.aggregate_roles);
     let key_filters = find_key_filters(&rewritten);
+    let program = Program::lower(&rewritten, &key_filters, &projection.aggregates);
     Ok(CompiledQuery {
         original,
         rewritten,
+        program,
         projection,
         roles,
         analysis,
@@ -232,7 +230,7 @@ mod tests {
         let mut tags = TagInterner::new();
         let c = compile_default("<r>{ for $x in /a return $x }</r>", &mut tags).unwrap();
         assert_eq!(c.projection.aggregates.len(), 1);
-        assert!(c.is_aggregate(c.projection.aggregates[0]));
+        assert!(c.roles.roles().any(|r| r == c.projection.aggregates[0]));
     }
 
     #[test]

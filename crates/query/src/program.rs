@@ -1,0 +1,269 @@
+//! The rewritten query lowered to a flat program: what the evaluator runs.
+//!
+//! GCX evaluates the rewritten query in sequence and suspends whenever
+//! the buffer manager must pull more input (paper §5, Fig. 11). An
+//! evaluator holding references into the [`Expr`]/[`Cond`] trees would
+//! borrow the query while suspended; a [`Program`] holds the same query
+//! as flat arrays linked by `u32` ids (`Copy` expression and condition
+//! ops, the AST's own `exists`/comparison leaves, signOff paths), so a
+//! suspended engine holds ids and borrows nothing.
+//!
+//! Lowering also settles what evaluation would redo per execution: a
+//! constructor `<a> q </a>` becomes the sequence `(<a>, q, </a>)`, a
+//! sequence's items are consecutive ops, a `for` names its key filter
+//! ([`crate::keyfilter`]), and an aggregate role's signOff path (paper
+//! §6) drops its trailing `dos::node()`.
+
+use crate::ast::{Cond, Expr, Query, Step, VarId};
+use crate::keyfilter::KeyFilter;
+use gcx_projection::{PStep, PTest, Role};
+use gcx_xml::TagId;
+use std::ops::Index;
+
+/// Index of an [`Op`] in a [`Program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpId(pub u32);
+
+/// Index of a [`CondOp`] in a [`Program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CondId(pub u32);
+
+/// Index of a signOff path (its steps) in a [`Program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathId(pub u32);
+
+/// Index of a condition leaf (the AST's [`Cond`]) in a [`Program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafId(pub u32);
+
+/// One expression: an [`Expr`] whose children are ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Op {
+    /// `()`
+    Empty,
+    /// `<a>`, alone or first in a lowered constructor.
+    OpenTag(TagId),
+    /// `</a>`, alone or last in a lowered constructor.
+    CloseTag(TagId),
+    /// `(q, ..., q)`: the `len` ops from `first` on.
+    Seq { first: OpId, len: u32 },
+    /// `$x`
+    VarRef(VarId),
+    /// `$x/step`
+    PathOutput(VarId, Step),
+    /// `for $var in $source/step return body`; `filter` indexes
+    /// [`crate::CompiledQuery::key_filters`] when the loop may run keyed.
+    For {
+        var: VarId,
+        source: VarId,
+        step: Step,
+        body: OpId,
+        filter: Option<u32>,
+    },
+    /// `if cond then q else q`
+    If(CondId, OpId, OpId),
+    /// `signOff($var/path, role)`; the path is `None` for ε, which signs
+    /// the binding off at once instead of waiting for its subtree.
+    SignOff(VarId, Option<PathId>, Role),
+}
+
+/// One condition: a [`Cond`] whose connectives hold ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CondOp {
+    True,
+    /// `exists` or a comparison: the AST node itself.
+    Leaf(LeafId),
+    And(CondId, CondId),
+    Or(CondId, CondId),
+    Not(CondId),
+}
+
+/// A rewritten query as flat arrays (module docs); read with
+/// `program[id]`.
+#[derive(Debug, Clone)]
+pub struct Program {
+    ops: Vec<Op>,
+    conds: Vec<CondOp>,
+    leaves: Vec<Cond>,
+    paths: Vec<Vec<PStep>>,
+    /// The query body `q` of `Q ::= <a> q </a>`.
+    pub body: OpId,
+    /// The output root `<a>`.
+    pub root_tag: TagId,
+    /// Number of variables, `$root` included.
+    pub vars: usize,
+}
+
+impl Program {
+    /// Lowers a rewritten query whose filterable loops are `key_filters`
+    /// and whose aggregate roles are `aggregates`.
+    pub(crate) fn lower(query: &Query, key_filters: &[KeyFilter], aggregates: &[Role]) -> Program {
+        let mut p = Program {
+            ops: Vec::new(),
+            conds: Vec::new(),
+            leaves: Vec::new(),
+            paths: Vec::new(),
+            body: OpId(0),
+            root_tag: query.root_tag,
+            vars: query.vars.len(),
+        };
+        let body = p.op(&query.body, key_filters, aggregates);
+        p.body = p.push(body);
+        p
+    }
+
+    fn push(&mut self, op: Op) -> OpId {
+        self.ops.push(op);
+        OpId(self.ops.len() as u32 - 1)
+    }
+
+    /// Lowers `e`'s children and returns its own op.
+    fn op(&mut self, e: &Expr, key_filters: &[KeyFilter], aggregates: &[Role]) -> Op {
+        let child = |p: &mut Program, e: &Expr| {
+            let op = p.op(e, key_filters, aggregates);
+            p.push(op)
+        };
+        match e {
+            Expr::Empty => Op::Empty,
+            Expr::OpenTag(t) => Op::OpenTag(*t),
+            Expr::CloseTag(t) => Op::CloseTag(*t),
+            Expr::Element { tag, content } => {
+                let items = [&Expr::OpenTag(*tag), &**content, &Expr::CloseTag(*tag)];
+                self.seq(&items, key_filters, aggregates)
+            }
+            Expr::Sequence(items) => {
+                self.seq(&items.iter().collect::<Vec<_>>(), key_filters, aggregates)
+            }
+            Expr::VarRef(v) => Op::VarRef(*v),
+            Expr::PathOutput { var, step } => Op::PathOutput(*var, *step),
+            Expr::For {
+                var,
+                source,
+                step,
+                body,
+            } => Op::For {
+                var: *var,
+                source: *source,
+                step: *step,
+                body: child(self, body),
+                filter: key_filters
+                    .iter()
+                    .position(|f| f.loop_var == *var)
+                    .map(|i| i as u32),
+            },
+            Expr::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => Op::If(
+                self.cond(cond),
+                child(self, then_branch),
+                child(self, else_branch),
+            ),
+            Expr::SignOff { var, path, role } => {
+                let mut steps = path.steps.clone();
+                if aggregates.contains(role)
+                    && steps.last().is_some_and(|s| s.test == PTest::AnyNode)
+                {
+                    steps.pop();
+                }
+                let path = (!path.is_empty()).then(|| {
+                    self.paths.push(steps);
+                    PathId(self.paths.len() as u32 - 1)
+                });
+                Op::SignOff(*var, path, *role)
+            }
+        }
+    }
+
+    /// A sequence whose items get consecutive ids: their slots are taken
+    /// before the items' own children are lowered.
+    fn seq(&mut self, items: &[&Expr], key_filters: &[KeyFilter], aggregates: &[Role]) -> Op {
+        let first = self.ops.len();
+        self.ops.resize(first + items.len(), Op::Empty);
+        for (i, item) in items.iter().enumerate() {
+            self.ops[first + i] = self.op(item, key_filters, aggregates);
+        }
+        Op::Seq {
+            first: OpId(first as u32),
+            len: items.len() as u32,
+        }
+    }
+
+    fn cond(&mut self, c: &Cond) -> CondId {
+        let op = match c {
+            Cond::True => CondOp::True,
+            Cond::And(a, b) => CondOp::And(self.cond(a), self.cond(b)),
+            Cond::Or(a, b) => CondOp::Or(self.cond(a), self.cond(b)),
+            Cond::Not(inner) => CondOp::Not(self.cond(inner)),
+            leaf => {
+                self.leaves.push(leaf.clone());
+                CondOp::Leaf(LeafId(self.leaves.len() as u32 - 1))
+            }
+        };
+        self.conds.push(op);
+        CondId(self.conds.len() as u32 - 1)
+    }
+}
+
+impl Index<OpId> for Program {
+    type Output = Op;
+    fn index(&self, id: OpId) -> &Op {
+        &self.ops[id.0 as usize]
+    }
+}
+
+impl Index<CondId> for Program {
+    type Output = CondOp;
+    fn index(&self, id: CondId) -> &CondOp {
+        &self.conds[id.0 as usize]
+    }
+}
+
+impl Index<LeafId> for Program {
+    type Output = Cond;
+    fn index(&self, id: LeafId) -> &Cond {
+        &self.leaves[id.0 as usize]
+    }
+}
+
+impl Index<PathId> for Program {
+    type Output = [PStep];
+    fn index(&self, id: PathId) -> &[PStep] {
+        &self.paths[id.0 as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::compile_default;
+    use gcx_xml::TagInterner;
+
+    /// A constructor lowers to `(<a>, q, </a>)` with consecutive items,
+    /// and the body of a `for` is reachable by id.
+    #[test]
+    fn constructors_lower_to_consecutive_sequences() {
+        let mut tags = TagInterner::new();
+        let c = compile_default(
+            "<r>{ for $b in /bib/book return <e>{ $b }</e> }</r>",
+            &mut tags,
+        )
+        .unwrap();
+        let p = &c.program;
+        assert_eq!(p.root_tag, tags.get("r").unwrap());
+        let mut body = p[p.body];
+        // The rewriting wraps the loop into single-step loops; find the
+        // innermost `for`'s body.
+        while let Op::For { body: b, .. } | Op::Seq { first: b, .. } = body {
+            body = p[b];
+            if let Op::Seq { first, len: 3 } = body {
+                let e = tags.get("e").unwrap();
+                assert_eq!(p[first], Op::OpenTag(e));
+                assert_eq!(p[OpId(first.0 + 2)], Op::CloseTag(e));
+                return;
+            }
+        }
+        panic!("no lowered constructor in {p:?}");
+    }
+}

@@ -23,6 +23,8 @@
 //! session's `feed`/`finish` and nothing else. See `README.md` for the
 //! session state machine and memory-budget semantics.
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod metrics;
 pub mod pool;

@@ -3,13 +3,19 @@
 //! The engine ([`GcxEngine`]) evaluates in bounded **slices**
 //! ([`GcxEngine::step`]) and keeps all suspension state in its own
 //! struct, so no thread ever waits inside evaluation. A
-//! [`StreamSession`] wraps one engine as a schedulable [`PoolTask`]:
+//! [`StreamSession`] wraps one engine as a schedulable [`PoolTask`].
+//! The session owns its engine outright:
+//! `GcxEngine<Arc<CompiledQuery>, TagInterner, ChunkReader, SessionWriter>`
+//! holds the compiled query by `Arc` (shared with the query cache) and
+//! its own interner clone, and its suspended frames are ids into the
+//! query's program, so a parked engine is plain data that any scheduler
+//! worker can resume. The crate has no `unsafe` code.
 //!
 //! ```text
 //!   caller                                 evaluator (one slice at a time)
 //!   ──────                                 ───────────────────────────────
 //!   try_feed(chunk) ─► bounded chunk queue ─► ChunkReader::read (WouldBlock when dry)
-//!        │ wake     ─► scheduler           ─► GcxEngine::step(budget)
+//!        │ wake     ─► scheduler           ─► GcxEngine::step(budget), owned by the task
 //!   drain()         ◄─ shared output buffer ◄─ SessionWriter (one block per slice)
 //!   take_outcome()  ◄─ RunReport (BufferStats) once the task retires
 //! ```
@@ -408,77 +414,9 @@ impl Write for SessionWriter {
     }
 }
 
-/// Owns a [`GcxEngine`] together with the tag interner and compiled
-/// query it borrows, making the bundle movable across scheduler worker
-/// threads.
-///
-/// The engine's lifetimes (`&'q CompiledQuery`, `&'t mut TagInterner`)
-/// normally pin it to a stack frame; a scheduler needs the suspended
-/// engine to live in a heap task instead. Both borrows point into
-/// heap allocations owned by this same struct — stable addresses for
-/// as long as the struct lives — so erasing them to `'static` is sound
-/// under this struct's invariants:
-///
-/// - `_compiled` keeps the `CompiledQuery` allocation alive (and
-///   `Arc` contents never move);
-/// - `tags` is a `Box` leaked to a raw pointer (never moved, freed only
-///   in `Drop` *after* the engine is gone);
-/// - the engine is dropped first (explicitly, in `Drop`), so neither
-///   borrow ever dangles;
-/// - the engine holds the *only* reference to the interner, so the
-///   `&mut` stays exclusive.
-struct EngineTask {
-    /// `Some` until dropped; `Option` only so `Drop` can order the
-    /// engine's death before freeing `tags`.
-    engine: Option<GcxEngine<'static, 'static, ChunkReader, SessionWriter>>,
-    tags: *mut TagInterner,
-    _compiled: Arc<CompiledQuery>,
-}
-
-// SAFETY: the raw `tags` pointer suppresses auto-Send, but it is just
-// an owned `Box` in disguise (exclusively reachable through the engine,
-// freed once in `Drop`); every other field is `Send`. The engine itself
-// (reader, writer, gate, tracer hooks) is `Send` by bound.
-unsafe impl Send for EngineTask {}
-
-impl EngineTask {
-    fn new(
-        compiled: Arc<CompiledQuery>,
-        tags: TagInterner,
-        reader: ChunkReader,
-        writer: SessionWriter,
-    ) -> Self {
-        let tags = Box::into_raw(Box::new(tags));
-        // SAFETY: see the struct docs — both targets are heap-stable and
-        // outlive the engine because this struct drops the engine first.
-        let compiled_ref: &'static CompiledQuery = unsafe { &*Arc::as_ptr(&compiled) };
-        let tags_ref: &'static mut TagInterner = unsafe { &mut *tags };
-        let engine = GcxEngine::new(compiled_ref, tags_ref, reader, writer, Strategy::Gcx);
-        EngineTask {
-            engine: Some(engine),
-            tags,
-            _compiled: compiled,
-        }
-    }
-
-    fn engine_mut(&mut self) -> &mut GcxEngine<'static, 'static, ChunkReader, SessionWriter> {
-        self.engine.as_mut().expect("engine present until drop")
-    }
-
-    fn step(&mut self, budget: u32) -> StepOutcome {
-        self.engine_mut().step(budget)
-    }
-}
-
-impl Drop for EngineTask {
-    fn drop(&mut self) {
-        // Order matters: the engine borrows `tags`, so it dies first.
-        self.engine = None;
-        // SAFETY: created by `Box::into_raw` in `new`, freed exactly
-        // once, and nothing references the interner anymore.
-        unsafe { drop(Box::from_raw(self.tags)) };
-    }
-}
+/// The session's engine, owning its query (shared with the cache by
+/// `Arc`), its interner, its input and its output.
+type SessionEngine = GcxEngine<Arc<CompiledQuery>, TagInterner, ChunkReader, SessionWriter>;
 
 /// The schedulable session task: one engine step per slice.
 struct EvalTask {
@@ -488,7 +426,7 @@ struct EvalTask {
     /// panic or cancellation.
     /// The scheduler guarantees at most one slice runs at a time, so
     /// this mutex is uncontended — it exists to make the task `Sync`.
-    engine: Mutex<Option<EngineTask>>,
+    engine: Mutex<Option<SessionEngine>>,
     step_budget: u32,
     metrics: Option<Arc<SessionMetrics>>,
     /// For panic accounting ([`EvaluatorPool::note_panic`]) only.
@@ -652,35 +590,32 @@ impl StreamSession {
             budget: budget.clone(),
             staged: Vec::new(),
         };
-        let mut engine = EngineTask::new(compiled, tags, reader, writer);
-        {
-            let e = engine.engine_mut();
-            e.set_cancel_flag(cancel.clone());
-            if let Some(live) = config.live_stats.clone() {
-                e.set_live_stats(live);
-            }
-            if let Some(sm) = config.stage_metrics.clone() {
-                e.set_stage_metrics(sm);
-            }
-            if let Some(rec) = config.flight_recorder.clone() {
-                e.set_flight_recorder(rec, config.trace_id);
-            }
-            if config.charge_engine_buffer {
-                if let Some(b) = &budget {
-                    e.set_buffer_accounting(b.clone());
-                }
-            }
-            // The output gate implements the high-water backpressure:
-            // checked between steps, it parks the session instead of
-            // blocking a write. Cancellation opens the gate so the next
-            // slice runs straight into the reader/writer cancel error
-            // and terminates promptly.
-            let gate_shared = shared.clone();
-            e.set_output_gate(Box::new(move || {
-                let st = gate_shared.lock();
-                st.cancelled || st.output.len() < gate_shared.output_high_water
-            }));
+        let mut engine = GcxEngine::new(compiled, tags, reader, writer, Strategy::Gcx);
+        engine.set_cancel_flag(cancel.clone());
+        if let Some(live) = config.live_stats.clone() {
+            engine.set_live_stats(live);
         }
+        if let Some(sm) = config.stage_metrics.clone() {
+            engine.set_stage_metrics(sm);
+        }
+        if let Some(rec) = config.flight_recorder.clone() {
+            engine.set_flight_recorder(rec, config.trace_id);
+        }
+        if config.charge_engine_buffer {
+            if let Some(b) = &budget {
+                engine.set_buffer_accounting(b.clone());
+            }
+        }
+        // The output gate implements the high-water backpressure:
+        // checked between steps, it parks the session instead of
+        // blocking a write. Cancellation opens the gate so the next
+        // slice runs straight into the reader/writer cancel error
+        // and terminates promptly.
+        let gate_shared = shared.clone();
+        engine.set_output_gate(Box::new(move || {
+            let st = gate_shared.lock();
+            st.cancelled || st.output.len() < gate_shared.output_high_water
+        }));
         let pool = config.pool.clone().unwrap_or_else(EvaluatorPool::inline);
         let task = pool.spawn_task(Box::new(EvalTask {
             shared: shared.clone(),

@@ -12,6 +12,8 @@
 //! The generator stands in for the original `xmlgen`, which is not
 //! available offline.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod queries;
 pub mod vocab;

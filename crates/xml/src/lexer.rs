@@ -4,7 +4,6 @@
 //! (paper Fig. 11: the buffer manager issues `nextNode()` requests). This
 //! lexer delivers exactly that interface: [`XmlLexer::next_event`] returns
 //! the next borrowed [`XmlEvent`] without ever materializing the document.
-//! ([`XmlEvent::into_owned`] copies an event out, for the DOM baseline.)
 //!
 //! Supported input constructs: elements, character data, entity references
 //! (`&lt; &gt; &amp; &apos; &quot; &#10; &#x0A;`), CDATA sections, comments,
@@ -76,6 +75,7 @@ use crate::scan::{self, ScanKernel};
 use crate::tags::{TagId, TagInterner};
 use crate::token::XmlEvent;
 use crate::Result;
+use std::borrow::BorrowMut;
 use std::collections::VecDeque;
 use std::io::Read;
 
@@ -93,8 +93,11 @@ enum Pending {
 ///
 /// The lexer performs its own buffering (do not wrap the reader in a
 /// `BufReader`). Well-formedness is enforced: tags must balance, and
-/// exactly one document element is allowed.
-pub struct XmlLexer<'t, R: Read> {
+/// exactly one document element is allowed. Names are interned into the
+/// [`TagInterner`] `T` owns or lends: `&mut TagInterner` for a lexer
+/// that lives in one stack frame, `TagInterner` for one that moves
+/// between threads inside a suspended engine.
+pub struct XmlLexer<R: Read, T: BorrowMut<TagInterner>> {
     reader: R,
     buf: Vec<u8>,
     /// Valid bytes are `buf[pos..len]`.
@@ -102,7 +105,7 @@ pub struct XmlLexer<'t, R: Read> {
     len: usize,
     /// Total bytes consumed from the reader before `buf\[0\]`.
     base: u64,
-    tags: &'t mut TagInterner,
+    tags: T,
     /// Stack of open element tags, for balance checking.
     open: Vec<TagId>,
     /// Queued events (from bachelor tags / attribute expansion).
@@ -148,9 +151,9 @@ struct SkipState {
 
 const BUF_SIZE: usize = 64 * 1024;
 
-impl<'t, R: Read> XmlLexer<'t, R> {
+impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// Creates a lexer over `reader`, interning tag names into `tags`.
-    pub fn new(reader: R, tags: &'t mut TagInterner) -> Self {
+    pub fn new(reader: R, tags: T) -> Self {
         XmlLexer {
             reader,
             buf: vec![0; BUF_SIZE],
@@ -186,7 +189,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
 
     /// Access to the shared tag interner.
     pub fn tags(&self) -> &TagInterner {
-        self.tags
+        self.tags.borrow()
     }
 
     /// True once the document element has been completely read.
@@ -440,6 +443,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
             self.pos = i;
             let id = self
                 .tags
+                .borrow_mut()
                 .intern_bytes(&self.buf[start..i])
                 .expect("name bytes are an ASCII subset");
             return Ok(id);
@@ -472,6 +476,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
         }
         let id = self
             .tags
+            .borrow_mut()
             .intern_bytes(&self.name_buf)
             .expect("name bytes are an ASCII subset");
         Ok(id)
@@ -722,12 +727,12 @@ impl<'t, R: Read> XmlLexer<'t, R> {
             }
             Some(top) => Err(XmlError::MismatchedClose {
                 offset: self.offset(),
-                expected: self.tags.name(top).to_string(),
-                found: self.tags.name(id).to_string(),
+                expected: self.tags().name(top).to_string(),
+                found: self.tags().name(id).to_string(),
             }),
             None => Err(XmlError::UnbalancedClose {
                 offset: self.offset(),
-                tag: self.tags.name(id).to_string(),
+                tag: self.tags().name(id).to_string(),
             }),
         }
     }
@@ -1165,7 +1170,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
         {
             return 0;
         }
-        let (buf, pos, end, tags) = (&self.buf, self.pos, self.len, &*self.tags);
+        let (buf, pos, end, tags) = (&self.buf, self.pos, self.len, self.tags.borrow());
         let stack = &mut self.scan_stack;
         let stop = match scan::active_kernel() {
             ScanKernel::Scalar => search_fast::<scan::ScalarOps>(buf, pos, end, tags, exits, stack),
@@ -1181,6 +1186,7 @@ impl<'t, R: Read> XmlLexer<'t, R> {
             let (start, end) = self.scan_stack[k];
             let id = self
                 .tags
+                .borrow_mut()
                 .intern_bytes(&self.buf[start..end])
                 .expect("name bytes are an ASCII subset");
             self.open.push(id);
@@ -1472,7 +1478,7 @@ fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::XmlToken;
+    use crate::XmlWriter;
 
     include!("../tests/support/tokens.rs");
 
@@ -1798,7 +1804,7 @@ mod tests {
                         lexer.skip_subtree().expect("skip ok");
                         continue;
                     }
-                    shown.push(format!("{}", t.display(lexer.tags())));
+                    shown.push(t.display(lexer.tags()));
                 }
                 assert!(
                     shown.iter().any(|s| s == "<after>"),
@@ -2094,7 +2100,7 @@ mod tests {
                 scanned += lexer.scan_search(&exits);
             }
             let token = match lexer.next_event() {
-                Ok(Some(event)) => event.into_owned(),
+                Ok(Some(event)) => XmlToken::from_event(event),
                 Ok(None) => break,
                 Err(e) if e.is_would_block() => continue,
                 Err(e) => panic!("{e}"),

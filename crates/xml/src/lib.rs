@@ -7,7 +7,7 @@
 //!
 //! * [`TagInterner`] — the symbol table replacing tag names by integers
 //!   (paper §6, "Buffer Representation").
-//! * [`XmlToken`] — the stream event model.
+//! * [`XmlEvent`] — the stream event model.
 //! * [`lexer::XmlLexer`] — a pull-based streaming tokenizer over any
 //!   [`std::io::Read`]. It reads the one dialect the paper evaluated:
 //!   attributes become leading subelements (§7) and whitespace-only text
@@ -29,7 +29,7 @@ pub use error::XmlError;
 pub use lexer::XmlLexer;
 pub use scan::ScanKernel;
 pub use tags::{FxBuildHasher, FxHasher, TagId, TagInterner};
-pub use token::{XmlEvent, XmlToken};
+pub use token::XmlEvent;
 pub use tree::{Document, NodeId, NodeKind};
 pub use writer::{CountingSink, XmlWriter};
 

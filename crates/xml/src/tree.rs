@@ -10,10 +10,10 @@
 
 use crate::lexer::XmlLexer;
 use crate::tags::{TagId, TagInterner};
-use crate::token::{XmlEvent, XmlToken};
+use crate::token::XmlEvent;
 use crate::writer::XmlWriter;
 use crate::Result;
-use std::io::Read;
+use std::io::{self, Read, Write};
 
 /// Index of a node in a [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -191,35 +191,35 @@ impl Document {
         }
     }
 
-    /// Serializes the subtree rooted at `id` (excluding the virtual root
-    /// wrapper) as a token stream.
-    pub fn subtree_tokens(&self, id: NodeId, out: &mut Vec<XmlToken>) {
-        match &self.node(id).kind {
-            NodeKind::Root => {
-                for &c in &self.node(id).children {
-                    self.subtree_tokens(c, out);
-                }
-            }
-            NodeKind::Text(t) => out.push(XmlToken::Text(t.clone())),
-            NodeKind::Element(tag) => {
-                out.push(XmlToken::Open(*tag));
-                for &c in &self.node(id).children {
-                    self.subtree_tokens(c, out);
-                }
-                out.push(XmlToken::Close(*tag));
-            }
+    /// Writes the subtree rooted at `id` to `w` as XML (the virtual root
+    /// writes its children).
+    pub fn write_subtree<W: Write>(
+        &self,
+        id: NodeId,
+        tags: &TagInterner,
+        w: &mut XmlWriter<W>,
+    ) -> io::Result<()> {
+        let node = self.node(id);
+        if let NodeKind::Text(t) = &node.kind {
+            return w.text(t);
+        }
+        if let NodeKind::Element(tag) = node.kind {
+            w.open(tag, tags)?;
+        }
+        for &c in &node.children {
+            self.write_subtree(c, tags, w)?;
+        }
+        match node.kind {
+            NodeKind::Element(tag) => w.close(tag, tags),
+            _ => Ok(()),
         }
     }
 
     /// Serializes the whole document to a string.
     pub fn to_xml(&self, tags: &TagInterner) -> String {
-        let mut toks = Vec::new();
-        self.subtree_tokens(Document::ROOT, &mut toks);
         let mut out = Vec::new();
-        let mut w = XmlWriter::new(&mut out);
-        for t in &toks {
-            w.write_token(t, tags).expect("vec write");
-        }
+        self.write_subtree(Document::ROOT, tags, &mut XmlWriter::new(&mut out))
+            .expect("vec write");
         String::from_utf8(out).expect("utf8")
     }
 

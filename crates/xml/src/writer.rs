@@ -7,7 +7,6 @@
 //! measurements.
 
 use crate::tags::{TagId, TagInterner};
-use crate::token::XmlToken;
 use std::io::{self, Write};
 
 /// Writes XML tokens to an [`io::Write`], escaping character data.
@@ -38,15 +37,6 @@ impl<W: Write> XmlWriter<W> {
     /// Current open-element depth of the written stream.
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// Writes one token, resolving tag names through `tags`.
-    pub fn write_token(&mut self, token: &XmlToken, tags: &TagInterner) -> io::Result<()> {
-        match token {
-            XmlToken::Open(t) => self.open(*t, tags),
-            XmlToken::Close(t) => self.close(*t, tags),
-            XmlToken::Text(s) => self.text(s),
-        }
     }
 
     /// Writes `<name>`.
@@ -137,32 +127,22 @@ impl Write for CountingSink {
     }
 }
 
-/// Serializes a token slice to a `String` (tests and examples).
-pub fn tokens_to_string(tokens: &[XmlToken], tags: &TagInterner) -> String {
-    let mut out = Vec::new();
-    let mut w = XmlWriter::new(&mut out);
-    for t in tokens {
-        w.write_token(t, tags).expect("vec write");
-    }
-    String::from_utf8(out).expect("writer output is UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::XmlLexer;
-    use crate::XmlError;
+    use crate::{XmlError, XmlEvent};
 
     #[test]
     fn writes_tokens() {
         let mut tags = TagInterner::new();
         let a = tags.intern("a");
-        let toks = vec![
-            XmlToken::Open(a),
-            XmlToken::Text("x<y&z".into()),
-            XmlToken::Close(a),
-        ];
-        assert_eq!(tokens_to_string(&toks, &tags), "<a>x&lt;y&amp;z</a>");
+        let mut out = Vec::new();
+        let mut w = XmlWriter::new(&mut out);
+        w.open(a, &tags).unwrap();
+        w.text("x<y&z").unwrap();
+        w.close(a, &tags).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "<a>x&lt;y&amp;z</a>");
     }
 
     #[test]

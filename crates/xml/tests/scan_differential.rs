@@ -5,7 +5,7 @@
 //! size combination — including chunk-boundary straddles.
 
 use gcx_xml::scan::{self, ScanKernel};
-use gcx_xml::{TagInterner, XmlError, XmlLexer, XmlToken};
+use gcx_xml::{TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
 use std::io::Read;
 
 include!("support/tokens.rs");

@@ -37,6 +37,8 @@
 //! | [`service`] (gcx-service) | push-based sessions, query cache, evaluator pool |
 //! | [`net`] (gcx-net) | HTTP/1.1 streaming front-end + live `/stats` |
 
+#![forbid(unsafe_code)]
+
 pub use gcx_buffer as buffer;
 pub use gcx_core as core;
 pub use gcx_net as net;

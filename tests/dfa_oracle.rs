@@ -13,7 +13,7 @@ use gcx::projection::dfa::LazyDfa;
 use gcx::projection::ProjTree;
 use gcx::query::{compile, CompileOptions};
 use gcx::xmark::XmarkConfig;
-use gcx::xml::{TagInterner, XmlError, XmlLexer, XmlToken};
+use gcx::xml::{TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
 use std::collections::HashMap;
 
 include!("../crates/xml/tests/support/tokens.rs");
@@ -100,8 +100,8 @@ fn dense_tables_match_hashmap_oracle_over_xmark() {
 }
 
 /// The dense rows also agree with the oracle across *interleaved* use of
-/// several projections sharing one tag space (fresh tags appearing late
-/// grow rows lazily).
+/// several projections sharing one tag space: fresh tags appearing late
+/// get ids past the DFA's class map and share its class 0.
 #[test]
 fn late_tags_grow_rows_correctly() {
     let mut tags = TagInterner::new();
@@ -113,7 +113,7 @@ fn late_tags_grow_rows_correctly() {
     .expect("compile");
     let tree = &compiled.projection.tree;
     // Late-interned tags get high TagIds; transitions on them must still
-    // memoize correctly after the small-id tags built short rows.
+    // memoize correctly beside the named tags' classes.
     let mut doc = String::from("<site>");
     for i in 0..50 {
         doc.push_str(&format!("<extra{i}><item><name>n</name></item></extra{i}>"));

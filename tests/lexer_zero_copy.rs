@@ -14,7 +14,7 @@
 //! supports: nested elements, attributes, entities, CDATA, comments,
 //! processing instructions and multi-byte UTF-8 text.
 
-use gcx::xml::{Document, TagInterner, XmlError, XmlLexer, XmlToken};
+use gcx::xml::{Document, TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -156,9 +156,7 @@ proptest! {
 
         let mut tags_b = TagInterner::new();
         let dom = Document::parse(doc.as_bytes(), &mut tags_b).expect("parse ok");
-        let mut from_dom: Vec<XmlToken> = Vec::new();
-        dom.subtree_tokens(Document::ROOT, &mut from_dom);
-        prop_assert_eq!(tokens, from_dom);
+        prop_assert_eq!(tokens_to_string(&tokens, &tags_a), dom.to_xml(&tags_b));
     }
 
     /// Lex → write → lex is the identity on token streams.
@@ -168,7 +166,7 @@ proptest! {
         let mut tags = TagInterner::new();
         let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
         let tokens = lexer.tokenize_all().expect("lex ok");
-        let rendered = gcx::xml::writer::tokens_to_string(&tokens, &tags);
+        let rendered = tokens_to_string(&tokens, &tags);
         let mut lexer2 = XmlLexer::new(rendered.as_bytes(), &mut tags);
         let tokens2 = lexer2.tokenize_all().expect("re-lex ok");
         prop_assert_eq!(tokens, tokens2);

@@ -20,7 +20,7 @@
 
 use gcx::core::StepOutcome;
 use gcx::query::{compile, compile_default, CompileOptions};
-use gcx::xml::{TagInterner, XmlError, XmlLexer, XmlToken};
+use gcx::xml::{TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
 use gcx::{GcxEngine, Strategy};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -370,7 +370,7 @@ proptest! {
         let mut tags = TagInterner::new();
         let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
         let tokens = lexer.tokenize_all().unwrap();
-        let rendered = gcx::xml::writer::tokens_to_string(&tokens, &tags);
+        let rendered = tokens_to_string(&tokens, &tags);
         let mut lexer2 = XmlLexer::new(rendered.as_bytes(), &mut tags);
         let tokens2 = lexer2.tokenize_all().unwrap();
         prop_assert_eq!(tokens, tokens2);
