@@ -26,15 +26,40 @@
 //! of building every event. Dead-skipped and searched bytes are both
 //! reported by [`Preprojector::bytes_skipped`]; neither counts in
 //! [`Preprojector::tokens_read`].
+//!
+//! ## Copy-through
+//!
+//! The paper buffers a node until its last role is signed off. For a
+//! *bind-and-emit* binding (`for $v in … return ($v, signOff($v/dos::node(),
+//! r))`, marked by the compiled program) the only reader of the subtree is
+//! the emission the evaluator is parked on, so buffering it buys nothing.
+//! When the evaluator reaches that emission right after the binding's
+//! element opened, it calls [`Preprojector::start_copy`], writes the open
+//! tag, and keeps pumping: from then on every event below the binding is
+//! written to the writer passed to [`Preprojector::pump`], up to and
+//! including the binding's close, and the lexer's copy scan
+//! ([`XmlLexer::scan_copy`]) writes what it can check in full straight
+//! from its input window. This holds only in a *copy state*
+//! ([`StreamMatcher::copy_exits`]): every non-exit element and all text
+//! below gets no role but the binding's own `dos::node()` would give, so
+//! they are written and never buffered, and the roles they would have
+//! got are neither assigned nor removed. The binding's element itself
+//! stays buffered (the for-loop cursor stands on it, and its signOff
+//! collects it). An element with an exit tag — a nested match, such as an
+//! `item` inside an `item` under `//` — is *teed*: written as part of the
+//! binding, and buffered with its subtree and every role the matcher
+//! assigns, attached to the nearest buffered ancestor, so its own
+//! binding later reads it from the buffer in document order. Only the
+//! engine's GC strategy streams through; the baselines keep buffering.
 
 use crate::error::EngineError;
 use crate::metrics::{EngineStageMetrics, StageProbe, STAGE_SAMPLE_EVERY};
 use gcx_buffer::{BufNodeId, BufferTree};
 use gcx_obs::{FlightRecorder, SpanKind};
-use gcx_projection::{ProjTree, StreamMatcher};
-use gcx_xml::{TagInterner, XmlEvent, XmlLexer};
+use gcx_projection::{ProjTree, Role, StreamMatcher};
+use gcx_xml::{TagInterner, XmlEvent, XmlLexer, XmlWriter};
 use std::borrow::{Borrow, BorrowMut};
-use std::io::Read;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,6 +109,21 @@ pub struct Preprojector<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>>
     /// the skip — lexing a fresh token would run it against a matcher
     /// that is already one level deep into the dead subtree.
     pending_skip: bool,
+    /// The element the last pump opened and buffered, while nothing has
+    /// been pumped after it: the only node [`Self::start_copy`] accepts.
+    fresh: Option<BufNodeId>,
+    /// The subtree being streamed through, if any.
+    copy: Option<CopyThrough>,
+}
+
+/// A subtree being streamed to the output (module docs, "Copy-through").
+#[derive(Clone, Copy)]
+struct CopyThrough {
+    /// The copied binding; buffered, with no children but teed ones.
+    node: BufNodeId,
+    /// `stack` length while inside a teed exit element (0 outside one):
+    /// there every event is buffered as usual and written as well.
+    tee: usize,
 }
 
 impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T, P> {
@@ -108,6 +148,8 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
             tokens_skipped: 0,
             probe: StageProbe::default(),
             pending_skip: false,
+            fresh: None,
+            copy: None,
         }
     }
 
@@ -143,11 +185,35 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
         self.matcher.dfa_states()
     }
 
+    /// Starts streaming `node`'s subtree to the output: from the next
+    /// pump on, every event below it is written to the writer passed to
+    /// [`Self::pump`] as it arrives, up to and including `node`'s close,
+    /// and only exit-tag elements (and their subtrees) are buffered as
+    /// well (module docs, "Copy-through"). Returns `false`, changing
+    /// nothing, unless `node` is the element the last pump opened and its
+    /// position's copy verdict names `role`. The caller writes `node`'s
+    /// own open tag, and then must keep pumping until `node` is finished.
+    pub fn start_copy(&mut self, node: BufNodeId, role: Role) -> bool {
+        let holds = self.fresh == Some(node)
+            && self
+                .matcher
+                .copy_exits()
+                .is_some_and(|(dos, _)| dos == role);
+        if holds {
+            self.copy = Some(CopyThrough { node, tee: 0 });
+        }
+        holds
+    }
+
     /// Processes one token (or one dead subtree). Returns what happened.
     ///
     /// Uses the lexer's borrowed-event API: buffered text is copied
     /// exactly once, from the lexer's scratch straight into the buffer's
     /// text arena, with no intermediate `String`.
+    ///
+    /// While a subtree is streamed through ([`Self::start_copy`]), its
+    /// events and the bytes the lexer's copy scan takes are written to
+    /// `out`; otherwise `out` is not touched.
     ///
     /// **Non-blocking inputs:** a `WouldBlock` error (see
     /// [`EngineError::is_need_input`]) leaves the projector retryable —
@@ -155,10 +221,15 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
     /// continues exactly where it left off. A blocked dead-subtree skip
     /// is resumed internally (the matcher had already consumed the
     /// subtree's opening tag).
-    pub fn pump(&mut self, buffer: &mut BufferTree) -> Result<PumpEvent, EngineError> {
+    pub fn pump<W: Write>(
+        &mut self,
+        buffer: &mut BufferTree,
+        out: &mut XmlWriter<W>,
+    ) -> Result<PumpEvent, EngineError> {
         if self.eof {
             return Ok(PumpEvent::Eof);
         }
+        self.fresh = None;
         // Sampled stage timing: every `STAGE_SAMPLE_EVERY`th pump step is
         // timed stage by stage; the rest pay one counter increment (and
         // nothing at all when no metrics sink is installed).
@@ -176,12 +247,30 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
             return Ok(PumpEvent::Skipped);
         }
         let t_lex = sampled.then(Instant::now);
-        // Search mode: in a search state no element outside the exit tags
-        // (nor anything below it, nor any text) can change the matcher or
-        // the buffer, so the lexer jumps to the next item the matcher can
-        // act on instead of building those events.
-        if let Some(exits) = self.matcher.search_exits() {
-            self.lexer.scan_search(exits);
+        match self.copy {
+            // Copy-through: the lexer writes the items it can check in
+            // full straight to the output; the elements it leaves open
+            // are written already and land in copy states (no roles).
+            Some(CopyThrough { tee: 0, .. }) => {
+                if let Some((_, exits)) = self.matcher.copy_exits() {
+                    let opened = self.lexer.scan_copy(exits, out)?;
+                    let attach = self.stack.last().expect("stack nonempty").attach;
+                    for &tag in opened {
+                        self.matcher.open(tag);
+                        self.stack.push(OpenEntry { buf: None, attach });
+                    }
+                }
+            }
+            Some(_) => {}
+            // Search mode: in a search state no element outside the exit
+            // tags (nor anything below it, nor any text) can change the
+            // matcher or the buffer, so the lexer jumps to the next item
+            // the matcher can act on instead of building those events.
+            None => {
+                if let Some(exits) = self.matcher.search_exits() {
+                    self.lexer.scan_search(exits);
+                }
+            }
         }
         // Token-start offset, captured before lexing: borrowed events
         // (`Text`) keep the lexer borrowed, so it cannot be read later.
@@ -200,10 +289,34 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
             }
             Some(XmlEvent::Open(tag)) => {
                 self.tokens_read += 1;
+                let top_attach = self.stack.last().expect("stack nonempty").attach;
+                if let Some(copy) = &mut self.copy {
+                    out.open(tag, self.lexer.tags())?;
+                    // A non-exit element below a copy state matches only
+                    // the copied binding's `dos::node()`: written, not
+                    // buffered. An exit element is teed: written and
+                    // buffered with its subtree, like any other element.
+                    let teed = copy.tee != 0
+                        || self
+                            .matcher
+                            .copy_exits()
+                            .is_none_or(|(_, exits)| exits.contains(&tag));
+                    if !teed {
+                        self.matcher.open(tag);
+                        self.stack.push(OpenEntry {
+                            buf: None,
+                            attach: top_attach,
+                        });
+                        self.tokens_skipped += 1;
+                        return Ok(PumpEvent::Skipped);
+                    }
+                    if copy.tee == 0 {
+                        copy.tee = self.stack.len() + 1;
+                    }
+                }
                 let t_match = sampled.then(Instant::now);
                 let outcome = self.matcher.open(tag);
                 self.probe.record(SpanKind::Match, t_match, tok_offset);
-                let top_attach = self.stack.last().expect("stack nonempty").attach;
                 if outcome.buffer {
                     let t_buf = sampled.then(Instant::now);
                     let node = buffer.open_element(top_attach, tag)?;
@@ -215,10 +328,12 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
                         buf: Some(node),
                         attach: node,
                     });
+                    self.fresh = Some(node);
                     Ok(PumpEvent::Buffered(node))
-                } else if self.matcher.is_dead() {
+                } else if self.matcher.is_dead() && self.copy.is_none() {
                     // Nothing inside this subtree can match: skip to the
-                    // matching close as a raw byte scan.
+                    // matching close as a raw byte scan (unless it is
+                    // being copied, when its events must be written).
                     let t_skip = sampled.then(Instant::now);
                     self.skip_dead_subtree()?;
                     self.probe.record(SpanKind::Skip, t_skip, tok_offset);
@@ -234,12 +349,21 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
                     Ok(PumpEvent::Skipped)
                 }
             }
-            Some(XmlEvent::Close(_)) => {
+            Some(XmlEvent::Close(tag)) => {
                 self.tokens_read += 1;
                 let t_match = sampled.then(Instant::now);
                 self.matcher.close();
                 self.probe.record(SpanKind::Match, t_match, tok_offset);
                 let entry = self.stack.pop().expect("balanced stream");
+                if let Some(copy) = &mut self.copy {
+                    out.close(tag, self.lexer.tags())?;
+                    if copy.tee > self.stack.len() {
+                        copy.tee = 0;
+                    }
+                    if entry.buf == Some(copy.node) {
+                        self.copy = None;
+                    }
+                }
                 match entry.buf {
                     Some(node) => {
                         let t_buf = sampled.then(Instant::now);
@@ -255,6 +379,14 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
             }
             Some(XmlEvent::Text(text)) => {
                 self.tokens_read += 1;
+                if let Some(copy) = &self.copy {
+                    out.text(text)?;
+                    if copy.tee == 0 {
+                        // Copy state: the text gets no role (module docs).
+                        self.tokens_skipped += 1;
+                        return Ok(PumpEvent::Skipped);
+                    }
+                }
                 let t_match = sampled.then(Instant::now);
                 let outcome = self.matcher.text();
                 self.probe.record(SpanKind::Match, t_match, tok_offset);
@@ -284,9 +416,10 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
         Ok(())
     }
 
-    /// Pumps until end of input (used by the static-projection baseline).
+    /// Pumps until end of input, streaming nothing through.
     pub fn pump_to_eof(&mut self, buffer: &mut BufferTree) -> Result<(), EngineError> {
-        while self.pump(buffer)? != PumpEvent::Eof {}
+        let mut out = XmlWriter::new(io::sink());
+        while self.pump(buffer, &mut out)? != PumpEvent::Eof {}
         Ok(())
     }
 }
@@ -373,7 +506,8 @@ mod tests {
         proj.pump_to_eof(&mut buffer).unwrap();
         assert!(buffer.is_finished(BufferTree::ROOT));
         // Further pumps keep returning Eof.
-        assert_eq!(proj.pump(&mut buffer).unwrap(), PumpEvent::Eof);
+        let mut out = XmlWriter::new(io::sink());
+        assert_eq!(proj.pump(&mut buffer, &mut out).unwrap(), PumpEvent::Eof);
     }
 
     /// Structural (condition-2) nodes are buffered without roles and carry

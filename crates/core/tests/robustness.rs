@@ -2,7 +2,7 @@
 //! engine must return errors (never panic, never corrupt accounting) on
 //! bad I/O, and handle extreme document shapes within reasonable cost.
 
-use gcx_core::{run_dom, run_gcx, EngineError};
+use gcx_core::{run_dom, run_gcx, run_no_gc_streaming, EngineError};
 use gcx_query::compile_default;
 use gcx_xml::TagInterner;
 use std::io::{self, Read, Write};
@@ -290,19 +290,35 @@ impl Read for OneByte<'_> {
     }
 }
 
-/// Error parity inside the region a `//` query scans: in the Q6-shaped
-/// query below, everything inside `<regions>` outside `item`/`name` is
-/// consumed by the lexer's search scan, never built into events. A
+/// Error parity inside the regions the lexer's scans consume. In the
+/// Q6-shaped form below, everything inside `<regions>` outside
+/// `item`/`name` is consumed by the search scan, never built into events;
+/// in the `return $i` form, each `item` is streamed through, its content
+/// consumed by the copy scan and written straight to the output. A
 /// malformed construct there must fail the GCX run with exactly the error
 /// — text and byte offset — that the DOM baseline reports from lexing
 /// every event, one-shot and behind a 1-byte reader. (Errors inside *dead*
 /// subtrees keep their documented skip relaxation; none is dead here.)
 #[test]
 fn errors_inside_scanned_regions_match_the_dom() {
-    let query = "<r>{ for $b in /site/regions return for $i in $b//item return $i/name }</r>";
-    let head: &[u8] = b"<site><regions><africa>\
-        <item><name>one</name><desc><p>t</p><br/></desc></item><desc><p>";
-    let tail: &[u8] = b"</p></desc><item><name>two</name></item></africa></regions></site>";
+    let search = "<r>{ for $b in /site/regions return for $i in $b//item return $i/name }</r>";
+    let copy = "<r>{ for $b in /site/regions return for $i in $b//item return $i }</r>";
+    // The bad construct lands between the items (search) or inside the
+    // first one (copy).
+    let forms: [(&str, &[u8], &[u8]); 2] = [
+        (
+            search,
+            b"<site><regions><africa>\
+            <item><name>one</name><desc><p>t</p><br/></desc></item><desc><p>",
+            b"</p></desc><item><name>two</name></item></africa></regions></site>",
+        ),
+        (
+            copy,
+            b"<site><regions><africa>\
+            <item><name>one</name><desc><p>t</p><br/></desc><desc><p>",
+            b"</p></desc></item><item><name>two</name></item></africa></regions></site>",
+        ),
+    ];
     let cases: &[(&str, &[u8], bool)] = &[
         ("mismatched inner close", b"x</q><p>", true),
         ("mismatched outer close", b"x</p></wrong><desc><p>", true),
@@ -320,7 +336,10 @@ fn errors_inside_scanned_regions_match_the_dom() {
         ("EOF mid-region", b"<i>text", false),
         ("EOF inside a tag name", b"<i><longname", false),
     ];
-    for &(what, bad, with_tail) in cases {
+    for ((query, head, tail), &(what, bad, with_tail)) in forms
+        .into_iter()
+        .flat_map(|form| cases.iter().map(move |case| (form, case)))
+    {
         let mut doc = head.to_vec();
         doc.extend_from_slice(bad);
         if with_tail {
@@ -340,25 +359,40 @@ fn errors_inside_scanned_regions_match_the_dom() {
                 run_gcx(&compiled, &mut tags, &doc[..], Vec::new())
             };
             let got = got.expect_err(what).to_string();
-            assert_eq!(got, want, "{what} (1-byte reader: {one_byte})");
+            assert_eq!(got, want, "{what} in {query} (1-byte reader: {one_byte})");
         }
     }
-    // The scan does run over this region: the well-formed document skips
-    // bytes and builds fewer events than the DOM baseline lexes.
-    let mut doc = head.to_vec();
-    doc.extend_from_slice(b"x");
-    doc.extend_from_slice(tail);
-    let mut tags = TagInterner::new();
-    let compiled = compile_default(query, &mut tags).unwrap();
-    let mut out = Vec::new();
-    let report = run_gcx(&compiled, &mut tags, &doc[..], &mut out).unwrap();
-    assert_eq!(
-        String::from_utf8(out).unwrap(),
-        "<r><name>one</name><name>two</name></r>"
-    );
+    // The scans do run over these regions: the well-formed document
+    // skips bytes (search), and buffers fewer nodes than the engine that
+    // keeps every binding in the buffer (copy).
+    let well_formed = |(query, head, tail): (&str, &[u8], &[u8])| {
+        let mut doc = head.to_vec();
+        doc.extend_from_slice(b"x");
+        doc.extend_from_slice(tail);
+        let mut tags = TagInterner::new();
+        let compiled = compile_default(query, &mut tags).unwrap();
+        let mut out = Vec::new();
+        let report = run_gcx(&compiled, &mut tags.clone(), &doc[..], &mut out).unwrap();
+        let no_gc = run_no_gc_streaming(&compiled, &mut tags, &doc[..], io::sink()).unwrap();
+        (String::from_utf8(out).unwrap(), report, no_gc)
+    };
+    let (out, report, _) = well_formed(forms[0]);
+    assert_eq!(out, "<r><name>one</name><name>two</name></r>");
     assert!(
         report.bytes_skipped > 20,
         "scanned {}",
         report.bytes_skipped
+    );
+    let (out, report, no_gc) = well_formed(forms[1]);
+    assert_eq!(
+        out,
+        "<r><item><name>one</name><desc><p>t</p><br></br></desc><desc><p>x</p></desc></item>\
+         <item><name>two</name></item></r>"
+    );
+    assert!(
+        report.stats.nodes_created * 2 < no_gc.stats.nodes_created,
+        "buffered {} of {} nodes",
+        report.stats.nodes_created,
+        no_gc.stats.nodes_created
     );
 }

@@ -258,6 +258,47 @@ fn oversized_chunk_size_line_yields_400() {
     server.shutdown();
 }
 
+/// Garbage pipelined behind a complete request: the first request is
+/// answered in full, then the garbage, read as the next request's head,
+/// gets `400` and the connection closes with everything released.
+#[test]
+fn pipelined_garbage_after_a_drained_body_yields_400() {
+    let doc = make_doc(3);
+    let server = budgeted_server();
+    for (garbage, expect_msg) in [
+        (
+            &b"\x00\x01\xffnot http at all\r\n\r\n"[..],
+            "head is not UTF-8",
+        ),
+        (b"GET\r\n\r\n", "missing request target"),
+        (
+            b"POST /query HTTP/9.9\r\nHost: gcx\r\n\r\n",
+            "unsupported version",
+        ),
+    ] {
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        let head = format!(
+            "POST {} HTTP/1.1\r\nHost: gcx\r\nContent-Length: {}\r\n\r\n",
+            query_path(QUERY),
+            doc.len()
+        );
+        s.write_all(head.as_bytes()).unwrap();
+        s.write_all(&doc).unwrap();
+        s.write_all(garbage).unwrap();
+        let bytes = read_until_close(&mut s, Duration::from_secs(10));
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(text.starts_with("HTTP/1.1 200"), "first response: {text:?}");
+        let want = String::from_utf8(reference_output(QUERY, &doc)).unwrap();
+        assert!(text.contains(&want), "first response body: {text:?}");
+        // The first response ends with its last chunk; the second one
+        // answers the garbage.
+        let end = text.find("\r\n0\r\n\r\n").expect("first response complete") + 7;
+        assert_rejected_cleanly(&server, &bytes[end..], 400, expect_msg);
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 2, "{text:?}");
+    }
+    server.shutdown();
+}
+
 /// A `Content-Length` body cut short by the client's FIN is never
 /// answered as a success. Cut before its first event can be read, the
 /// upload gets no `200` at all. Cut after output has streamed (the `200`

@@ -54,8 +54,24 @@
 //! below either state matches nothing. The preprojector therefore lets the
 //! lexer consume such elements and text without building their events
 //! ([`gcx_xml::XmlLexer::scan_search`]).
+//!
+//! ## Copy states
+//!
+//! Each state also memoizes a *copy verdict*: whether, below a node in
+//! it, every element outside a few exit tags and every text node gets
+//! only what one `dos::node()` edge gives it. The verdict holds when no
+//! condition (2) applies and the candidate edges are exactly one
+//! `dos::node()` leaf edge with a role (counted with multiplicity, so a
+//! second binding's `dos::node()` above fails it) plus plain tag tests,
+//! whose tags are the exits ([`LazyDfa::copy_exits`]). A non-exit element
+//! below such a state matches that edge alone and lands in a copy state
+//! with the same exits and the same edge, so a consumer writing a bound
+//! subtree straight to the output may leave every non-exit element and
+//! all text unbuffered: nothing else would assign them a role. That
+//! consumer signs off the edge's role on the binding itself; the roles
+//! the edge would have given below are then neither assigned nor removed.
 
-use crate::path::{PAxis, PTest, Pred};
+use crate::path::{PAxis, PStep, PTest, Pred};
 use crate::role::Role;
 use crate::tree::{ProjNodeId, ProjTree};
 use gcx_xml::{FxBuildHasher, TagId};
@@ -112,6 +128,10 @@ struct DfaState {
     /// The exit tags of a search state (range into `exits_arena`), `None`
     /// for any other state (module docs, "Search states").
     exits: Option<ArenaRange>,
+    /// The copy verdict: the role of the state's one `dos::node()` edge
+    /// and the other edges' exit tags (range into `exits_arena`), `None`
+    /// when it does not hold (module docs, "Copy states").
+    copy: Option<(Role, ArenaRange)>,
     text: TextVerdict,
 }
 
@@ -280,6 +300,16 @@ impl LazyDfa {
         self.states[s as usize]
             .exits
             .map(|r| &self.exits_arena[r.range()])
+    }
+
+    /// The copy verdict of `s` (module docs, "Copy states"): the role of
+    /// its one `dos::node()` edge and the exit tags, `None` when it does
+    /// not hold.
+    #[inline]
+    pub fn copy_exits(&self, s: StateId) -> Option<(Role, &[TagId])> {
+        self.states[s as usize]
+            .copy
+            .map(|(role, r)| (role, &self.exits_arena[r.range()]))
     }
 
     /// Takes the memoized transition `(from, tag)`, constructing the
@@ -541,7 +571,20 @@ impl LazyDfa {
         let exits = if dead_below || preserve_children || pending.is_empty() {
             None
         } else {
-            exit_tags_into(tree, matches, pending, &mut self.exits_arena)
+            exit_tags_into(tree, matches, pending, None, &mut self.exits_arena)
+        };
+        let copy = if preserve_children {
+            None
+        } else {
+            let mut dos = None;
+            let arena = &mut self.exits_arena;
+            match exit_tags_into(tree, matches, pending, Some(&mut dos), arena) {
+                Some(r) if dos.is_none() => {
+                    arena.truncate(r.start as usize);
+                    None
+                }
+                r => r.zip(dos).map(|(r, role)| (role, r)),
+            }
         };
         let id = self.states.len() as StateId;
         debug_assert!(id < WITNESS, "state space exhausted");
@@ -561,6 +604,7 @@ impl LazyDfa {
             preserve_children,
             dead_below,
             exits,
+            copy,
             text: TextVerdict::Unbuilt,
         });
         // One fresh (unbuilt) row in the transition matrix.
@@ -610,11 +654,14 @@ fn entry_roles_into(tree: &ProjTree, matches: &[(ProjNodeId, bool)], roles: &mut
 /// edges of its matches, then its pending edges — to `out` and returns
 /// their range. `None`, with `out` unchanged, as soon as an edge is not a
 /// plain tag test: `*`, `text()`, `node()` or `[position()=1]` keep the
-/// state out of search mode.
+/// state out of search mode. With `dos`, one `dos::node()` leaf edge with
+/// a role is let through and its role left in `dos` (the copy verdict);
+/// a second one fails like any other edge.
 fn exit_tags_into(
     tree: &ProjTree,
     matches: &[(ProjNodeId, bool)],
     pending: &[ProjNodeId],
+    mut dos: Option<&mut Option<Role>>,
     out: &mut Vec<TagId>,
 ) -> Option<ArenaRange> {
     let start = out.len();
@@ -626,10 +673,19 @@ fn exit_tags_into(
     });
     for c in child_edges.chain(pending.iter().copied()) {
         let step = tree.step(c);
-        match step.test {
-            PTest::Tag(t) if step.pred == Pred::True => {
+        match (step.test, dos.as_deref_mut()) {
+            (PTest::Tag(t), _) if step.pred == Pred::True => {
                 if !out[start..].contains(&t) {
                     out.push(t);
+                }
+            }
+            (PTest::AnyNode, Some(role @ None))
+                if step == PStep::dos_node() && tree.children(c).is_empty() =>
+            {
+                *role = tree.node(c).role;
+                if role.is_none() {
+                    out.truncate(start);
+                    return None;
                 }
             }
             _ => {
@@ -890,6 +946,52 @@ mod tests {
         let mut dfa = LazyDfa::new(&tree);
         let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
         assert_eq!(dfa.search_exits(q), None, "positional pending edge");
+    }
+
+    /// Copy states (module docs): below `//item/dos::node()` with no
+    /// other edge, `item` and every non-`item` element under it hold the
+    /// verdict with exit `item`; a nested `item` sees two `dos::node()`
+    /// instances, and a child edge beside the `dos::node()` (condition
+    /// (2)) or a second loop's `*` edge fails it.
+    #[test]
+    fn copy_states_and_exits() {
+        let mut tags = TagInterner::new();
+        let [site, item, name, other] = ["site", "item", "name", "other"].map(|t| tags.intern(t));
+        let copy_tree = |extra: Option<PStep>| {
+            let mut tree = ProjTree::new();
+            let v_site = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
+            let v_item = tree.add_child(v_site, PStep::descendant(PTest::Tag(item)), None);
+            let dos = tree.add_child(v_item, PStep::dos_node(), Some(Role(3)));
+            tree.set_aggregate(dos);
+            if let Some(step) = extra {
+                tree.add_child(v_item, step, Some(Role(4)));
+            }
+            tree
+        };
+        let tree = copy_tree(None);
+        let mut dfa = LazyDfa::new(&tree);
+        let mut walk = |from, tag| dfa.transition(&tree, from, tag).unwrap();
+        let q_site = walk(LazyDfa::INITIAL, site);
+        let q_item = walk(q_site, item);
+        let q_name = walk(q_item, name);
+        let q_deeper = walk(q_name, other);
+        let q_nested = walk(q_name, item);
+        assert_eq!(dfa.copy_exits(q_site), None, "no dos::node() edge");
+        for q in [q_item, q_name, q_deeper] {
+            assert_eq!(dfa.copy_exits(q), Some((Role(3), &[item][..])));
+        }
+        assert_eq!(q_name, q_deeper, "a non-exit element keeps the state");
+        assert_eq!(dfa.copy_exits(q_nested), None, "two dos::node() instances");
+        for extra in [
+            PStep::child(PTest::Tag(name)),
+            PStep::descendant(PTest::Star),
+        ] {
+            let tree = copy_tree(Some(extra));
+            let mut dfa = LazyDfa::new(&tree);
+            let q_site = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
+            let q_item = dfa.transition(&tree, q_site, item).unwrap();
+            assert_eq!(dfa.copy_exits(q_item), None, "{extra:?} beside dos::node()");
+        }
     }
 
     /// `//x/price[1]`: the (x, price) transition is left to the event;

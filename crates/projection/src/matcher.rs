@@ -98,6 +98,17 @@ impl<P: Borrow<ProjTree>> StreamMatcher<P> {
             .search_exits(*self.stack.last().expect("stack never empty"))
     }
 
+    /// The copy verdict of the current position (the DFA's module docs,
+    /// "Copy states"): the role of its one `dos::node()` edge and the exit
+    /// tags, when every element with any other tag, and every text node,
+    /// below it would get only that edge's role, and each such element
+    /// lands in a position with the same verdict. `None` otherwise.
+    #[inline]
+    pub fn copy_exits(&self) -> Option<(Role, &[TagId])> {
+        self.dfa
+            .copy_exits(*self.stack.last().expect("stack never empty"))
+    }
+
     /// Processes an opening tag; returns the buffering verdict.
     pub fn open(&mut self, tag: TagId) -> Outcome<'_> {
         let from = *self.stack.last().expect("stack never empty");

@@ -143,7 +143,7 @@ pub fn compile(
     }
     let projection = build_projection(&analysis, &deps, options.aggregate_roles);
     let key_filters = find_key_filters(&rewritten);
-    let program = Program::lower(&rewritten, &key_filters, &projection.aggregates);
+    let program = Program::lower(&rewritten, &key_filters, &projection);
     Ok(CompiledQuery {
         original,
         rewritten,

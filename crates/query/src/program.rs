@@ -13,9 +13,16 @@
 //! sequence's items are consecutive ops, a `for` names its key filter
 //! ([`crate::keyfilter`]), and an aggregate role's signOff path (paper
 //! §6) drops its trailing `dos::node()`.
+//!
+//! Lowering also marks *bind-and-emit* ops: the `$v` of a `for` whose
+//! body is `($v, signOff($v/dos::node(), r))`, where `r` is the only role
+//! in `$v`'s projection subtree. Such a binding's subtree is read by its
+//! own emission alone, so the evaluator may write it to the output as it
+//! arrives instead of buffering it ([`Op::VarRef`]).
 
 use crate::ast::{Cond, Expr, Query, Step, VarId};
 use crate::keyfilter::KeyFilter;
+use crate::projection::Projection;
 use gcx_projection::{PStep, PTest, Role};
 use gcx_xml::TagId;
 use std::ops::Index;
@@ -47,8 +54,10 @@ pub enum Op {
     CloseTag(TagId),
     /// `(q, ..., q)`: the `len` ops from `first` on.
     Seq { first: OpId, len: u32 },
-    /// `$x`
-    VarRef(VarId),
+    /// `$x`. `Some(r)` marks a bind-and-emit op (module docs): the loop
+    /// body is `($x, signOff($x/dos::node(), r))` and `r` is the only role
+    /// in `$x`'s projection subtree.
+    VarRef(VarId, Option<Role>),
     /// `$x/step`
     PathOutput(VarId, Step),
     /// `for $var in $source/step return body`; `filter` indexes
@@ -96,8 +105,12 @@ pub struct Program {
 
 impl Program {
     /// Lowers a rewritten query whose filterable loops are `key_filters`
-    /// and whose aggregate roles are `aggregates`.
-    pub(crate) fn lower(query: &Query, key_filters: &[KeyFilter], aggregates: &[Role]) -> Program {
+    /// and whose projection is `projection`.
+    pub(crate) fn lower(
+        query: &Query,
+        key_filters: &[KeyFilter],
+        projection: &Projection,
+    ) -> Program {
         let mut p = Program {
             ops: Vec::new(),
             conds: Vec::new(),
@@ -107,9 +120,18 @@ impl Program {
             root_tag: query.root_tag,
             vars: query.vars.len(),
         };
-        let body = p.op(&query.body, key_filters, aggregates);
+        let body = p.op(&query.body, key_filters, projection);
         p.body = p.push(body);
         p
+    }
+
+    /// The bind-and-emit ops (module docs), as `(variable, role)` pairs in
+    /// program order.
+    pub fn bind_and_emit(&self) -> impl Iterator<Item = (VarId, Role)> + '_ {
+        self.ops.iter().filter_map(|op| match *op {
+            Op::VarRef(v, Some(r)) => Some((v, r)),
+            _ => None,
+        })
     }
 
     fn push(&mut self, op: Op) -> OpId {
@@ -118,9 +140,9 @@ impl Program {
     }
 
     /// Lowers `e`'s children and returns its own op.
-    fn op(&mut self, e: &Expr, key_filters: &[KeyFilter], aggregates: &[Role]) -> Op {
+    fn op(&mut self, e: &Expr, key_filters: &[KeyFilter], projection: &Projection) -> Op {
         let child = |p: &mut Program, e: &Expr| {
-            let op = p.op(e, key_filters, aggregates);
+            let op = p.op(e, key_filters, projection);
             p.push(op)
         };
         match e {
@@ -129,28 +151,34 @@ impl Program {
             Expr::CloseTag(t) => Op::CloseTag(*t),
             Expr::Element { tag, content } => {
                 let items = [&Expr::OpenTag(*tag), &**content, &Expr::CloseTag(*tag)];
-                self.seq(&items, key_filters, aggregates)
+                self.seq(&items, key_filters, projection)
             }
             Expr::Sequence(items) => {
-                self.seq(&items.iter().collect::<Vec<_>>(), key_filters, aggregates)
+                self.seq(&items.iter().collect::<Vec<_>>(), key_filters, projection)
             }
-            Expr::VarRef(v) => Op::VarRef(*v),
+            Expr::VarRef(v) => Op::VarRef(*v, None),
             Expr::PathOutput { var, step } => Op::PathOutput(*var, *step),
             Expr::For {
                 var,
                 source,
                 step,
                 body,
-            } => Op::For {
-                var: *var,
-                source: *source,
-                step: *step,
-                body: child(self, body),
-                filter: key_filters
-                    .iter()
-                    .position(|f| f.loop_var == *var)
-                    .map(|i| i as u32),
-            },
+            } => {
+                let body = child(self, body);
+                if let Some((emit, role)) = self.bind_and_emit_body(*var, body, projection) {
+                    self.ops[emit.0 as usize] = Op::VarRef(*var, Some(role));
+                }
+                Op::For {
+                    var: *var,
+                    source: *source,
+                    step: *step,
+                    body,
+                    filter: key_filters
+                        .iter()
+                        .position(|f| f.loop_var == *var)
+                        .map(|i| i as u32),
+                }
+            }
             Expr::If {
                 cond,
                 then_branch,
@@ -162,7 +190,7 @@ impl Program {
             ),
             Expr::SignOff { var, path, role } => {
                 let mut steps = path.steps.clone();
-                if aggregates.contains(role)
+                if projection.aggregates.contains(role)
                     && steps.last().is_some_and(|s| s.test == PTest::AnyNode)
                 {
                     steps.pop();
@@ -178,16 +206,49 @@ impl Program {
 
     /// A sequence whose items get consecutive ids: their slots are taken
     /// before the items' own children are lowered.
-    fn seq(&mut self, items: &[&Expr], key_filters: &[KeyFilter], aggregates: &[Role]) -> Op {
+    fn seq(&mut self, items: &[&Expr], key_filters: &[KeyFilter], projection: &Projection) -> Op {
         let first = self.ops.len();
         self.ops.resize(first + items.len(), Op::Empty);
         for (i, item) in items.iter().enumerate() {
-            self.ops[first + i] = self.op(item, key_filters, aggregates);
+            self.ops[first + i] = self.op(item, key_filters, projection);
         }
         Op::Seq {
             first: OpId(first as u32),
             len: items.len() as u32,
         }
+    }
+
+    /// The emission op and the role `r` when the lowered body `body` of
+    /// `for $var` is `($var, signOff($var/π, r))`, where `π` is
+    /// `dos::node()` (ε once an aggregate role dropped it) and `$var`'s
+    /// projection node has one child: the `dos::node()` leaf carrying `r`.
+    fn bind_and_emit_body(
+        &self,
+        var: VarId,
+        body: OpId,
+        projection: &Projection,
+    ) -> Option<(OpId, Role)> {
+        let Op::Seq { first, len: 2 } = self[body] else {
+            return None;
+        };
+        let (Op::VarRef(v, None), Op::SignOff(s, Some(path), role)) =
+            (self[first], self[OpId(first.0 + 1)])
+        else {
+            return None;
+        };
+        let tree = &projection.tree;
+        let &[d] = tree.children(projection.var_node[var.index()]) else {
+            return None;
+        };
+        let leaf = tree.node(d);
+        let shape = v == var
+            && s == var
+            && self[path].len() <= 1
+            && self[path].iter().all(|&step| step == PStep::dos_node())
+            && leaf.step == PStep::dos_node()
+            && leaf.children.is_empty()
+            && leaf.role == Some(role);
+        shape.then_some((first, role))
     }
 
     fn cond(&mut self, c: &Cond) -> CondId {
@@ -265,5 +326,32 @@ mod tests {
             }
         }
         panic!("no lowered constructor in {p:?}");
+    }
+
+    /// `for $i in $b//item return $i` is bind-and-emit (its aggregate
+    /// role's signOff path is ε once lowered); a body that also reads
+    /// `$i/c`, or emits something else beside `$i`, is not.
+    #[test]
+    fn bind_and_emit_marks_only_the_copy_shape() {
+        let marks = |q: &str| {
+            let mut tags = TagInterner::new();
+            let c = compile_default(q, &mut tags).unwrap();
+            c.program
+                .bind_and_emit()
+                .map(|(v, r)| format!("${} {r}", c.rewritten.vars.name(v)))
+                .collect::<Vec<_>>()
+        };
+        let copy = "<o>{ for $b in /site/regions return for $i in $b//item return $i }</o>";
+        assert_eq!(marks(copy), ["$i r3"]);
+        assert_eq!(marks("<o>{ for $i in /a/b return $i }</o>").len(), 1);
+        // `$i/c` lowers to a loop of its own, bind-and-emit in turn.
+        assert_eq!(
+            marks("<o>{ for $i in /a/b return ($i, $i/c) }</o>"),
+            ["$out r4"]
+        );
+        assert_eq!(
+            marks("<o>{ for $i in /a/b return ($i, <x/>) }</o>"),
+            Vec::<String>::new()
+        );
     }
 }

@@ -55,6 +55,25 @@
 //! by its stop are pushed on the open stack and queued as `Open` events.
 //! Scanned byte counts also accumulate in [`XmlLexer::bytes_skipped`].
 //!
+//! **One contract, two sinks.** The same kernel also serves a consumer
+//! that writes the current element's subtree to the output as it arrives
+//! (the preprojector streaming a bound subtree through):
+//! [`XmlLexer::scan_copy`] runs it with an *append* sink instead of the
+//! *discard* one, monomorphized, so the search path pays nothing for it.
+//! It consumes what the search scan consumes, by the same rule, and
+//! writes each run of consumed items to an [`XmlWriter`] with one
+//! `write_all`: the bytes of `<name>`, `</name>` and plain text are exactly
+//! what the writer would write for their events, and `<name/>` goes out as
+//! `<name></name>`. Three more things stop it before a text run, because
+//! the bytes alone do not settle them: a `>` (which the writer escapes), a
+//! comment or PI after the run (the lexer drops text only when the whole
+//! run it accumulates up to the next tag is whitespace, and a comment or
+//! PI continues that run), and the window end after it. A whitespace-only
+//! run followed by a tag is consumed and not written, as the lexer drops
+//! it. Elements the copy scan leaves open are pushed on the open stack but
+//! not queued, since they are written already; it returns them instead.
+//! Copied bytes are not counted as skipped.
+//!
 //! ## Non-blocking readers
 //!
 //! The lexer is resumable over readers that return
@@ -74,10 +93,11 @@ use crate::error::XmlError;
 use crate::scan::{self, ScanKernel};
 use crate::tags::{TagId, TagInterner};
 use crate::token::XmlEvent;
+use crate::writer::XmlWriter;
 use crate::Result;
 use std::borrow::BorrowMut;
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{self, Read, Write};
 
 /// Queued follow-up events (bachelor tags, attribute expansion). Attribute
 /// text is stored as a range into the lexer's `attr_buf` scratch arena so
@@ -1159,6 +1179,43 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// event is queued, text is accumulated, or outside the document
     /// element.
     pub fn scan_search(&mut self, exits: &[TagId]) -> u64 {
+        let start = self.pos;
+        self.scan(exits, &mut Discard);
+        (self.pos - start) as u64
+    }
+
+    /// Copy mode (see the module docs): the search scan of
+    /// [`Self::scan_search`], with every consumed item written to `out`
+    /// instead of discarded. Call it between events when the consumer is
+    /// writing the current element's subtree to `out` as it arrives. The
+    /// bytes out are those [`XmlWriter`] would write for the items'
+    /// events (`<x/>` goes out as `<x></x>`), so the scan also stops
+    /// before text with `>` and before a text run that the next item does
+    /// not show to be kept or dropped whole.
+    ///
+    /// Elements the scan opened and did not close by its stop are already
+    /// written: they are pushed on the open-element stack, not queued, and
+    /// returned (outermost first) for the consumer to track. An error is
+    /// `out`'s; the input is then consumed up to the stop.
+    pub fn scan_copy<W: Write>(
+        &mut self,
+        exits: &[TagId],
+        out: &mut XmlWriter<W>,
+    ) -> io::Result<&[TagId]> {
+        let depth = self.open.len();
+        let mut sink = Append { out, err: None };
+        self.scan(exits, &mut sink);
+        if let Some(e) = sink.err {
+            return Err(e);
+        }
+        sink.out.copied(&[], self.open.len() - depth)?;
+        Ok(&self.open[depth..])
+    }
+
+    /// The one scan behind [`Self::scan_search`] and [`Self::scan_copy`]:
+    /// runs [`search_fast`] over the buffered window into `sink` and
+    /// takes over the elements it left open.
+    fn scan<S: ScanSink>(&mut self, exits: &[TagId], sink: &mut S) {
         if self.text_emitted {
             self.text.clear();
             self.text_emitted = false;
@@ -1168,19 +1225,23 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             || self.open.is_empty()
             || self.skip.is_some()
         {
-            return 0;
+            return;
         }
         let (buf, pos, end, tags) = (&self.buf, self.pos, self.len, self.tags.borrow());
         let stack = &mut self.scan_stack;
         let stop = match scan::active_kernel() {
-            ScanKernel::Scalar => search_fast::<scan::ScalarOps>(buf, pos, end, tags, exits, stack),
-            ScanKernel::Swar => search_fast::<scan::SwarOps>(buf, pos, end, tags, exits, stack),
+            ScanKernel::Scalar => {
+                search_fast::<scan::ScalarOps, S>(buf, pos, end, tags, exits, stack, sink)
+            }
+            ScanKernel::Swar => {
+                search_fast::<scan::SwarOps, S>(buf, pos, end, tags, exits, stack, sink)
+            }
             #[cfg(target_arch = "x86_64")]
             ScanKernel::Sse2 | ScanKernel::Avx2 => {
-                search_fast::<scan::SimdOps>(buf, pos, end, tags, exits, stack)
+                search_fast::<scan::SimdOps, S>(buf, pos, end, tags, exits, stack, sink)
             }
             #[cfg(not(target_arch = "x86_64"))]
-            _ => search_fast::<scan::SwarOps>(buf, pos, end, tags, exits, stack),
+            _ => search_fast::<scan::SwarOps, S>(buf, pos, end, tags, exits, stack, sink),
         };
         for k in 0..self.scan_stack.len() {
             let (start, end) = self.scan_stack[k];
@@ -1190,21 +1251,65 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
                 .intern_bytes(&self.buf[start..end])
                 .expect("name bytes are an ASCII subset");
             self.open.push(id);
-            self.pending.push_back(Pending::Open(id));
+            if !S::COPY {
+                self.pending.push_back(Pending::Open(id));
+            }
         }
         self.scan_stack.clear();
         self.pos = stop;
         self.set_ckpt();
-        let scanned = (stop - pos) as u64;
-        self.bytes_skipped += scanned;
-        scanned
+        if !S::COPY {
+            self.bytes_skipped += (stop - pos) as u64;
+        }
     }
 }
 
-/// The register-resident core of [`XmlLexer::scan_search`]: consumes the
-/// items of `buf[pos..end]` that it can check in full and whose events the
-/// caller has proven irrelevant, and returns the index it stopped at.
-/// Consumed are text runs without `&` (checked as UTF-8 in place),
+/// Where [`search_fast`] puts the items it consumes: one kernel,
+/// monomorphized over two sinks.
+trait ScanSink {
+    /// The items are output, byte for byte as [`XmlWriter`] would write
+    /// their events: the kernel then also holds back what the bytes alone
+    /// do not settle (text with `>`, text whose fate the next item
+    /// decides, `<x/>`).
+    const COPY: bool;
+    /// Takes the next consumed bytes (`COPY` only).
+    fn append(&mut self, bytes: &[u8]);
+}
+
+/// The search sink: consumed items are discarded.
+struct Discard;
+
+impl ScanSink for Discard {
+    const COPY: bool = false;
+    #[inline]
+    fn append(&mut self, _: &[u8]) {}
+}
+
+/// The copy sink: consumed items are appended to a writer, one
+/// `write_all` per run of verbatim bytes. The first write error is kept
+/// for [`XmlLexer::scan_copy`] to return, and later bytes are dropped.
+struct Append<'w, W: Write> {
+    out: &'w mut XmlWriter<W>,
+    err: Option<io::Error>,
+}
+
+impl<W: Write> ScanSink for Append<'_, W> {
+    const COPY: bool = true;
+    #[inline]
+    fn append(&mut self, bytes: &[u8]) {
+        if self.err.is_none() {
+            if let Err(e) = self.out.copied(bytes, 0) {
+                self.err = Some(e);
+            }
+        }
+    }
+}
+
+/// The register-resident core of [`XmlLexer::scan_search`] and
+/// [`XmlLexer::scan_copy`]: consumes the items of `buf[pos..end]` that it
+/// can check in full and whose events the caller has proven irrelevant
+/// (search) or is writing out (copy), and returns the index it stopped
+/// at. Consumed are text runs without `&` (checked as UTF-8 in place),
 /// attribute-free open tags `<x>` whose name is not an exit (their name
 /// ranges are pushed on `stack`), `<x/>` with a non-exit name, and close
 /// tags `</x>` matching the top of `stack`. Everything else stops the
@@ -1216,17 +1321,27 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
 /// re-lexes the stopping item, so every byte this scan consumes is one the
 /// event path would have accepted, and every error is raised there.
 ///
+/// With a copying sink the consumed bytes go to `sink` as the event path
+/// would have written them, and three more things stop the scan before a
+/// text run: a `>` in it (the writer escapes it), a comment or PI after
+/// it, and the window end after it. The lexer keeps or drops a text run
+/// by whether the whole run it accumulates up to the next tag is
+/// whitespace, and a comment or PI continues that run; so a run is taken
+/// only when a tag follows it, and is written only when it is not all
+/// whitespace.
+///
 /// Index bookkeeping uses unchecked slicing/reads under the same contract
 /// as [`skip_fast`]: `pos <= end <= buf.len()`, and every index is bounded
 /// by `end` before use.
 #[inline]
-fn search_fast<K: scan::ScanOps>(
+fn search_fast<K: scan::ScanOps, S: ScanSink>(
     buf: &[u8],
     pos: usize,
     end: usize,
     tags: &TagInterner,
     exits: &[TagId],
     stack: &mut Vec<(usize, usize)>,
+    sink: &mut S,
 ) -> usize {
     debug_assert!(pos <= end && end <= buf.len());
     // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` and
@@ -1243,6 +1358,14 @@ fn search_fast<K: scan::ScanOps>(
         unsafe { *buf.get_unchecked(at) }
     };
     let is_exit = |name: &[u8]| exits.iter().any(|&t| tags.name(t).as_bytes() == name);
+    // Copy: `buf[span..i]` is consumed and not yet appended.
+    let mut span = pos;
+    let stop = |sink: &mut S, span: usize, at: usize| {
+        if S::COPY {
+            sink.append(tail(span, at));
+        }
+        at
+    };
     let mut i = pos;
     loop {
         // Character data up to the next item: consumed only when it is
@@ -1251,52 +1374,76 @@ fn search_fast<K: scan::ScanOps>(
         let lt = if i < end && byte(i) == b'<' {
             i
         } else {
-            match K::find_byte2(tail(i, end), b'<', b'&') {
+            let next = if S::COPY {
+                K::find_byte3(tail(i, end), b'<', b'&', b'>')
+            } else {
+                K::find_byte2(tail(i, end), b'<', b'&')
+            };
+            match next {
                 Some(k) if byte(i + k) == b'<' => {
                     let run = tail(i, i + k);
                     if !run.is_ascii() && std::str::from_utf8(run).is_err() {
-                        return i;
+                        return stop(sink, span, i);
                     }
-                    i + k
+                    let lt = i + k;
+                    if S::COPY {
+                        if lt + 1 >= end || matches!(byte(lt + 1), b'!' | b'?') {
+                            return stop(sink, span, i);
+                        }
+                        if run.iter().all(u8::is_ascii_whitespace) {
+                            // Dropped by the lexer: a tag follows.
+                            sink.append(tail(span, i));
+                            span = lt;
+                        }
+                    }
+                    lt
                 }
-                _ => return i,
+                _ => return stop(sink, span, i),
             }
         };
         if lt + 1 >= end {
-            return lt;
+            return stop(sink, span, lt);
         }
         match byte(lt + 1) {
             b'/' => {
                 let name = lt + 2;
                 let name_end = name + K::name_run_len(tail(name, end));
                 if name_end == name || name_end >= end || byte(name_end) != b'>' {
-                    return lt;
+                    return stop(sink, span, lt);
                 }
                 match stack.last() {
                     Some(&(s, e)) if tail(s, e) == tail(name, name_end) => {
                         stack.pop();
                     }
-                    _ => return lt,
+                    _ => return stop(sink, span, lt),
                 }
                 i = name_end + 1;
             }
-            b'!' | b'?' => return lt,
+            b'!' | b'?' => return stop(sink, span, lt),
             _ => {
                 let name = lt + 1;
                 let name_end = name + K::name_run_len(tail(name, end));
                 if name_end == name || name_end >= end {
-                    return lt;
+                    return stop(sink, span, lt);
                 }
                 let self_closing = match byte(name_end) {
                     b'>' => false,
                     b'/' if name_end + 1 < end && byte(name_end + 1) == b'>' => true,
-                    _ => return lt,
+                    _ => return stop(sink, span, lt),
                 };
                 if is_exit(tail(name, name_end)) {
-                    return lt;
+                    return stop(sink, span, lt);
                 }
                 if self_closing {
                     i = name_end + 2;
+                    if S::COPY {
+                        // `<x/>` goes out as `<x></x>`.
+                        sink.append(tail(span, name_end));
+                        sink.append(b"></");
+                        sink.append(tail(name, name_end));
+                        sink.append(b">");
+                        span = i;
+                    }
                 } else {
                     stack.push((name, name_end));
                     i = name_end + 1;
@@ -2170,6 +2317,69 @@ mod tests {
             .collect();
         assert_eq!(shown, ["<a>", "<x>", "\"y\"", "</x>", "</a>", "</r>"]);
         assert_eq!(lexer.bytes_skipped(), "<a><b>t</b><c/>".len() as u64);
+    }
+
+    /// Writes the document element's content the way a consumer
+    /// streaming it through does: `scan_copy` (exits: `x`) before every
+    /// `next_event` inside the element, then the event through the
+    /// writer, retrying on `WouldBlock`; or, without `scan`, every event.
+    /// Returns the output and the bytes the scan wrote.
+    fn copy_mode<R: Read>(reader: R, scan: bool) -> (String, u64) {
+        let mut tags = TagInterner::new();
+        let exits = [tags.intern("x")];
+        let mut lexer = XmlLexer::new(reader, &mut tags);
+        let mut w = XmlWriter::new(Vec::new());
+        let mut copied = 0;
+        loop {
+            if scan && lexer.depth() > 0 {
+                let before = w.bytes_written();
+                lexer.scan_copy(&exits, &mut w).unwrap();
+                copied += w.bytes_written() - before;
+            }
+            match lexer.next_event() {
+                Ok(Some(XmlEvent::Open(t))) => w.open(t, lexer.tags()).unwrap(),
+                Ok(Some(XmlEvent::Close(t))) => w.close(t, lexer.tags()).unwrap(),
+                Ok(Some(XmlEvent::Text(s))) => w.text(s).unwrap(),
+                Ok(None) => break,
+                Err(e) if e.is_would_block() => continue,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(lexer.document_done());
+        assert_eq!(w.depth(), 0, "every element written open is written closed");
+        (String::from_utf8(w.into_inner()).unwrap(), copied)
+    }
+
+    /// The copy scan writes exactly what the events would: one shot,
+    /// under every chunking and behind a reader that runs dry between
+    /// chunks — including the text it must leave to the event path (a
+    /// `>`, whitespace beside a comment or PI, runs at the window end) —
+    /// and one shot, it does write bytes.
+    #[test]
+    fn scan_copy_writes_what_the_events_would() {
+        const COPY_CORPUS: &[&str] = &[
+            "<r><a>  <!--c-->x</a><b>x<!--c-->  </b><c> <?p?> </c>\n  <d/>  \n</r>",
+            "<r>a > b<a>&gt;</a><b>]</b>c&amp;d<e/><x/>t<x>u</x></r>",
+            "<r>\n  <a>\n    <b>t</b>\n  </a>\n</r>",
+        ];
+        for doc in SEARCH_CORPUS.iter().chain(COPY_CORPUS) {
+            let (want, _) = copy_mode(doc.as_bytes(), false);
+            let (got, copied) = copy_mode(doc.as_bytes(), true);
+            assert_eq!(got, want, "one shot on {doc:?}");
+            assert!(copied > 0, "nothing copied in {doc:?}");
+            for chunk in 1..=7 {
+                let data = doc.as_bytes();
+                let (got, _) = copy_mode(ChunkedReader { data, chunk }, true);
+                assert_eq!(got, want, "chunk {chunk} on {doc:?}");
+                let blocky = BlockyReader {
+                    data,
+                    chunk,
+                    ready: false,
+                };
+                let (got, _) = copy_mode(blocky, true);
+                assert_eq!(got, want, "blocky {chunk} on {doc:?}");
+            }
+        }
     }
 
     /// Malformed input inside a scanned region fails exactly as plain

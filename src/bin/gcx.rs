@@ -9,8 +9,8 @@
 //!   -e, --engine <NAME>    gcx (default) | nogc | static | dom
 //!   -o, --output <FILE>    write result to FILE (default stdout)
 //!       --stats            print buffer/GC statistics to stderr
-//!       --plan             print the rewritten query, projection tree and
-//!                          key-filtered join loops
+//!       --plan             print the rewritten query, projection tree,
+//!                          key-filtered join loops and bind-and-emit ops
 //!       --no-optimize      disable the §6 optimizations
 //!       --compile-only     stop after compilation (implies --plan)
 //!   -h, --help             this help
@@ -57,8 +57,8 @@ OPTIONS:
     -e, --engine <NAME>    gcx (default) | nogc | static | dom
     -o, --output <FILE>    write the result to FILE (default stdout)
         --stats            print buffer/GC statistics to stderr
-        --plan             print the rewritten query, projection tree and
-                           key-filtered join loops
+        --plan             print the rewritten query, projection tree,
+                           key-filtered join loops and bind-and-emit ops
         --no-optimize      disable the paper's §6 optimizations
         --compile-only     stop after compilation (implies --plan)
     -h, --help             show this help
@@ -556,6 +556,12 @@ fn run() -> Result<(), String> {
             eprintln!(
                 "key filter: {}",
                 f.describe(&compiled.rewritten.vars, &tags)
+            );
+        }
+        for (var, role) in compiled.program.bind_and_emit() {
+            eprintln!(
+                "bind-and-emit: ${} (signOff {role}): streamed through",
+                compiled.rewritten.vars.name(var)
             );
         }
     }

@@ -214,6 +214,29 @@ fn random_query(seed: u64) -> String {
     format!("<q>{{ {body} }}</q>")
 }
 
+/// A bind-and-emit query over [`render_doc`] documents: `for $v in P
+/// return $v`, where `P` is one or two steps below the `root` element,
+/// child or descendant, ending in a tag test. It sits alone, inside a
+/// constructor, under an outer loop, or beside a second loop whose own
+/// edges land inside `$v`'s subtree (there as exits of the copy verdict).
+fn copy_query(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let [a, b, c, d] = [0; 4].map(|_| TAGS[rng.random_range(0..TAGS.len())]);
+    let mut path = String::from("/root");
+    for t in [a, c].iter().take(rng.random_range(0..=1)) {
+        path.push_str(if rng.random_bool(0.5) { "//" } else { "/" });
+        path.push_str(t);
+    }
+    let axis = if rng.random_bool(0.5) { "//" } else { "/" };
+    let body = match rng.random_range(0..4) {
+        0 => format!("for $v in {path}{axis}{d} return $v"),
+        1 => format!("<w>{{ for $v in {path}{axis}{d} return $v }}</w>"),
+        2 => format!("for $a in {path} return for $v in $a{axis}{d} return $v"),
+        _ => format!("(for $v in {path}{axis}{d} return $v, for $u in {path}//{a} return $u/{b})"),
+    };
+    format!("<q>{{ {body} }}</q>")
+}
+
 
 // ----------------------------------------------------------------------
 // Equality joins (the shape the evaluator's key pre-filter runs on)

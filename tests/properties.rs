@@ -17,6 +17,11 @@
 //!   decorated documents, fed 1–7 bytes at a time under step budgets
 //!   1/7/unbounded, match the DOM oracle and the one-shot peak, and enough
 //!   cases actually reach the preprojector's search scan.
+//! * **Copy-through under schedules**: bind-and-emit queries over
+//!   decorated documents with nested matches, fed 1–7 bytes at a time
+//!   under step budgets 1/7/unbounded, match the DOM oracle with every
+//!   role returned, an empty buffer at the end and a peak within no-GC's;
+//!   enough cases stream a binding through, and some tee a nested match.
 
 use gcx::core::StepOutcome;
 use gcx::query::{compile, compile_default, CompileOptions};
@@ -310,6 +315,127 @@ fn search_scan_matches_dom_under_schedules() {
         reached * 4 >= cases as usize,
         "only {reached} of {cases} cases reached the search scan"
     );
+}
+
+/// Whether a one-shot run of `query` over `doc` streamed a binding
+/// through, and whether a node was buffered while one was being streamed
+/// (a teed nested match), read off the engine's trace labels: a binding
+/// streams from `stream binding subtree through` up to the close of the
+/// node buffered just before it.
+fn copy_trace(compiled: &gcx::CompiledQuery, tags: &TagInterner, doc: &str) -> (bool, bool) {
+    use std::sync::{Arc, Mutex};
+    let labels = Arc::new(Mutex::new(Vec::new()));
+    let sink = labels.clone();
+    let mut tags = tags.clone();
+    let mut engine = GcxEngine::new(
+        compiled,
+        &mut tags,
+        doc.as_bytes(),
+        io::sink(),
+        Strategy::Gcx,
+    );
+    engine.set_tracer(Box::new(move |ev| {
+        sink.lock().unwrap().push(ev.label.clone())
+    }));
+    engine.run().expect("gcx run");
+    let (mut copied, mut teed) = (false, false);
+    let (mut last_buffered, mut streaming) = (None, None);
+    for label in labels.lock().unwrap().iter() {
+        if label == "stream binding subtree through" {
+            copied = true;
+            streaming = last_buffered.clone();
+        } else if let Some(node) = label.strip_prefix("read+buffer node ") {
+            teed |= streaming.is_some();
+            last_buffered = Some(node.to_string());
+        } else if let Some(node) = label.strip_prefix("close node ") {
+            if streaming.as_deref() == Some(node) {
+                streaming = None;
+            }
+        }
+    }
+    (copied, teed)
+}
+
+/// One copy-through case: a bind-and-emit query ([`copy_query`]) over a
+/// decorated document of nested matches, run as a session fed 1–7 bytes
+/// at a time under step budgets 1, 7 and unbounded. Output equals the
+/// DOM oracle's, every role comes back, the buffer ends empty, and the
+/// peak never exceeds the no-GC engine's. Returns whether the case
+/// streamed a binding through, and whether it teed a nested match.
+fn copy_through_case(seed: u64) -> (bool, bool) {
+    use gcx::service::SessionConfig;
+    use std::sync::Arc;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let query = copy_query(rng.random_range(0..u64::MAX));
+    let dseed = rng.random_range(0..1_000_000);
+    let doc = decorate_doc(dseed, &render_doc(dseed, 4, 4));
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(&query, &mut tags)
+        .unwrap_or_else(|e| panic!("query failed to compile: {e}\n{query}"));
+    assert!(
+        compiled.program.bind_and_emit().next().is_some(),
+        "no bind-and-emit op in\n{query}"
+    );
+    let mut want = Vec::new();
+    gcx::run_dom(&compiled, &mut tags.clone(), doc.as_bytes(), &mut want)
+        .unwrap_or_else(|e| panic!("dom failed: {e}\n{query}\n{doc}"));
+    let no_gc = gcx::run_no_gc_streaming(&compiled, &mut tags.clone(), doc.as_bytes(), io::sink())
+        .unwrap_or_else(|e| panic!("no-gc failed: {e}\n{query}\n{doc}"));
+    let traced = copy_trace(&compiled, &tags, &doc);
+    let compiled = Arc::new(compiled);
+    for step_budget in [1, 7, u32::MAX] {
+        let config = SessionConfig {
+            step_budget,
+            ..Default::default()
+        };
+        let mut session = gcx::StreamSession::new(compiled.clone(), tags.clone(), config);
+        let mut got = Vec::new();
+        let mut rest = doc.as_bytes();
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(rng.random_range(1..=7).min(rest.len()));
+            got.extend_from_slice(&session.feed(now).expect("feed"));
+            rest = later;
+        }
+        let outcome = session.finish().expect("finish");
+        got.extend_from_slice(&outcome.output);
+        let what = format!("seed {seed}, step budget {step_budget}:\n{query}\nover\n{doc}");
+        assert_eq!(
+            String::from_utf8_lossy(&want),
+            String::from_utf8_lossy(&got),
+            "output differs at {what}"
+        );
+        let stats = &outcome.report.stats;
+        assert_eq!(
+            stats.roles_assigned, stats.roles_removed,
+            "roles unbalanced at {what}"
+        );
+        assert_eq!(stats.live_nodes, 1, "buffer not empty at the end at {what}");
+        assert!(
+            stats.peak_bytes <= no_gc.stats.peak_bytes,
+            "peak {} above no-GC's {} at {what}",
+            stats.peak_bytes,
+            no_gc.stats.peak_bytes
+        );
+    }
+    traced
+}
+
+/// Copy-through under schedules; fails unless at least 75 of the cases
+/// streamed a binding through and at least one teed a nested match.
+#[test]
+fn copy_through_matches_dom_under_schedules() {
+    let cases = 300;
+    let (mut copied, mut teed) = (0, 0);
+    for seed in 0..cases {
+        let (c, t) = copy_through_case(seed);
+        copied += usize::from(c);
+        teed += usize::from(t);
+    }
+    assert!(
+        copied >= 75,
+        "only {copied} of {cases} cases streamed a binding through"
+    );
+    assert!(teed > 0, "no case teed a nested match");
 }
 
 proptest! {
