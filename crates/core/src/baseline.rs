@@ -58,6 +58,8 @@ pub fn run_dom<R: Read, W: Write>(
         tokens_read: 0,
         tokens_skipped: 0,
         bytes_skipped: 0,
+        children_skipped: 0,
+        verdicts_reused: 0,
         safety: None,
         role_balance: Vec::new(),
         scan_kernel: gcx_xml::scan::kernel_name(),

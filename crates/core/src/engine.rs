@@ -152,6 +152,12 @@ pub struct RunReport {
     /// descendant searches (0 when nothing was dead or searched). Bytes
     /// the copy scan wrote straight to the output are not counted.
     pub bytes_skipped: u64,
+    /// Dead children the lexer's child search consumed whole, without an
+    /// event (their bytes count in `bytes_skipped`).
+    pub children_skipped: u64,
+    /// Condition leaf sites answered with the verdict an earlier site
+    /// decided under the same bindings, instead of evaluating again.
+    pub verdicts_reused: u64,
     /// `Some(true)` when GC ran and every assigned role instance was
     /// removed (paper safety requirement 2 + Theorem 1 precondition).
     pub safety: Option<bool>,
@@ -277,7 +283,7 @@ enum Frame {
     /// Negate `cond_reg`.
     CondNot,
     /// An exists-check mid-scan.
-    CondExists { cur: Cursor },
+    CondExists { leaf: LeafId, cur: Cursor },
     /// A comparison condition waiting for its base subtree(s) to finish.
     CondPump(LeafId),
     /// A `signOff($x/π, r)` waiting for the base subtree to finish.
@@ -286,6 +292,15 @@ enum Frame {
         path: PathId,
         role: Role,
     },
+}
+
+/// A condition leaf's last verdict, keyed by the generations of the
+/// bindings it read ([`GcxEngine::leaf_gens`]); `[0, 0]`, which no live
+/// binding has, before the first.
+#[derive(Clone, Copy, Default)]
+struct LeafVerdict {
+    gens: [u64; 2],
+    holds: bool,
 }
 
 /// The projection tree inside the compiled query `Q` owns or lends: what
@@ -351,6 +366,16 @@ where
     /// Condition result register: `Cond*` frames leave their verdict
     /// here for the consuming frame ([`Frame::IfBranch`] etc.).
     cond_reg: bool,
+    /// Per variable, the generation of its current binding: a number no
+    /// other binding of any variable got.
+    bind_gen: Vec<u64>,
+    /// The last generation handed out.
+    last_gen: u64,
+    /// Per condition leaf, its last verdict and the generations of the
+    /// bindings it was decided under ([`LeafVerdict`]).
+    verdicts: Vec<LeafVerdict>,
+    /// Leaf sites answered from `verdicts` (statistics).
+    verdicts_reused: u64,
     /// The run finished or failed; further `step` calls are an error.
     complete: bool,
     /// Evaluation wall-clock accumulated across step slices. Time
@@ -374,6 +399,9 @@ where
         let mut buffer = BufferTree::new(compiled.roles.len(), &compiled.projection.aggregates);
         let mut bindings = vec![None; compiled.program.vars];
         bindings[VarId::ROOT.index()] = Some(BufferTree::ROOT);
+        let mut bind_gen = vec![0; compiled.program.vars];
+        bind_gen[VarId::ROOT.index()] = 1;
+        let verdicts = vec![LeafVerdict::default(); compiled.program.leaf_count()];
         let mut frames = vec![Frame::End, Frame::Eval(compiled.program.body), Frame::Begin];
         if strategy == Strategy::StaticProjection {
             frames.push(Frame::Preload);
@@ -401,6 +429,10 @@ where
             join: JoinIndexes::default(),
             frames,
             cond_reg: false,
+            bind_gen,
+            last_gen: 1,
+            verdicts,
+            verdicts_reused: 0,
             complete: false,
             run_elapsed: Duration::ZERO,
             output_gate: None,
@@ -601,6 +633,8 @@ where
             tokens_read: self.projector.tokens_read,
             tokens_skipped: self.projector.tokens_skipped,
             bytes_skipped: self.projector.bytes_skipped(),
+            children_skipped: self.projector.children_skipped(),
+            verdicts_reused: self.verdicts_reused,
             safety,
             role_balance,
             scan_kernel: gcx_xml::scan::kernel_name(),
@@ -874,7 +908,7 @@ where
                                 self.buffer.render_debug(self.projector.tags())
                             );
                         }
-                        self.bindings[var.index()] = Some(n);
+                        self.bind(var, n);
                         self.frames.push(resume(cur));
                         self.frames.push(Frame::Eval(body));
                     }
@@ -901,7 +935,7 @@ where
                     next += 1;
                     if still_under(&self.buffer, n, base) {
                         self.buffer.pin(n);
-                        self.bindings[var.index()] = Some(n);
+                        self.bind(var, n);
                         self.frames.push(Frame::KeyedLoop {
                             var,
                             body,
@@ -934,13 +968,14 @@ where
                 }
             }
             Frame::CondNot => self.cond_reg = !self.cond_reg,
-            Frame::CondExists { mut cur } => {
-                match self.next_or_park(&mut cur, fuel, |cur| Frame::CondExists { cur })? {
+            Frame::CondExists { leaf, mut cur } => {
+                let resume = |cur| Frame::CondExists { leaf, cur };
+                match self.next_or_park(&mut cur, fuel, resume)? {
                     CursorStep::Found(_) => {
                         self.cursor_abort(&mut cur);
-                        self.cond_reg = true;
+                        self.decide(leaf, true);
                     }
-                    CursorStep::End => self.cond_reg = false,
+                    CursorStep::End => self.decide(leaf, false),
                     CursorStep::OutOfFuel => {}
                 }
             }
@@ -1044,6 +1079,14 @@ where
         Ok(())
     }
 
+    /// Binds `var` to `n` under a fresh generation, which retires every
+    /// verdict decided under its previous binding.
+    fn bind(&mut self, var: VarId, n: BufNodeId) {
+        self.bindings[var.index()] = Some(n);
+        self.last_gen += 1;
+        self.bind_gen[var.index()] = self.last_gen;
+    }
+
     fn binding(&self, v: VarId) -> BufNodeId {
         self.bindings[v.index()]
             .unwrap_or_else(|| panic!("variable {} evaluated outside its scope", v.0))
@@ -1058,15 +1101,24 @@ where
     fn cond_frame(&mut self, id: CondId) {
         match self.program()[id] {
             CondOp::True => self.cond_reg = true,
-            CondOp::Leaf(leaf) => match self.program()[leaf] {
-                Cond::Exists { var, step } => {
-                    let base = self.binding(var);
-                    self.frames.push(Frame::CondExists {
-                        cur: Cursor::new(base, step),
-                    });
+            CondOp::Leaf(leaf) => {
+                let memo = self.verdicts[leaf.0 as usize];
+                if memo.gens == self.leaf_gens(leaf) {
+                    self.cond_reg = memo.holds;
+                    self.verdicts_reused += 1;
+                    return;
                 }
-                _ => self.frames.push(Frame::CondPump(leaf)),
-            },
+                match self.program()[leaf] {
+                    Cond::Exists { var, step } => {
+                        let base = self.binding(var);
+                        self.frames.push(Frame::CondExists {
+                            leaf,
+                            cur: Cursor::new(base, step),
+                        });
+                    }
+                    _ => self.frames.push(Frame::CondPump(leaf)),
+                }
+            }
             CondOp::And(a, b) | CondOp::Or(a, b) => {
                 let and = matches!(self.program()[id], CondOp::And(..));
                 self.frames.push(Frame::CondRight(b, and));
@@ -1098,11 +1150,40 @@ where
                 return Ok(());
             }
         }
-        self.cond_reg = match rbase {
+        let holds = match rbase {
             None => self.cmp_str_commit(lbase, leaf),
             Some(rbase) => self.cmp_var_commit(lbase, rbase, leaf),
         };
+        self.decide(leaf, holds);
         Ok(())
+    }
+
+    /// The generations of the bindings `leaf` reads: its one variable's
+    /// (and 0), or a join comparison's two.
+    fn leaf_gens(&self, leaf: LeafId) -> [u64; 2] {
+        let gen = |v: VarId| self.bind_gen[v.index()];
+        match self.program()[leaf] {
+            Cond::Exists { var, .. } | Cond::CmpStr { var, .. } => [gen(var), 0],
+            Cond::CmpVar {
+                left_var,
+                right_var,
+                ..
+            } => [gen(left_var), gen(right_var)],
+            _ => unreachable!("a leaf is exists or a comparison"),
+        }
+    }
+
+    /// Leaves `leaf`'s verdict in `cond_reg` and keeps it for the leaf's
+    /// other sites under the same bindings. A verdict is final once
+    /// decided: an `exists` that found a witness stays true, and an
+    /// `exists` that ran out or a comparison has read finished bases,
+    /// which no later input changes.
+    fn decide(&mut self, leaf: LeafId, holds: bool) {
+        self.cond_reg = holds;
+        self.verdicts[leaf.0 as usize] = LeafVerdict {
+            gens: self.leaf_gens(leaf),
+            holds,
+        };
     }
 
     /// `$x/π op "literal"` over a *finished* base. Hot path (every
@@ -1610,8 +1691,11 @@ mod tests {
     /// every stage: each 7-step repetition holds a buffered `<book>`
     /// and two dead `<junk>` subtrees, and 512 ≡ 1 (mod 7), so
     /// successive samples walk through every position of the pattern.
+    /// The junk carries an attribute, which stops the child search below
+    /// `bib`: each is lexed as an `Open` and raw-skipped (a `skip` span),
+    /// not consumed whole by the scan.
     fn sampled_doc() -> String {
-        let rep = "<book><title>A</title></book><junk><x/></junk><junk><y/></junk>";
+        let rep = "<book><title>A</title></book><junk a='1'><x/></junk><junk a='2'><y/></junk>";
         format!("<bib>{}</bib>", rep.repeat(1000))
     }
 
@@ -1776,6 +1860,7 @@ mod tests {
         pos: usize,
         turn: bool,
         blocks: bool,
+        chunk: usize,
     }
 
     impl std::io::Read for BlockyReader<'_> {
@@ -1784,7 +1869,7 @@ mod tests {
             if self.turn && self.blocks {
                 return Err(std::io::ErrorKind::WouldBlock.into());
             }
-            let n = buf.len().min(3).min(self.data.len() - self.pos);
+            let n = buf.len().min(self.chunk).min(self.data.len() - self.pos);
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
             Ok(n)
@@ -1794,11 +1879,12 @@ mod tests {
     /// Steps `query` over `doc` behind a [`BlockyReader`]; returns the
     /// output, the report and how often the engine asked for input.
     fn run_blocky(query: &str, doc: &str) -> (String, RunReport, u64) {
-        run_chunked(query, doc, true)
+        run_chunked(query, doc, true, 3)
     }
 
-    /// [`run_blocky`], with or without the `WouldBlock` returns.
-    fn run_chunked(query: &str, doc: &str, blocks: bool) -> (String, RunReport, u64) {
+    /// [`run_blocky`] with reads of up to `chunk` bytes, with or without
+    /// the `WouldBlock` returns.
+    fn run_chunked(query: &str, doc: &str, blocks: bool, chunk: usize) -> (String, RunReport, u64) {
         let mut tags = TagInterner::new();
         let compiled = compile_default(query, &mut tags).unwrap();
         let input = BlockyReader {
@@ -1806,6 +1892,7 @@ mod tests {
             pos: 0,
             turn: false,
             blocks,
+            chunk,
         };
         let mut out = Vec::new();
         let mut engine = GcxEngine::new(&compiled, &mut tags, input, &mut out, Strategy::Gcx);
@@ -1839,31 +1926,44 @@ mod tests {
     /// A dead subtree far larger than the reader's chunk: the raw skip
     /// blocks hundreds of times mid-subtree and every retried step must
     /// resume *that skip* — the matcher is already inside the subtree —
-    /// rather than lex a fresh token.
+    /// rather than lex a fresh token. The skip starts two ways: after the
+    /// event path lexed `<junk a='1'>` (an attribute stops the child
+    /// search below `bib`; 3-byte reads), and after the child search took
+    /// `<junk>` itself and handed its body, cut by the window end, to the
+    /// skip (64-byte reads, so the tag fits in the scanned window).
     #[test]
     fn blocked_raw_skip_resumes_inside_the_dead_subtree() {
         let query = "<r>{ for $b in /bib/book return $b/title }</r>";
-        let mut doc = String::from("<bib><book><title>A</title></book><junk>");
-        for i in 0..40 {
-            doc.push_str(&format!(
-                "<item n='{i}>'><!-- > --><![CDATA[</junk>]]><deep><y/>text</deep></item>"
-            ));
+        for (open, chunk) in [("<junk a='1'>", 3), ("<junk>", 64)] {
+            let mut doc = format!("<bib><book><title>A</title></book>{open}");
+            for i in 0..40 {
+                doc.push_str(&format!(
+                    "<item n='{i}>'><!-- > --><![CDATA[</junk>]]><deep><y/>text</deep></item>"
+                ));
+            }
+            doc.push_str("</junk><book><title>B</title></book></bib>");
+            let (reference, ref_report) = gcx_output(query, &doc);
+            assert!(ref_report.bytes_skipped > 2_000, "junk must be raw-skipped");
+            let (out, report, need_input) = run_chunked(query, &doc, true, chunk);
+            assert_eq!(out, reference);
+            assert_eq!(out, "<r><title>A</title><title>B</title></r>");
+            assert!(
+                need_input as usize > doc.len() / (chunk + 1),
+                "got {need_input}"
+            );
+            // The handed-over skip counts the bytes the scan left it: the
+            // total equals one shot's, where the scan took the junk whole.
+            assert_eq!(report.bytes_skipped, ref_report.bytes_skipped);
+            assert_eq!(ref_report.children_skipped, u64::from(open == "<junk>"));
+            assert_eq!(report.children_skipped, 0, "the junk is cut, not whole");
+            // The titles stream through, and the copy scan stops at every
+            // window end: token counts are compared with the same small
+            // chunks read without `WouldBlock`.
+            let (_, chunked, _) = run_chunked(query, &doc, false, chunk);
+            assert_eq!(report.tokens_read, chunked.tokens_read);
+            assert_eq!(report.tokens_skipped, chunked.tokens_skipped);
+            assert_eq!(report.safety, Some(true));
         }
-        doc.push_str("</junk><book><title>B</title></book></bib>");
-        let (reference, ref_report) = gcx_output(query, &doc);
-        assert!(ref_report.bytes_skipped > 2_000, "junk must be raw-skipped");
-        let (out, report, need_input) = run_blocky(query, &doc);
-        assert_eq!(out, reference);
-        assert_eq!(out, "<r><title>A</title><title>B</title></r>");
-        assert!(need_input as usize > doc.len() / 4, "got {need_input}");
-        assert_eq!(report.bytes_skipped, ref_report.bytes_skipped);
-        // The titles stream through, and the copy scan stops at every
-        // window end: token counts are compared with the same tiny
-        // chunks read without `WouldBlock`.
-        let (_, chunked, _) = run_chunked(query, &doc, false);
-        assert_eq!(report.tokens_read, chunked.tokens_read);
-        assert_eq!(report.tokens_skipped, chunked.tokens_skipped);
-        assert_eq!(report.safety, Some(true));
     }
 
     /// A closed output gate parks the engine without running anything;

@@ -18,14 +18,22 @@
 //! Inside a descendant search most of the input is not dead, yet still
 //! irrelevant: below `//item`, an element that is not an `item` (nor a
 //! child the current matches ask for) matches nothing and is not kept,
-//! and neither is any text. When the matcher's state is such a *search
-//! state* ([`StreamMatcher::search_exits`]), each pump first lets the
-//! lexer scan to the next tag the matcher can act on
+//! and neither is any text. Below a node whose matches ask only for
+//! children by name — `person` in XMark Q20 asks for `name` and
+//! `profile` — every other child is dead, and so is its whole subtree.
+//! When the matcher's state is such a *search state*
+//! ([`StreamMatcher::search`]: descendant or child scope), each pump
+//! first lets the lexer scan to the next tag the matcher can act on
 //! ([`XmlLexer::scan_search`]), which consumes only constructs it checks
-//! in full, so outputs, roles, buffer peaks and errors are exactly those
-//! of building every event. Dead-skipped and searched bytes are both
-//! reported by [`Preprojector::bytes_skipped`]; neither counts in
-//! [`Preprojector::tokens_read`].
+//! in full, and a dead child's body by the raw skip's contract; so
+//! outputs, roles, buffer peaks and errors are exactly those of building
+//! every event and raw-skipping every dead subtree. A dead child the
+//! scan leaves cut by its window arrives as an `Open` event whose skip
+//! is already under way: it takes the dead-subtree path below, which
+//! resumes it. Dead-skipped and searched bytes are both reported by
+//! [`Preprojector::bytes_skipped`]; neither counts in
+//! [`Preprojector::tokens_read`], and dead children the child search took
+//! whole are counted in [`crate::RunReport::children_skipped`].
 //!
 //! ## Copy-through
 //!
@@ -175,6 +183,12 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
         self.lexer.bytes_skipped()
     }
 
+    /// Dead children the lexer's child search consumed whole (module
+    /// docs).
+    pub(crate) fn children_skipped(&self) -> u64 {
+        self.lexer.children_skipped()
+    }
+
     /// Access to the tag interner (for output rendering).
     pub fn tags(&self) -> &TagInterner {
         self.lexer.tags()
@@ -267,8 +281,8 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
             // matcher or the buffer, so the lexer jumps to the next item
             // the matcher can act on instead of building those events.
             None => {
-                if let Some(exits) = self.matcher.search_exits() {
-                    self.lexer.scan_search(exits);
+                if let Some((scope, exits)) = self.matcher.search() {
+                    self.lexer.scan_search(exits, scope);
                 }
             }
         }
@@ -439,13 +453,16 @@ mod tests {
         let v1 = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(bib)), Some(Role(0)));
         let v2 = tree.add_child(v1, PStep::child(PTest::Tag(book)), Some(Role(1)));
         tree.add_child(v2, PStep::dos_node(), Some(Role(2)));
-        let doc = "<bib><book><title>t</title></book><junk><deep/></junk></bib>";
+        let doc = "<bib><book><title>t</title></book><junk><deep/></junk><junk a=\"1\"/></bib>";
         let mut buffer = BufferTree::new(3, &[]);
         let lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
         let mut proj = Preprojector::new(lexer, &tree, &mut buffer);
         proj.pump_to_eof(&mut buffer).unwrap();
-        // Root + bib + book + title + text = 5 live nodes; junk skipped.
+        // Root + bib + book + title + text = 5 live nodes; junk skipped:
+        // the plain one whole by the child search below `bib`, the one
+        // with an attribute (which stops that scan) as a token.
         assert_eq!(buffer.stats().live_nodes, 5);
+        assert_eq!(proj.children_skipped(), 1);
         assert!(proj.tokens_skipped > 0);
         let rendered = buffer.render(proj.tags());
         assert!(rendered.contains("bib{r0}"), "got {rendered}");

@@ -179,12 +179,14 @@ fn huge_text_node() {
 fn early_termination_skips_input_tail() {
     // The query only touches /a/first — GCX must not read beyond what it
     // needs… except for root-scope signOffs, which for this query do not
-    // reference the tail either. Verify the tail is *skipped*: each junk
-    // subtree costs one materialized open event, and its body is consumed
-    // by the lexer's raw scanner (bytes_skipped), never tokenized.
+    // reference the tail either. Verify the tail is *skipped*: below `a`
+    // only `first` can match, so the lexer's child search consumes each
+    // junk subtree whole — open tag checked, body raw-scanned, own close
+    // name-checked — and no junk subtree costs a single event.
+    let junk = "<junk><deep><deeper>zzz</deeper></deep></junk>";
     let mut doc = String::from("<a><first><x>1</x></first>");
     for _ in 0..1000 {
-        doc.push_str("<junk><deep><deeper>zzz</deeper></deep></junk>");
+        doc.push_str(junk);
     }
     doc.push_str("</a>");
     let mut tags = TagInterner::new();
@@ -195,14 +197,18 @@ fn early_termination_skips_input_tail() {
         String::from_utf8(out.clone()).unwrap(),
         "<r><first><x>1</x></first></r>"
     );
-    assert!(
-        report.tokens_skipped >= 1000,
-        "every junk subtree is fast-skipped: {}",
-        report.tokens_skipped
+    assert_eq!(
+        report.children_skipped, 1000,
+        "every junk subtree is consumed whole by the child search"
     );
     assert!(
-        report.bytes_skipped > 30_000,
-        "the junk bodies are raw-scanned, not tokenized: {}",
+        report.tokens_read < 10,
+        "no junk subtree costs an event: {} events",
+        report.tokens_read
+    );
+    assert!(
+        report.bytes_skipped >= (1000 * junk.len()) as u64,
+        "the junk subtrees are scanned, not tokenized: {}",
         report.bytes_skipped
     );
     assert!(report.stats.peak_nodes < 8);
@@ -294,18 +300,25 @@ impl Read for OneByte<'_> {
 /// Q6-shaped form below, everything inside `<regions>` outside
 /// `item`/`name` is consumed by the search scan, never built into events;
 /// in the `return $i` form, each `item` is streamed through, its content
-/// consumed by the copy scan and written straight to the output. A
-/// malformed construct there must fail the GCX run with exactly the error
-/// — text and byte offset — that the DOM baseline reports from lexing
-/// every event, one-shot and behind a 1-byte reader. (Errors inside *dead*
-/// subtrees keep their documented skip relaxation; none is dead here.)
+/// consumed by the copy scan and written straight to the output; in the
+/// `$p/name` form, every child of `person` but `name` is dead, and the
+/// child search takes it whole, its open tag checked and its body
+/// raw-skipped. A malformed construct there — among `person`'s children
+/// in the child form, a dead child with a mismatched close included —
+/// must fail the GCX run with exactly the error — text and byte offset —
+/// that the DOM baseline reports from lexing every event, one-shot and
+/// behind a 1-byte reader. (Strictly inside a *dead* body the raw
+/// skip's documented relaxation still holds, gcx-xml's lexer docs, "Skip
+/// mode": close-tag names, entity names and UTF-8 there go unchecked. The
+/// constructs here sit among the children.)
 #[test]
 fn errors_inside_scanned_regions_match_the_dom() {
     let search = "<r>{ for $b in /site/regions return for $i in $b//item return $i/name }</r>";
     let copy = "<r>{ for $b in /site/regions return for $i in $b//item return $i }</r>";
-    // The bad construct lands between the items (search) or inside the
-    // first one (copy).
-    let forms: [(&str, &[u8], &[u8]); 2] = [
+    let child = "<r>{ for $p in /site/people/person return $p/name }</r>";
+    // The bad construct lands between the items (search), inside the
+    // first one (copy), or among a person's children (child).
+    let forms: [(&str, &[u8], &[u8]); 3] = [
         (
             search,
             b"<site><regions><africa>\
@@ -317,6 +330,11 @@ fn errors_inside_scanned_regions_match_the_dom() {
             b"<site><regions><africa>\
             <item><name>one</name><desc><p>t</p><br/></desc><desc><p>",
             b"</p></desc></item><item><name>two</name></item></africa></regions></site>",
+        ),
+        (
+            child,
+            b"<site><people><person><name>one</name><junk><p>t</p><br/></junk> ",
+            b"<name>two</name><junk/></person></people></site>",
         ),
     ];
     let cases: &[(&str, &[u8], bool)] = &[
@@ -331,6 +349,11 @@ fn errors_inside_scanned_regions_match_the_dom() {
         ("attribute without '='", b"<i k\"v\"/>", true),
         ("empty tag name", b"< i/>", true),
         ("junk in a close tag", b"x</p y><p>", true),
+        (
+            "mismatched close of a dead child",
+            b"<junk><p>t</p></junq>",
+            true,
+        ),
         ("unterminated comment", b"<!-- never closed", false),
         ("unterminated CDATA", b"<![CDATA[ never closed", false),
         ("EOF mid-region", b"<i>text", false),
@@ -383,6 +406,9 @@ fn errors_inside_scanned_regions_match_the_dom() {
         "scanned {}",
         report.bytes_skipped
     );
+    let (out, report, _) = well_formed(forms[2]);
+    assert_eq!(out, "<r><name>one</name><name>two</name></r>");
+    assert_eq!(report.children_skipped, 2, "both junk children");
     let (out, report, no_gc) = well_formed(forms[1]);
     assert_eq!(
         out,

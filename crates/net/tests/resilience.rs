@@ -216,10 +216,15 @@ fn eof_mid_chunk_closes_cleanly_without_leaking() {
     s.shutdown(std::net::Shutdown::Write).unwrap();
     let bytes = read_until_close(&mut s, Duration::from_secs(10));
     // The upload can never complete; the server cancels the session and
-    // closes without inventing a response for a half-framed request.
+    // closes without inventing a response for a half-framed request. It
+    // may already have committed a `200` with the first output byte (the
+    // engine writes `<r>` once it has read `<bib>`): that response is
+    // aborted, so its chunked body never gets the final chunk.
     let text = String::from_utf8_lossy(&bytes);
     assert!(
-        bytes.is_empty() || text.starts_with("HTTP/1.1 4"),
+        bytes.is_empty()
+            || text.starts_with("HTTP/1.1 4")
+            || (text.starts_with("HTTP/1.1 200") && !text.ends_with("0\r\n\r\n")),
         "unexpected reply to truncated upload: {text:?}"
     );
     assert_drained(&server);

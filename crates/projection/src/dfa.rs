@@ -43,17 +43,31 @@
 //! ## Search states
 //!
 //! Beside the dead-subtree verdict, each state memoizes whether it is a
-//! *search state*: not dead, a non-empty pending set, no condition-(2)
-//! preservation, and every candidate edge (the child edges of its matches
-//! and its pending edges) a [`PTest::Tag`] test without `[position()=1]`.
-//! Its *exit tags* are the tags of those edges ([`LazyDfa::search_exits`]).
-//! An element with any other tag has no candidate in a search state, so it
-//! opens with no matches and no roles, is not buffered (no condition (2)),
-//! inherits the pending set unchanged — so it is not dead — and lands in a
-//! search state whose exits are the pending tags, a subset of these. Text
-//! below either state matches nothing. The preprojector therefore lets the
-//! lexer consume such elements and text without building their events
+//! *search state*, and of which [`SearchScope`] ([`LazyDfa::search`]).
+//! The preprojector lets the lexer consume the elements and text such a
+//! state proves irrelevant without building their events
 //! ([`gcx_xml::XmlLexer::scan_search`]).
+//!
+//! A *descendant* search state is not dead, has a non-empty pending set,
+//! no condition-(2) preservation, and every candidate edge (the child
+//! edges of its matches and its pending edges) a [`PTest::Tag`] test
+//! without `[position()=1]`. Its *exit tags* are the tags of those edges
+//! ([`LazyDfa::search`]). An element with any other tag has no
+//! candidate in such a state, so it opens with no matches and no roles,
+//! is not buffered (no condition (2)), inherits the pending set unchanged
+//! — so it is not dead — and lands in a search state whose exits are the
+//! pending tags, a subset of these. Text below either state matches
+//! nothing.
+//!
+//! A *child* search state has an empty pending set (so no condition (2))
+//! and every child edge of its matches a [`PTest::Tag`] test, with or
+//! without `[position()=1]`; its exits are their tags. Here a child with
+//! any other tag is no candidate at all — in particular it is no first
+//! witness, and fires nothing — so it opens unbuffered and roleless into
+//! a dead state, and text matches nothing. The lexer consumes such a
+//! child whole. A dead state is the case with no exits: it matters for
+//! an element that is buffered although nothing below it can match (the
+//! leaf of a `[position()=1]` step, say), whose children are all dead.
 //!
 //! ## Copy states
 //!
@@ -74,7 +88,7 @@
 use crate::path::{PAxis, PStep, PTest, Pred};
 use crate::role::Role;
 use crate::tree::{ProjNodeId, ProjTree};
-use gcx_xml::{FxBuildHasher, TagId};
+use gcx_xml::{FxBuildHasher, SearchScope, TagId};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Range;
@@ -125,9 +139,10 @@ struct DfaState {
     preserve_children: bool,
     /// Nothing below a node in this state can match.
     dead_below: bool,
-    /// The exit tags of a search state (range into `exits_arena`), `None`
-    /// for any other state (module docs, "Search states").
-    exits: Option<ArenaRange>,
+    /// The scope and exit tags of a search state (range into
+    /// `exits_arena`), `None` for any other state (module docs, "Search
+    /// states").
+    search: Option<(SearchScope, ArenaRange)>,
     /// The copy verdict: the role of the state's one `dos::node()` edge
     /// and the other edges' exit tags (range into `exits_arena`), `None`
     /// when it does not hold (module docs, "Copy states").
@@ -293,13 +308,13 @@ impl LazyDfa {
         self.states[s as usize].dead_below
     }
 
-    /// The exit tags of `s` when it is a search state (module docs), `None`
-    /// otherwise.
+    /// The scope and exit tags of `s` when it is a search state (module
+    /// docs), `None` otherwise.
     #[inline]
-    pub fn search_exits(&self, s: StateId) -> Option<&[TagId]> {
+    pub fn search(&self, s: StateId) -> Option<(SearchScope, &[TagId])> {
         self.states[s as usize]
-            .exits
-            .map(|r| &self.exits_arena[r.range()])
+            .search
+            .map(|(scope, r)| (scope, &self.exits_arena[r.range()]))
     }
 
     /// The copy verdict of `s` (module docs, "Copy states"): the role of
@@ -568,17 +583,29 @@ impl LazyDfa {
         let dead_below = pending.is_empty()
             && !preserve_children
             && matches.iter().all(|&(m, _)| tree.children(m).is_empty());
-        let exits = if dead_below || preserve_children || pending.is_empty() {
+        // An empty pending set rules out condition (2); a dead state is a
+        // child search with no exits.
+        let search = if pending.is_empty() {
+            exit_tags_into(
+                tree,
+                matches,
+                pending,
+                Edges::FirstWitness,
+                &mut self.exits_arena,
+            )
+            .map(|r| (SearchScope::Children, r))
+        } else if preserve_children {
             None
         } else {
-            exit_tags_into(tree, matches, pending, None, &mut self.exits_arena)
+            exit_tags_into(tree, matches, pending, Edges::Plain, &mut self.exits_arena)
+                .map(|r| (SearchScope::Descendants, r))
         };
         let copy = if preserve_children {
             None
         } else {
             let mut dos = None;
             let arena = &mut self.exits_arena;
-            match exit_tags_into(tree, matches, pending, Some(&mut dos), arena) {
+            match exit_tags_into(tree, matches, pending, Edges::Copy(&mut dos), arena) {
                 Some(r) if dos.is_none() => {
                     arena.truncate(r.start as usize);
                     None
@@ -603,7 +630,7 @@ impl LazyDfa {
             },
             preserve_children,
             dead_below,
-            exits,
+            search,
             copy,
             text: TextVerdict::Unbuilt,
         });
@@ -650,18 +677,29 @@ fn entry_roles_into(tree: &ProjTree, matches: &[(ProjNodeId, bool)], roles: &mut
     }
 }
 
+/// Which candidate edges besides plain tag tests [`exit_tags_into`] lets
+/// through.
+enum Edges<'a> {
+    /// None: a descendant search.
+    Plain,
+    /// `[position()=1]` tag tests too: a child search, where a non-exit
+    /// child is no candidate and fires nothing.
+    FirstWitness,
+    /// One `dos::node()` leaf edge with a role, left in the option (the
+    /// copy verdict); a second one fails like any other edge.
+    Copy(&'a mut Option<Role>),
+}
+
 /// Appends the distinct tags of a state's candidate edges — the child
 /// edges of its matches, then its pending edges — to `out` and returns
 /// their range. `None`, with `out` unchanged, as soon as an edge is not a
-/// plain tag test: `*`, `text()`, `node()` or `[position()=1]` keep the
-/// state out of search mode. With `dos`, one `dos::node()` leaf edge with
-/// a role is let through and its role left in `dos` (the copy verdict);
-/// a second one fails like any other edge.
+/// tag test `edges` admits: `*`, `text()` and `node()` always keep the
+/// state out of search mode.
 fn exit_tags_into(
     tree: &ProjTree,
     matches: &[(ProjNodeId, bool)],
     pending: &[ProjNodeId],
-    mut dos: Option<&mut Option<Role>>,
+    mut edges: Edges,
     out: &mut Vec<TagId>,
 ) -> Option<ArenaRange> {
     let start = out.len();
@@ -673,16 +711,19 @@ fn exit_tags_into(
     });
     for c in child_edges.chain(pending.iter().copied()) {
         let step = tree.step(c);
-        match (step.test, dos.as_deref_mut()) {
-            (PTest::Tag(t), _) if step.pred == Pred::True => {
+        match (step.test, &mut edges) {
+            (PTest::Tag(t), edges)
+                if step.pred == Pred::True
+                    || (step.pred == Pred::First && matches!(edges, Edges::FirstWitness)) =>
+            {
                 if !out[start..].contains(&t) {
                     out.push(t);
                 }
             }
-            (PTest::AnyNode, Some(role @ None))
+            (PTest::AnyNode, Edges::Copy(role @ None))
                 if step == PStep::dos_node() && tree.children(c).is_empty() =>
             {
-                *role = tree.node(c).role;
+                **role = tree.node(c).role;
                 if role.is_none() {
                     out.truncate(start);
                     return None;
@@ -922,13 +963,16 @@ mod tests {
         let q_item = walk(q_other, item);
         let q_deeper = walk(q_item, other);
         let q_name = walk(q_item, name);
-        assert_eq!(dfa.search_exits(LazyDfa::INITIAL), None, "no pending edge");
-        assert_eq!(dfa.search_exits(q_site), None, "no pending edge");
-        assert_eq!(dfa.search_exits(q_regions), Some(&[item][..]));
-        assert_eq!(dfa.search_exits(q_other), Some(&[item][..]));
-        assert_eq!(dfa.search_exits(q_item), Some(&[name, item][..]));
-        assert_eq!(dfa.search_exits(q_deeper), Some(&[item][..]));
-        assert_eq!(dfa.search_exits(q_name), None, "dos::node() is pending");
+        let (children, descendants) = (SearchScope::Children, SearchScope::Descendants);
+        let search = |q| dfa.search(q).map(|(scope, exits)| (scope, exits.to_vec()));
+        // No pending edge: child searches (see the test below).
+        assert_eq!(search(LazyDfa::INITIAL), Some((children, vec![site])));
+        assert_eq!(search(q_site), Some((children, vec![regions])));
+        assert_eq!(search(q_regions), Some((descendants, vec![item])));
+        assert_eq!(search(q_other), Some((descendants, vec![item])));
+        assert_eq!(search(q_item), Some((descendants, vec![name, item])));
+        assert_eq!(search(q_deeper), Some((descendants, vec![item])));
+        assert_eq!(search(q_name), None, "dos::node() is pending");
 
         for test in [PTest::Star, PTest::Text] {
             let mut tree = ProjTree::new();
@@ -937,7 +981,7 @@ mod tests {
             tree.add_child(v, PStep::child(test), Some(Role(1)));
             let mut dfa = LazyDfa::new(&tree);
             let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
-            assert_eq!(dfa.search_exits(q), None, "{test:?} child edge");
+            assert_eq!(dfa.search(q), None, "{test:?} child edge");
         }
         let mut tree = ProjTree::new();
         let v = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
@@ -945,7 +989,76 @@ mod tests {
         tree.add_child(v, first, Some(Role(0)));
         let mut dfa = LazyDfa::new(&tree);
         let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
-        assert_eq!(dfa.search_exits(q), None, "positional pending edge");
+        assert_eq!(dfa.search(q), None, "positional pending edge");
+    }
+
+    /// Child search states (module docs): Q20's shape, `/site/people/
+    /// person` with child edges `name`, `profile` and `profile[1]`, and
+    /// `income` below `profile`. Every state down to `profile` is a child
+    /// search whose exits are the child edges' tags, first witnesses
+    /// included; a non-exit child lands in a dead state, and a dead state
+    /// is a child search with no exits. A `dos::node()` (pending), `*` or
+    /// `text()` edge keeps a state out.
+    #[test]
+    fn child_search_states_and_exits() {
+        let mut tags = TagInterner::new();
+        let [site, people, person, name, profile, income, other] = [
+            "site", "people", "person", "name", "profile", "income", "other",
+        ]
+        .map(|t| tags.intern(t));
+        let mut tree = ProjTree::new();
+        let child = |tree: &mut ProjTree, at, tag, role| {
+            tree.add_child(at, PStep::child(PTest::Tag(tag)), role)
+        };
+        let v_site = child(&mut tree, ProjTree::ROOT, site, None);
+        let v_people = child(&mut tree, v_site, people, None);
+        let v_person = child(&mut tree, v_people, person, Some(Role(0)));
+        let v_name = child(&mut tree, v_person, name, None);
+        tree.add_child(v_name, PStep::dos_node(), Some(Role(1)));
+        let v_profile = child(&mut tree, v_person, profile, Some(Role(2)));
+        let first = PStep::with_pred(PAxis::Child, PTest::Tag(profile), Pred::First);
+        tree.add_child(v_person, first, Some(Role(3)));
+        let v_income = child(&mut tree, v_profile, income, None);
+        tree.add_child(v_income, PStep::dos_node(), Some(Role(4)));
+        let mut dfa = LazyDfa::new(&tree);
+        let children = |dfa: &LazyDfa, q| match dfa.search(q) {
+            Some((SearchScope::Children, exits)) => Some(exits.to_vec()),
+            _ => None,
+        };
+        let mut walk = |from, tag| dfa.transition(&tree, from, tag).unwrap();
+        let q_site = walk(LazyDfa::INITIAL, site);
+        let q_people = walk(q_site, people);
+        let q_person = walk(q_people, person);
+        let q_name = walk(q_person, name);
+        let q_other = walk(q_person, other);
+        let mut stack = vec![LazyDfa::INITIAL, q_site, q_people, q_person];
+        let mut fired = vec![0; stack.len() * dfa.fired_words()];
+        assert_eq!(
+            dfa.transition(&tree, q_person, profile),
+            None,
+            "a first witness"
+        );
+        let q_profile = dfa.first_witness(&tree, &stack, &mut fired, profile);
+        stack.push(q_profile);
+        let q_income = dfa.transition(&tree, q_profile, income).unwrap();
+        assert_eq!(children(&dfa, LazyDfa::INITIAL), Some(vec![site]));
+        assert_eq!(children(&dfa, q_people), Some(vec![person]));
+        assert_eq!(children(&dfa, q_person), Some(vec![name, profile]));
+        assert_eq!(children(&dfa, q_profile), Some(vec![income]));
+        assert!(dfa.is_dead(q_other));
+        assert_eq!(children(&dfa, q_other), Some(vec![]), "dead: no exits");
+        assert_eq!(dfa.search(q_name), None, "dos::node() is pending");
+        assert_eq!(dfa.search(q_income), None, "dos::node() is pending");
+
+        for test in [PTest::Star, PTest::Text] {
+            let mut tree = ProjTree::new();
+            let v = tree.add_child(ProjTree::ROOT, PStep::child(PTest::Tag(site)), None);
+            tree.add_child(v, PStep::child(PTest::Tag(people)), Some(Role(0)));
+            tree.add_child(v, PStep::child(test), Some(Role(1)));
+            let mut dfa = LazyDfa::new(&tree);
+            let q = dfa.transition(&tree, LazyDfa::INITIAL, site).unwrap();
+            assert_eq!(dfa.search(q), None, "{test:?} child edge");
+        }
     }
 
     /// Copy states (module docs): below `//item/dos::node()` with no

@@ -30,7 +30,7 @@
 use crate::dfa::{LazyDfa, StateId};
 use crate::role::Role;
 use crate::tree::ProjTree;
-use gcx_xml::TagId;
+use gcx_xml::{SearchScope, TagId};
 use std::borrow::Borrow;
 
 /// The matcher's verdict for one input node.
@@ -87,15 +87,25 @@ impl<P: Borrow<ProjTree>> StreamMatcher<P> {
             .is_dead(*self.stack.last().expect("stack never empty"))
     }
 
-    /// The exit tags of the current position when its DFA state is a
-    /// search state: an element with any other tag would open unbuffered,
-    /// roleless and not dead, text would not be buffered, and every such
-    /// element's own exits are a subset of these (the DFA's module docs,
-    /// "Search states"). `None` for any other state.
+    /// The scope and exit tags of the current position when its DFA state
+    /// is a search state of either scope (the DFA's module docs, "Search
+    /// states"), `None` for any other state.
     #[inline]
-    pub fn search_exits(&self) -> Option<&[TagId]> {
+    pub fn search(&self) -> Option<(SearchScope, &[TagId])> {
         self.dfa
-            .search_exits(*self.stack.last().expect("stack never empty"))
+            .search(*self.stack.last().expect("stack never empty"))
+    }
+
+    /// The exit tags of the current position when its DFA state is a
+    /// descendant search state: an element with any other tag would open
+    /// unbuffered, roleless and not dead, text would not be buffered, and
+    /// every such element's own exits are a subset of these (the DFA's
+    /// module docs, "Search states"). `None` for any other state.
+    pub fn search_exits(&self) -> Option<&[TagId]> {
+        match self.search()? {
+            (SearchScope::Descendants, exits) => Some(exits),
+            (SearchScope::Children, _) => None,
+        }
     }
 
     /// The copy verdict of the current position (the DFA's module docs,

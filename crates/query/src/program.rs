@@ -14,6 +14,13 @@
 //! ([`crate::keyfilter`]), and an aggregate role's signOff path (paper
 //! §6) drops its trailing `dos::node()`.
 //!
+//! Lowering also interns condition leaves: structurally equal `exists`
+//! and comparison leaves share one [`LeafId`], wherever they occur. The
+//! NC rule (paper Fig. 7) copies each `if` condition to the open tag,
+//! every iteration of the output loop and the close tag, so Q20's 15 leaf
+//! sites are 5 leaves; the evaluator decides each leaf once per binding
+//! of its variables and reuses the verdict at the other sites.
+//!
 //! Lowering also marks *bind-and-emit* ops: the `$v` of a `for` whose
 //! body is `($v, signOff($v/dos::node(), r))`, where `r` is the only role
 //! in `$v`'s projection subtree. Such a binding's subtree is read by its
@@ -39,7 +46,8 @@ pub struct CondId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathId(pub u32);
 
-/// Index of a condition leaf (the AST's [`Cond`]) in a [`Program`].
+/// Index of a condition leaf (the AST's [`Cond`]) in a [`Program`]:
+/// structurally equal leaves share one (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafId(pub u32);
 
@@ -80,7 +88,8 @@ pub enum Op {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CondOp {
     True,
-    /// `exists` or a comparison: the AST node itself.
+    /// `exists` or a comparison: the AST node itself, shared by every site
+    /// of a structurally equal leaf.
     Leaf(LeafId),
     And(CondId, CondId),
     Or(CondId, CondId),
@@ -123,6 +132,11 @@ impl Program {
         let body = p.op(&query.body, key_filters, projection);
         p.body = p.push(body);
         p
+    }
+
+    /// Number of distinct condition leaves: every [`LeafId`] is below it.
+    pub fn leaf_count(&self) -> usize {
+        self.leaves.len()
     }
 
     /// The bind-and-emit ops (module docs), as `(variable, role)` pairs in
@@ -258,8 +272,14 @@ impl Program {
             Cond::Or(a, b) => CondOp::Or(self.cond(a), self.cond(b)),
             Cond::Not(inner) => CondOp::Not(self.cond(inner)),
             leaf => {
-                self.leaves.push(leaf.clone());
-                CondOp::Leaf(LeafId(self.leaves.len() as u32 - 1))
+                let id = match self.leaves.iter().position(|l| l == leaf) {
+                    Some(i) => i,
+                    None => {
+                        self.leaves.push(leaf.clone());
+                        self.leaves.len() - 1
+                    }
+                };
+                CondOp::Leaf(LeafId(id as u32))
             }
         };
         self.conds.push(op);
@@ -326,6 +346,30 @@ mod tests {
             }
         }
         panic!("no lowered constructor in {p:?}");
+    }
+
+    /// The NC rule copies an `if` around a constructor to its open tag,
+    /// every output iteration and its close tag: its leaf sites share one
+    /// leaf, and leaves over different variables or values stay apart.
+    #[test]
+    fn equal_condition_leaves_share_one_id() {
+        let leaves = |q: &str| {
+            let mut tags = TagInterner::new();
+            let c = compile_default(q, &mut tags).unwrap();
+            let p = &c.program;
+            let sites = p
+                .conds
+                .iter()
+                .filter(|c| matches!(c, CondOp::Leaf(_)))
+                .count();
+            (sites, p.leaf_count())
+        };
+        let nc = "<r>{ for $a in /r/a return if ($a/c = \"1\") then <x>{ $a/d }</x> else () }</r>";
+        assert_eq!(leaves(nc), (3, 1));
+        let q = "<r>{ for $a in /r/a return for $b in /r/b return \
+                 (if ($a/c = \"1\") then <x/> else (), if ($b/c = \"1\") then <y/> else (), \
+                  if ($a/c = \"2\") then <z/> else ()) }</r>";
+        assert_eq!(leaves(q), (3, 3));
     }
 
     /// `for $i in $b//item return $i` is bind-and-emit (its aggregate

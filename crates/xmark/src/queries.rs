@@ -98,6 +98,26 @@ mod tests {
         assert!(pretty.contains("//item"), "got {pretty}");
     }
 
+    /// The NC rule copies each of Q20's four `if`s to three places: 15
+    /// leaf sites in the rewritten query, which lower to 5 shared leaves.
+    #[test]
+    fn q20_condition_sites_share_five_leaves() {
+        let mut tags = TagInterner::new();
+        let c = compile_default(Q20, &mut tags).unwrap();
+        let mut sites = 0;
+        c.rewritten.body.visit(&mut |e| {
+            if let gcx_query::Expr::If { cond, .. } = e {
+                cond.visit(&mut |cc| {
+                    use gcx_query::Cond;
+                    if matches!(cc, Cond::Exists { .. } | Cond::CmpStr { .. }) {
+                        sites += 1;
+                    }
+                });
+            }
+        });
+        assert_eq!((sites, c.program.leaf_count()), (15, 5));
+    }
+
     #[test]
     fn q8_has_join_condition() {
         let mut tags = TagInterner::new();

@@ -55,6 +55,23 @@
 //! by its stop are pushed on the open stack and queued as `Open` events.
 //! Scanned byte counts also accumulate in [`XmlLexer::bytes_skipped`].
 //!
+//! **One kernel, two scopes.** A [`SearchScope`] says how far the exits
+//! reach. A *descendant* search (below a `//` step) matches them at any
+//! depth and descends into every other element. A *child* search (a
+//! state whose every candidate is a child edge) matches them only among
+//! the current element's children, and every other child is dead: the
+//! scan takes its open tag by the rule above, consumes its body with the
+//! skip-mode scan, and takes its own close only as `</name>` exactly —
+//! so everything strictly inside a dead child has skip mode's contract,
+//! relaxations included, as it had when the event path lexed the child
+//! and raw-skipped it. A dead child the window end (or a close the scan
+//! does not check) cuts is pushed on the open stack and queued as an
+//! `Open` event, and its body is handed to the resumable skip: the
+//! consumer answers that `Open` with [`XmlLexer::skip_subtree`], which
+//! resumes at the depth the scan reached, without rescanning the body.
+//! Dead children consumed whole are counted by
+//! [`XmlLexer::children_skipped`].
+//!
 //! **One contract, two sinks.** The same kernel also serves a consumer
 //! that writes the current element's subtree to the output as it arrives
 //! (the preprojector streaming a bound subtree through):
@@ -145,6 +162,8 @@ pub struct XmlLexer<R: Read, T: BorrowMut<TagInterner>> {
     name_buf: Vec<u8>,
     /// Total bytes consumed by [`Self::skip_subtree`] raw scans.
     bytes_skipped: u64,
+    /// Dead children the child search consumed whole.
+    children_skipped: u64,
     eof: bool,
     /// Rewind checkpoint (≤ `pos`): the buffer index of the current
     /// construct's start. [`Self::fill`] preserves `buf[ckpt..len]`
@@ -189,6 +208,7 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             attr_buf: Vec::new(),
             name_buf: Vec::new(),
             bytes_skipped: 0,
+            children_skipped: 0,
             eof: false,
             ckpt: 0,
             ckpt_text: 0,
@@ -222,6 +242,12 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// became events).
     pub fn bytes_skipped(&self) -> u64 {
         self.bytes_skipped
+    }
+
+    /// Dead children [`Self::scan_search`] consumed whole under
+    /// [`SearchScope::Children`], open tag to close, without an event.
+    pub fn children_skipped(&self) -> u64 {
+        self.children_skipped
     }
 
     /// Marks the current position as a rewind checkpoint: everything
@@ -786,6 +812,10 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
         if let Some(p) = self.pending.pop_front() {
             return Ok(Some(self.resolve_pending(p)));
         }
+        debug_assert!(
+            self.skip.is_none(),
+            "an in-flight skip resumes with skip_subtree"
+        );
         // The attribute arena only backs queued events; the queue is empty.
         self.attr_buf.clear();
         // Construct boundary: a WouldBlock anywhere below rewinds here
@@ -1165,22 +1195,32 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
 
     /// Search mode (see the module docs): consumes, from the buffered
     /// window only, the content of the current element up to the next tag
-    /// named in `exits` and returns the number of bytes consumed. Call it
-    /// between events when the consumer has proven that every element
-    /// whose name is not in `exits` — and everything below it — is
-    /// irrelevant. The stop is an item boundary: the `<` of an exit tag,
-    /// of the current element's own close tag or of any construct the
-    /// scan does not check, the start of a text run it does not check, or
-    /// the end of the buffered window. Elements the scan opened and did
-    /// not close by then are pushed on the open-element stack and queued
-    /// as `Open` events, so the consumer sees them as if lexed.
+    /// named in `exits` that `scope` admits, and returns the number of
+    /// bytes consumed. Call it between events when the consumer has proven
+    /// that every element `scope` reaches whose name is not in `exits` —
+    /// and everything below it — is irrelevant. The stop is an item
+    /// boundary: the `<` of an exit tag, of the current element's own
+    /// close tag or of any construct the scan does not check, the start of
+    /// a text run it does not check, or the end of the buffered window.
+    /// Elements the scan opened and did not close by then are pushed on
+    /// the open-element stack and queued as `Open` events, so the consumer
+    /// sees them as if lexed.
+    ///
+    /// Under [`SearchScope::Children`] the one element the scan can leave
+    /// open is a dead child cut by the window end or by a close it does
+    /// not check: its body is then handed to the resumable raw skip, and
+    /// the consumer must answer its queued `Open` with
+    /// [`Self::skip_subtree`], as for any dead element.
     ///
     /// Never reads input (so never blocks), and does nothing while an
-    /// event is queued, text is accumulated, or outside the document
-    /// element.
-    pub fn scan_search(&mut self, exits: &[TagId]) -> u64 {
+    /// event is queued, text is accumulated, a skip is in flight, or
+    /// outside the document element.
+    pub fn scan_search(&mut self, exits: &[TagId], scope: SearchScope) -> u64 {
         let start = self.pos;
-        self.scan(exits, &mut Discard);
+        match scope {
+            SearchScope::Descendants => self.scan::<_, false>(exits, &mut Discard),
+            SearchScope::Children => self.scan::<_, true>(exits, &mut Discard),
+        }
         (self.pos - start) as u64
     }
 
@@ -1204,7 +1244,7 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     ) -> io::Result<&[TagId]> {
         let depth = self.open.len();
         let mut sink = Append { out, err: None };
-        self.scan(exits, &mut sink);
+        self.scan::<_, false>(exits, &mut sink);
         if let Some(e) = sink.err {
             return Err(e);
         }
@@ -1214,8 +1254,8 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
 
     /// The one scan behind [`Self::scan_search`] and [`Self::scan_copy`]:
     /// runs [`search_fast`] over the buffered window into `sink` and
-    /// takes over the elements it left open.
-    fn scan<S: ScanSink>(&mut self, exits: &[TagId], sink: &mut S) {
+    /// takes over the elements it left open, and a cut dead child's skip.
+    fn scan<S: ScanSink, const CHILDREN: bool>(&mut self, exits: &[TagId], sink: &mut S) {
         if self.text_emitted {
             self.text.clear();
             self.text_emitted = false;
@@ -1231,17 +1271,17 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
         let stack = &mut self.scan_stack;
         let stop = match scan::active_kernel() {
             ScanKernel::Scalar => {
-                search_fast::<scan::ScalarOps, S>(buf, pos, end, tags, exits, stack, sink)
+                search_fast::<scan::ScalarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
             }
             ScanKernel::Swar => {
-                search_fast::<scan::SwarOps, S>(buf, pos, end, tags, exits, stack, sink)
+                search_fast::<scan::SwarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
             }
             #[cfg(target_arch = "x86_64")]
             ScanKernel::Sse2 | ScanKernel::Avx2 => {
-                search_fast::<scan::SimdOps, S>(buf, pos, end, tags, exits, stack, sink)
+                search_fast::<scan::SimdOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
             }
             #[cfg(not(target_arch = "x86_64"))]
-            _ => search_fast::<scan::SwarOps, S>(buf, pos, end, tags, exits, stack, sink),
+            _ => search_fast::<scan::SwarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink),
         };
         for k in 0..self.scan_stack.len() {
             let (start, end) = self.scan_stack[k];
@@ -1256,12 +1296,45 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             }
         }
         self.scan_stack.clear();
-        self.pos = stop;
+        self.pos = stop.at;
         self.set_ckpt();
         if !S::COPY {
-            self.bytes_skipped += (stop - pos) as u64;
+            self.bytes_skipped += (stop.at - pos) as u64;
+        }
+        self.children_skipped += stop.dead;
+        if let Some(depth) = stop.cut {
+            // The cut dead child's `Open` is queued: its body continues
+            // as a raw skip, resumed where the kernel left it.
+            self.skip = Some(SkipState {
+                depth,
+                start: self.offset(),
+            });
         }
     }
+}
+
+/// How far [`XmlLexer::scan_search`] reaches below the current element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchScope {
+    /// Every descendant (a `//` search): an exit name stops the scan at
+    /// any depth, and the scan descends into non-exit elements.
+    Descendants,
+    /// The children alone: an exit name stops the scan only among them,
+    /// and a non-exit child is dead — its open tag is taken under the
+    /// search rule, its body by the raw skip, and its own close is
+    /// name-checked.
+    Children,
+}
+
+/// Where [`search_fast`] stopped.
+struct SearchStop {
+    /// The buffer index of the stop.
+    at: usize,
+    /// Children scope: the stop is inside a dead child (its name range is
+    /// on the stack), at this nesting depth below it.
+    cut: Option<usize>,
+    /// Children scope: dead children consumed whole.
+    dead: u64,
 }
 
 /// Where [`search_fast`] puts the items it consumes: one kernel,
@@ -1308,8 +1381,8 @@ impl<W: Write> ScanSink for Append<'_, W> {
 /// The register-resident core of [`XmlLexer::scan_search`] and
 /// [`XmlLexer::scan_copy`]: consumes the items of `buf[pos..end]` that it
 /// can check in full and whose events the caller has proven irrelevant
-/// (search) or is writing out (copy), and returns the index it stopped
-/// at. Consumed are text runs without `&` (checked as UTF-8 in place),
+/// (search) or is writing out (copy), and returns where it stopped.
+/// Consumed are text runs without `&` (checked as UTF-8 in place),
 /// attribute-free open tags `<x>` whose name is not an exit (their name
 /// ranges are pushed on `stack`), `<x/>` with a non-exit name, and close
 /// tags `</x>` matching the top of `stack`. Everything else stops the
@@ -1321,6 +1394,13 @@ impl<W: Write> ScanSink for Append<'_, W> {
 /// re-lexes the stopping item, so every byte this scan consumes is one the
 /// event path would have accepted, and every error is raised there.
 ///
+/// `CHILDREN` is [`SearchScope::Children`]: the scan never descends. A
+/// non-exit child's open tag is taken by the rule above, its body by
+/// [`skip_fast`] (the raw skip's contract, module docs "Skip mode"), and
+/// its own close only as `</x>` exactly. A child the window end or an
+/// unchecked close cuts is left on `stack` with the depth the skip
+/// reached, for [`XmlLexer::skip_subtree`] to resume.
+///
 /// With a copying sink the consumed bytes go to `sink` as the event path
 /// would have written them, and three more things stop the scan before a
 /// text run: a `>` in it (the writer escapes it), a comment or PI after
@@ -1329,12 +1409,8 @@ impl<W: Write> ScanSink for Append<'_, W> {
 /// whitespace, and a comment or PI continues that run; so a run is taken
 /// only when a tag follows it, and is written only when it is not all
 /// whitespace.
-///
-/// Index bookkeeping uses unchecked slicing/reads under the same contract
-/// as [`skip_fast`]: `pos <= end <= buf.len()`, and every index is bounded
-/// by `end` before use.
 #[inline]
-fn search_fast<K: scan::ScanOps, S: ScanSink>(
+fn search_fast<K: scan::ScanOps, S: ScanSink, const CHILDREN: bool>(
     buf: &[u8],
     pos: usize,
     end: usize,
@@ -1342,32 +1418,20 @@ fn search_fast<K: scan::ScanOps, S: ScanSink>(
     exits: &[TagId],
     stack: &mut Vec<(usize, usize)>,
     sink: &mut S,
-) -> usize {
-    debug_assert!(pos <= end && end <= buf.len());
-    // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` and
-    // `at < end` at each call site.
-    let tail = |lo: usize, hi: usize| {
-        debug_assert!(
-            lo <= hi && hi <= end,
-            "search_fast: {lo}..{hi} outside ..{end}"
-        );
-        unsafe { buf.get_unchecked(lo..hi) }
-    };
-    let byte = |at: usize| {
-        debug_assert!(at < end, "search_fast: byte {at} outside ..{end}");
-        unsafe { *buf.get_unchecked(at) }
-    };
+) -> SearchStop {
+    debug_assert!(
+        !(S::COPY && CHILDREN),
+        "the copy scan reaches every descendant"
+    );
+    let buf = &buf[..end];
+    let tail = |lo: usize, hi: usize| &buf[lo..hi];
+    let byte = |at: usize| buf[at];
     let is_exit = |name: &[u8]| exits.iter().any(|&t| tags.name(t).as_bytes() == name);
     // Copy: `buf[span..i]` is consumed and not yet appended.
     let mut span = pos;
-    let stop = |sink: &mut S, span: usize, at: usize| {
-        if S::COPY {
-            sink.append(tail(span, at));
-        }
-        at
-    };
+    let mut dead = 0;
     let mut i = pos;
-    loop {
+    let (at, cut) = loop {
         // Character data up to the next item: consumed only when it is
         // entity-free, complete within the window and valid UTF-8 (the
         // inlined ASCII test spares most runs the validator call).
@@ -1383,12 +1447,12 @@ fn search_fast<K: scan::ScanOps, S: ScanSink>(
                 Some(k) if byte(i + k) == b'<' => {
                     let run = tail(i, i + k);
                     if !run.is_ascii() && std::str::from_utf8(run).is_err() {
-                        return stop(sink, span, i);
+                        break (i, None);
                     }
                     let lt = i + k;
                     if S::COPY {
                         if lt + 1 >= end || matches!(byte(lt + 1), b'!' | b'?') {
-                            return stop(sink, span, i);
+                            break (i, None);
                         }
                         if run.iter().all(u8::is_ascii_whitespace) {
                             // Dropped by the lexer: a tag follows.
@@ -1398,44 +1462,45 @@ fn search_fast<K: scan::ScanOps, S: ScanSink>(
                     }
                     lt
                 }
-                _ => return stop(sink, span, i),
+                _ => break (i, None),
             }
         };
         if lt + 1 >= end {
-            return stop(sink, span, lt);
+            break (lt, None);
         }
         match byte(lt + 1) {
             b'/' => {
                 let name = lt + 2;
                 let name_end = name + K::name_run_len(tail(name, end));
                 if name_end == name || name_end >= end || byte(name_end) != b'>' {
-                    return stop(sink, span, lt);
+                    break (lt, None);
                 }
                 match stack.last() {
                     Some(&(s, e)) if tail(s, e) == tail(name, name_end) => {
                         stack.pop();
                     }
-                    _ => return stop(sink, span, lt),
+                    _ => break (lt, None),
                 }
                 i = name_end + 1;
             }
-            b'!' | b'?' => return stop(sink, span, lt),
+            b'!' | b'?' => break (lt, None),
             _ => {
                 let name = lt + 1;
                 let name_end = name + K::name_run_len(tail(name, end));
                 if name_end == name || name_end >= end {
-                    return stop(sink, span, lt);
+                    break (lt, None);
                 }
                 let self_closing = match byte(name_end) {
                     b'>' => false,
                     b'/' if name_end + 1 < end && byte(name_end + 1) == b'>' => true,
-                    _ => return stop(sink, span, lt),
+                    _ => break (lt, None),
                 };
                 if is_exit(tail(name, name_end)) {
-                    return stop(sink, span, lt);
+                    break (lt, None);
                 }
                 if self_closing {
                     i = name_end + 2;
+                    dead += u64::from(CHILDREN);
                     if S::COPY {
                         // `<x/>` goes out as `<x></x>`.
                         sink.append(tail(span, name_end));
@@ -1444,13 +1509,39 @@ fn search_fast<K: scan::ScanOps, S: ScanSink>(
                         sink.append(b">");
                         span = i;
                     }
+                } else if CHILDREN {
+                    // A dead child: raw-skip its body, then take its own
+                    // close only as `</x>` exactly.
+                    let mut depth = 0;
+                    let (at, depth) = match skip_fast::<K>(buf, name_end + 1, end, &mut depth) {
+                        SkipFast::RootClose(close) => {
+                            let close_end = close + K::name_run_len(tail(close, end));
+                            if close_end < end
+                                && byte(close_end) == b'>'
+                                && tail(close, close_end) == tail(name, name_end)
+                            {
+                                i = close_end + 1;
+                                dead += 1;
+                                continue;
+                            }
+                            (close - 2, 0)
+                        }
+                        SkipFast::Drained => (end, depth),
+                        SkipFast::Rewind(at) => (at, depth),
+                    };
+                    stack.push((name, name_end));
+                    break (at, Some(depth));
                 } else {
                     stack.push((name, name_end));
                     i = name_end + 1;
                 }
             }
         }
+    };
+    if S::COPY {
+        sink.append(tail(span, at));
     }
+    SearchStop { at, cut, dead }
 }
 
 /// Outcome of one [`skip_fast`] pass over the buffered window.
@@ -1473,28 +1564,14 @@ enum SkipFast {
 /// mutated until an item resolves entirely within the window, so the
 /// caller can rewind to an unresolved item's '<' without state repair.
 ///
-/// Index bookkeeping uses unchecked slicing/reads: every index is
-/// bounded by `end` before use, and the caller guarantees
-/// `pos <= end <= buf.len()` (it passes `self.pos`/`self.len`, the
-/// lexer's buffered-window invariant). `debug_assert!`s pin that
-/// contract and every unchecked access in debug builds.
+/// Every index is bounded by `end` before use; `buf` is cut to `..end`
+/// up front, so an index past the window would panic, not read stale
+/// bytes.
 #[inline]
 fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut usize) -> SkipFast {
-    debug_assert!(pos <= end && end <= buf.len());
-    // SAFETY (for every use below): `lo <= hi <= end <= buf.len()` and
-    // `at < end` at each call site — indices are only ever advanced to
-    // positions a bound check against `end` has admitted.
-    let tail = |lo: usize, hi: usize| {
-        debug_assert!(
-            lo <= hi && hi <= end,
-            "skip_fast: {lo}..{hi} outside ..{end}"
-        );
-        unsafe { buf.get_unchecked(lo..hi) }
-    };
-    let byte = |at: usize| {
-        debug_assert!(at < end, "skip_fast: byte {at} outside ..{end}");
-        unsafe { *buf.get_unchecked(at) }
-    };
+    let buf = &buf[..end];
+    let tail = |lo: usize, hi: usize| &buf[lo..hi];
+    let byte = |at: usize| buf[at];
     let mut i = pos;
     loop {
         // Adjacent markup ("</a><b>") is the common case in dense
@@ -2244,7 +2321,7 @@ mod tests {
         let (mut inside, mut shown, mut scanned) = (0usize, Vec::new(), 0u64);
         loop {
             if scan && inside == 0 {
-                scanned += lexer.scan_search(&exits);
+                scanned += lexer.scan_search(&exits, SearchScope::Descendants);
             }
             let token = match lexer.next_event() {
                 Ok(Some(event)) => XmlToken::from_event(event),
@@ -2303,10 +2380,13 @@ mod tests {
             lexer.next_event().unwrap(),
             Some(XmlEvent::Open(_))
         ));
-        assert_eq!(lexer.scan_search(&exits), "<a><b>t</b><c/>".len() as u64);
+        assert_eq!(
+            lexer.scan_search(&exits, SearchScope::Descendants),
+            "<a><b>t</b><c/>".len() as u64
+        );
         assert_eq!(lexer.depth(), 2, "<r> and the scanned <a>");
         assert_eq!(
-            lexer.scan_search(&exits),
+            lexer.scan_search(&exits, SearchScope::Descendants),
             0,
             "nothing while an event is queued"
         );
@@ -2317,6 +2397,181 @@ mod tests {
             .collect();
         assert_eq!(shown, ["<a>", "<x>", "\"y\"", "</x>", "</a>", "</r>"]);
         assert_eq!(lexer.bytes_skipped(), "<a><b>t</b><c/>".len() as u64);
+    }
+
+    /// Documents whose `<r>` children mix elements named `x` (the exit tag
+    /// below) with dead children: nested ones, ones holding an `x`, ones
+    /// with attributes, comments, CDATA sections and PIs that contain
+    /// `</`, a dead child whose close has whitespace, and text at depth 0.
+    const CHILD_CORPUS: &[&str] = &[
+        "<r><a><x>no</x><b>t</b></a><x>1</x>t<c/><x/></r>",
+        "<r><a k=\"1\"><x/></a><x>2</x><b k='>'>v</b><c></c></r>",
+        "<r><a><!--</a>--><![CDATA[</a>]]><?p </a>?><b q='>'/></a><x>3</x></r>",
+        "<r><a><a><a/></a></a ><x>4</x><b></b></r>",
+        "<r>&amp;<x>5</x><!--c--><a>\u{e9}</a> <a>&lt;</a></r>",
+        "<r><a><b><c><d>deep</d></c></b></a><x><a/></x></r>",
+    ];
+
+    /// Lexes `<r>`'s children as the preprojector does in a child-search
+    /// state: `scan_search` (exits `x`, children scope) before every event
+    /// at that level, and a non-exit child's `Open` answered with
+    /// `skip_subtree`, retrying on `WouldBlock`. Returns the events inside
+    /// `x` elements (their own tags included), the dead children skipped
+    /// whole by the scan, and the final offset.
+    fn child_mode<R: Read>(reader: R, scan: bool) -> (Vec<String>, u64, u64) {
+        let mut tags = TagInterner::new();
+        let exits = [tags.intern("x")];
+        let mut lexer = XmlLexer::new(reader, &mut tags);
+        let (mut level, mut inside, mut shown) = (0usize, 0usize, Vec::new());
+        loop {
+            if scan && level == 1 {
+                lexer.scan_search(&exits, SearchScope::Children);
+            }
+            let token = match lexer.next_event() {
+                Ok(Some(event)) => XmlToken::from_event(event),
+                Ok(None) => break,
+                Err(e) if e.is_would_block() => continue,
+                Err(e) => panic!("{e}"),
+            };
+            match token {
+                XmlToken::Open(t) if level == 1 && !exits.contains(&t) => loop {
+                    match lexer.skip_subtree() {
+                        Ok(_) => break,
+                        Err(e) if e.is_would_block() => continue,
+                        Err(e) => panic!("{e}"),
+                    }
+                },
+                XmlToken::Open(t) => {
+                    level += 1;
+                    if inside > 0 || exits.contains(&t) {
+                        inside += 1;
+                        shown.push(token.display(lexer.tags()).to_string());
+                    }
+                }
+                XmlToken::Close(_) => {
+                    level -= 1;
+                    if inside > 0 {
+                        inside -= 1;
+                        shown.push(token.display(lexer.tags()).to_string());
+                    }
+                }
+                XmlToken::Text(_) if inside > 0 => {
+                    shown.push(token.display(lexer.tags()).to_string())
+                }
+                XmlToken::Text(_) => {}
+            }
+        }
+        assert!(lexer.document_done());
+        (shown, lexer.children_skipped(), lexer.offset())
+    }
+
+    /// The child scan consumes only dead children and text: the events
+    /// inside exit elements and the final offset are those of plain
+    /// lexing with every dead child raw-skipped, one shot, under every
+    /// chunking and behind a reader that runs dry between chunks (where
+    /// the scan hands cut children to the resumable skip) — and one shot,
+    /// it does consume dead children whole.
+    #[test]
+    fn scan_children_keeps_exit_events() {
+        for doc in CHILD_CORPUS {
+            let (want, none, end) = child_mode(doc.as_bytes(), false);
+            assert_eq!(none, 0);
+            let (got, dead, got_end) = child_mode(doc.as_bytes(), true);
+            assert_eq!((&got, got_end), (&want, end), "one shot on {doc:?}");
+            assert!(dead > 0, "no dead child scanned in {doc:?}");
+            for chunk in 1..=7 {
+                let data = doc.as_bytes();
+                let (got, _, got_end) = child_mode(ChunkedReader { data, chunk }, true);
+                assert_eq!((&got, got_end), (&want, end), "chunk {chunk} on {doc:?}");
+                let blocky = BlockyReader {
+                    data,
+                    chunk,
+                    ready: false,
+                };
+                let (got, _, got_end) = child_mode(blocky, true);
+                assert_eq!((&got, got_end), (&want, end), "blocky {chunk} on {doc:?}");
+            }
+        }
+    }
+
+    /// A dead child cut by the window end is handed to the resumable skip
+    /// with its `Open` queued: no element is left half-skipped, and the
+    /// skip resumes at the depth the scan reached.
+    #[test]
+    fn scan_children_hands_a_cut_child_to_the_skip() {
+        let doc = "<r><a><b>12345678</b></a><x/></r>";
+        let cut = "<r><a><b>1234".len();
+        let mut tags = TagInterner::new();
+        let exits = [tags.intern("x")];
+        let a = tags.intern("a");
+        let reader = ChunkedReader {
+            data: doc.as_bytes(),
+            chunk: cut,
+        };
+        let mut lexer = XmlLexer::new(reader, &mut tags);
+        assert!(matches!(
+            lexer.next_event().unwrap(),
+            Some(XmlEvent::Open(_))
+        ));
+        let scanned = lexer.scan_search(&exits, SearchScope::Children);
+        assert_eq!(scanned, (cut - "<r>".len()) as u64);
+        assert_eq!(lexer.depth(), 2, "<r> and the cut <a>");
+        assert_eq!(lexer.children_skipped(), 0);
+        assert_eq!(lexer.next_event().unwrap(), Some(XmlEvent::Open(a)));
+        let rest = lexer.skip_subtree().unwrap();
+        assert_eq!(rest, "5678</b></a>".len() as u64);
+        assert_eq!(lexer.depth(), 1);
+        assert_eq!(lexer.bytes_skipped(), "<a><b>12345678</b></a>".len() as u64);
+    }
+
+    /// Malformed input among a child-search state's children, or as a
+    /// dead child's own close, fails exactly as plain lexing with dead
+    /// children raw-skipped does: same error, same offset.
+    #[test]
+    fn scan_children_errors_match_plain_lexing() {
+        let docs: &[&[u8]] = &[
+            b"<r><a>t</b></r>",
+            b"<r><junk>t</junq><x/></r>",
+            b"<r><junk><i>t</i></junq></r>",
+            b"<r>&bogus;<x/></r>",
+            b"<r>\xff<x/></r>",
+            b"<r>\xc3\xa9<!--c-->\xa9</r>",
+            b"<r><a k=v/></r>",
+            b"<r><!-- open",
+            b"<r><a><b>t",
+            b"<r></q>",
+        ];
+        let run = |doc: &[u8], scan: bool, chunk: usize| {
+            let mut tags = TagInterner::new();
+            let exits = [tags.intern("x")];
+            let reader = ChunkedReader { data: doc, chunk };
+            let mut lexer = XmlLexer::new(reader, &mut tags);
+            let mut level = 0;
+            loop {
+                if scan && level == 1 {
+                    lexer.scan_search(&exits, SearchScope::Children);
+                }
+                let moved = match lexer.next_event() {
+                    Ok(Some(XmlEvent::Open(t))) if level == 1 && !exits.contains(&t) => {
+                        lexer.skip_subtree().map(|_| 0)
+                    }
+                    Ok(Some(XmlEvent::Open(_))) => Ok(1),
+                    Ok(Some(XmlEvent::Close(_))) => Ok(-1),
+                    Ok(Some(XmlEvent::Text(_))) => Ok(0),
+                    Ok(None) => panic!("{doc:?} must fail"),
+                    Err(e) => Err(e),
+                };
+                match moved {
+                    Ok(by) => level += by,
+                    Err(e) => return e.to_string(),
+                }
+            }
+        };
+        for doc in docs {
+            let want = run(doc, false, doc.len());
+            assert_eq!(run(doc, true, doc.len()), want, "{doc:?}");
+            assert_eq!(run(doc, true, 1), want, "1-byte reads of {doc:?}");
+        }
     }
 
     /// Writes the document element's content the way a consumer
@@ -2402,7 +2657,7 @@ mod tests {
             let mut lexer = XmlLexer::new(doc, &mut tags);
             loop {
                 if scan {
-                    lexer.scan_search(&exits);
+                    lexer.scan_search(&exits, SearchScope::Descendants);
                 }
                 match lexer.next_event() {
                     Ok(Some(_)) => {}

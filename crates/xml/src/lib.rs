@@ -26,7 +26,7 @@ pub mod tree;
 pub mod writer;
 
 pub use error::XmlError;
-pub use lexer::XmlLexer;
+pub use lexer::{SearchScope, XmlLexer};
 pub use scan::ScanKernel;
 pub use tags::{FxBuildHasher, FxHasher, TagId, TagInterner};
 pub use token::XmlEvent;

@@ -607,6 +607,8 @@ fn run() -> Result<(), String> {
         eprintln!("tokens read     : {}", report.tokens_read);
         eprintln!("tokens skipped  : {}", report.tokens_skipped);
         eprintln!("bytes skipped   : {}", report.bytes_skipped);
+        eprintln!("children skipped: {}", report.children_skipped);
+        eprintln!("verdicts reused : {}", report.verdicts_reused);
         if let Some(ok) = report.safety {
             eprintln!(
                 "role accounting : {}",

@@ -238,6 +238,55 @@ fn copy_query(seed: u64) -> String {
 }
 
 
+/// A condition over `$v`'s children: `exists`, a string comparison, and
+/// `not`/`and` over them (`depth` bounds the nesting).
+fn child_cond(rng: &mut StdRng, v: &str, depth: usize) -> String {
+    let tag = TAGS[rng.random_range(0..TAGS.len())];
+    match rng.random_range(0..if depth == 0 { 2 } else { 4 }) {
+        0 => format!("exists(${v}/{tag})"),
+        1 => {
+            let op = ["=", "<", ">="][rng.random_range(0..3)];
+            let lit = rng.random_range(0..30);
+            format!("${v}/{tag} {op} \"{lit}\"")
+        }
+        2 => format!("not({})", child_cond(rng, v, depth - 1)),
+        _ => format!(
+            "({} and {})",
+            child_cond(rng, v, depth - 1),
+            child_cond(rng, v, depth - 1)
+        ),
+    }
+}
+
+/// A query of child steps only over [`render_doc`] documents, so that
+/// the projection's states are child-search states, whose conditions
+/// repeat: each `if` wraps a constructor (the NC rule copies its
+/// condition to the open tag, every output iteration and the close tag),
+/// and a condition on an outer variable recurs inside an inner loop,
+/// whose variable is rebound between the sites of its own condition.
+fn child_query(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let [a, b, c, d] = [0; 4].map(|_| TAGS[rng.random_range(0..TAGS.len())]);
+    let cx = child_cond(&mut rng, "x", 2);
+    let cy = child_cond(&mut rng, "y", 2);
+    let body = match rng.random_range(0..4) {
+        0 => format!("for $x in /root/{a} return if ({cx}) then <w>{{ $x/{b} }}</w> else ()"),
+        1 => format!(
+            "for $x in /root/{a} return (if ({cx}) then <w>{{ $x/{b} }}</w> else (), \
+             for $y in $x/{c} return if ({cy} and {cx}) then <u>{{ $y/{d} }}</u> else ())"
+        ),
+        2 => format!(
+            "for $x in /root/{a} return for $y in $x/{c} return \
+             (if ({cy}) then <w>{{ $y/{b} }}</w> else (), if ({cy}) then $y/{d} else ())"
+        ),
+        _ => format!(
+            "<w>{{ for $x in /root/{a}/{c} return (if ({cx}) then <u>{{ $x/{d} }}</u> else (), \
+             if (not({cx})) then $x else ()) }}</w>"
+        ),
+    };
+    format!("<q>{{ {body} }}</q>")
+}
+
 // ----------------------------------------------------------------------
 // Equality joins (the shape the evaluator's key pre-filter runs on)
 // ----------------------------------------------------------------------

@@ -22,6 +22,14 @@
 //!   under step budgets 1/7/unbounded, match the DOM oracle with every
 //!   role returned, an empty buffer at the end and a peak within no-GC's;
 //!   enough cases stream a binding through, and some tee a nested match.
+//! * **Child search and verdict reuse under schedules**: child-only
+//!   queries whose conditions repeat (`exists`, string comparisons under
+//!   `and`/`not`, inner loops rebinding a variable between the sites of
+//!   its condition) over decorated documents, fed 1–7 bytes at a time
+//!   under step budgets 1/7/unbounded, match the DOM oracle with every
+//!   role returned, an empty buffer at the end and the one-shot peak;
+//!   enough cases skip a dead child by the lexer's child search, and some
+//!   reuse a condition's verdict.
 
 use gcx::core::StepOutcome;
 use gcx::query::{compile, compile_default, CompileOptions};
@@ -436,6 +444,84 @@ fn copy_through_matches_dom_under_schedules() {
         "only {copied} of {cases} cases streamed a binding through"
     );
     assert!(teed > 0, "no case teed a nested match");
+}
+
+/// One child-search case: a [`child_query`] over a decorated document
+/// (dead children nested several levels deep, with attributes, comments,
+/// CDATA sections, PIs, references, `<x/>` and whitespace runs), run as a
+/// session fed 1–7 bytes at a time under step budgets 1, 7 and
+/// unbounded. Output equals the DOM oracle's, every role comes back, the
+/// buffer ends empty, and the peak equals the one-shot run's. Returns
+/// whether the one-shot run skipped a dead child whole by the child
+/// search, and whether it reused a condition's verdict.
+fn child_search_case(seed: u64) -> (bool, bool) {
+    use gcx::service::SessionConfig;
+    use std::sync::Arc;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let query = child_query(rng.random_range(0..u64::MAX));
+    let dseed = rng.random_range(0..1_000_000);
+    let doc = decorate_doc(dseed, &render_doc(dseed, 4, 4));
+    let mut tags = TagInterner::new();
+    let compiled = compile_default(&query, &mut tags)
+        .unwrap_or_else(|e| panic!("query failed to compile: {e}\n{query}"));
+    let mut want = Vec::new();
+    gcx::run_dom(&compiled, &mut tags.clone(), doc.as_bytes(), &mut want)
+        .unwrap_or_else(|e| panic!("dom failed: {e}\n{query}\n{doc}"));
+    let one_shot = gcx::run_gcx(&compiled, &mut tags.clone(), doc.as_bytes(), io::sink())
+        .unwrap_or_else(|e| panic!("gcx failed: {e}\n{query}\n{doc}"));
+    let compiled = Arc::new(compiled);
+    for step_budget in [1, 7, u32::MAX] {
+        let config = SessionConfig {
+            step_budget,
+            ..Default::default()
+        };
+        let mut session = gcx::StreamSession::new(compiled.clone(), tags.clone(), config);
+        let mut got = Vec::new();
+        let mut rest = doc.as_bytes();
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at(rng.random_range(1..=7).min(rest.len()));
+            got.extend_from_slice(&session.feed(now).expect("feed"));
+            rest = later;
+        }
+        let outcome = session.finish().expect("finish");
+        got.extend_from_slice(&outcome.output);
+        let what = format!("seed {seed}, step budget {step_budget}:\n{query}\nover\n{doc}");
+        assert_eq!(
+            String::from_utf8_lossy(&want),
+            String::from_utf8_lossy(&got),
+            "output differs at {what}"
+        );
+        let stats = &outcome.report.stats;
+        assert_eq!(
+            stats.roles_assigned, stats.roles_removed,
+            "roles unbalanced at {what}"
+        );
+        assert_eq!(stats.live_nodes, 1, "buffer not empty at the end at {what}");
+        assert_eq!(
+            stats.peak_nodes, one_shot.stats.peak_nodes,
+            "peak at {what}"
+        );
+    }
+    (one_shot.children_skipped > 0, one_shot.verdicts_reused > 0)
+}
+
+/// Child search and verdict reuse under schedules; fails unless at least
+/// 75 of the cases skipped a dead child by the child search and at least
+/// one reused a verdict.
+#[test]
+fn child_search_and_verdict_reuse_match_dom_under_schedules() {
+    let cases = 300;
+    let (mut searched, mut reused) = (0, 0);
+    for seed in 0..cases {
+        let (s, r) = child_search_case(seed);
+        searched += usize::from(s);
+        reused += usize::from(r);
+    }
+    assert!(
+        searched >= 75,
+        "only {searched} of {cases} cases skipped a dead child by child search"
+    );
+    assert!(reused > 0, "no case reused a verdict");
 }
 
 proptest! {
