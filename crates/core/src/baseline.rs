@@ -59,6 +59,7 @@ pub fn run_dom<R: Read, W: Write>(
         tokens_skipped: 0,
         bytes_skipped: 0,
         children_skipped: 0,
+        block_skipped: 0,
         verdicts_reused: 0,
         safety: None,
         role_balance: Vec::new(),

@@ -155,6 +155,10 @@ pub struct RunReport {
     /// Dead children the lexer's child search consumed whole, without an
     /// event (their bytes count in `bytes_skipped`).
     pub children_skipped: u64,
+    /// The part of `bytes_skipped` the lexer's raw skip stepped over in
+    /// block mode, 64 bytes of tags at a time (gcx-xml's lexer docs,
+    /// "Skip mode").
+    pub block_skipped: u64,
     /// Condition leaf sites answered with the verdict an earlier site
     /// decided under the same bindings, instead of evaluating again.
     pub verdicts_reused: u64,
@@ -634,6 +638,7 @@ where
             tokens_skipped: self.projector.tokens_skipped,
             bytes_skipped: self.projector.bytes_skipped(),
             children_skipped: self.projector.children_skipped(),
+            block_skipped: self.projector.block_skipped(),
             verdicts_reused: self.verdicts_reused,
             safety,
             role_balance,

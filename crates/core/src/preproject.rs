@@ -189,6 +189,12 @@ impl<R: Read, T: BorrowMut<TagInterner>, P: Borrow<ProjTree>> Preprojector<R, T,
         self.lexer.children_skipped()
     }
 
+    /// The part of [`Self::bytes_skipped`] the lexer's raw skip stepped
+    /// over a 64-byte block at a time.
+    pub(crate) fn block_skipped(&self) -> u64 {
+        self.lexer.block_skipped_bytes()
+    }
+
     /// Access to the tag interner (for output rendering).
     pub fn tags(&self) -> &TagInterner {
         self.lexer.tags()

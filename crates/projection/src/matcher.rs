@@ -96,18 +96,6 @@ impl<P: Borrow<ProjTree>> StreamMatcher<P> {
             .search(*self.stack.last().expect("stack never empty"))
     }
 
-    /// The exit tags of the current position when its DFA state is a
-    /// descendant search state: an element with any other tag would open
-    /// unbuffered, roleless and not dead, text would not be buffered, and
-    /// every such element's own exits are a subset of these (the DFA's
-    /// module docs, "Search states"). `None` for any other state.
-    pub fn search_exits(&self) -> Option<&[TagId]> {
-        match self.search()? {
-            (SearchScope::Descendants, exits) => Some(exits),
-            (SearchScope::Children, _) => None,
-        }
-    }
-
     /// The copy verdict of the current position (the DFA's module docs,
     /// "Copy states"): the role of its one `dos::node()` edge and the exit
     /// tags, when every element with any other tag, and every text node,

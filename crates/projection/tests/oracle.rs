@@ -26,7 +26,8 @@ mod nfa;
 
 use gcx_projection::{PAxis, PStep, PTest, Pred, ProjNodeId, ProjTree, Role, StreamMatcher};
 use gcx_xml::{
-    Document, NodeId, NodeKind, TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter,
+    Document, NodeId, NodeKind, SearchScope, TagId, TagInterner, XmlError, XmlEvent, XmlLexer,
+    XmlWriter,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -200,6 +201,15 @@ fn random_doc(seed: u64) -> String {
 // The comparison
 // ----------------------------------------------------------------------
 
+/// The exit tags of the matcher's current position when it is a
+/// descendant search state, `None` for any other state.
+fn descendant_exits<'m>(matcher: &'m StreamMatcher<&ProjTree>) -> Option<&'m [TagId]> {
+    match matcher.search()? {
+        (SearchScope::Descendants, exits) => Some(exits),
+        (SearchScope::Children, _) => None,
+    }
+}
+
 /// Check 5 at the current position: when the matcher is in a search
 /// state, drive both matchers one level down with every probe tag outside
 /// the exits, and back up. Returns the number of probes made.
@@ -209,7 +219,7 @@ fn probe_search_state(
     probes: &[TagId],
     at: &str,
 ) -> usize {
-    let Some(exits) = matcher.search_exits().map(<[TagId]>::to_vec) else {
+    let Some(exits) = descendant_exits(matcher).map(<[TagId]>::to_vec) else {
         return 0;
     };
     assert_eq!(
@@ -230,8 +240,7 @@ fn probe_search_state(
             "text below a non-exit element is buffered ({at})"
         );
         matcher.open(tag);
-        let below = matcher
-            .search_exits()
+        let below = descendant_exits(matcher)
             .unwrap_or_else(|| panic!("below a non-exit element: not a search state ({at})"));
         assert!(
             below.iter().all(|t| exits.contains(t)),

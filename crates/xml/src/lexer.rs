@@ -33,6 +33,30 @@
 //! data — is intentionally not, because the bytes are discarded anyway.
 //! Skipped byte counts accumulate in [`XmlLexer::bytes_skipped`].
 //!
+//! **Block mode.** Where markup is dense (XMark has a `<` every ~14
+//! bytes), finding items one at a time costs more than the bytes. So at
+//! an item boundary the scan classifies the next 64 bytes into one `u64`
+//! mask per byte class ([`scan::ScanOps::block_classes`]: `<`, `>`, `/`,
+//! `!`|`?`, `"`|`'`) and, when every tag in them is *plain*, steps the
+//! depth over all of them at once by the count of opens minus the count
+//! of closes. Plain means: in `gt − lt`, every `<` bit survives and no
+//! borrow leaves the block (each `<` has a `>` before the next `<`);
+//! no tag is `<!`, `<?` or `<>`; and no quote lies inside a tag. A tag cut
+//! by the block end, or the subtree root's own close (the first close the
+//! depth meets at 0), ends the block at its `<`. Blocks with no whole tag,
+//! and blocks that are not plain, go through the item loop, and each one
+//! that is not plain doubles the distance to the next try, from 64 bytes
+//! up to 4 KiB, so markup full of attributes, comments or CDATA pays next
+//! to nothing for the tries. Block mode is exact, not a relaxation: in a
+//! plain block each tag runs from its `<` to the first `>` after it. A
+//! close tag ends at the first `>` in any case. An open tag ends there too,
+//! because no quote comes before that `>`. A `/` right after `<` makes a
+//! close tag and a `/` right before `>` makes an open tag self-closing,
+//! exactly as the item loop reads them. So block mode consumes the same
+//! bytes to the same depth and stops where the item loop would stop, and
+//! every error and its offset are unchanged. The bytes it takes are
+//! counted by [`XmlLexer::block_skipped_bytes`].
+//!
 //! ## Search mode
 //!
 //! When a consumer has proven that, below the current element, only
@@ -107,7 +131,7 @@
 //! pending.
 
 use crate::error::XmlError;
-use crate::scan::{self, ScanKernel};
+use crate::scan::{self, BlockClasses, ScanKernel};
 use crate::tags::{TagId, TagInterner};
 use crate::token::XmlEvent;
 use crate::writer::XmlWriter;
@@ -124,6 +148,36 @@ enum Pending {
     Open(TagId),
     Close(TagId),
     AttrText { start: u32, end: u32 },
+}
+
+/// Evaluates `$body` with `$ops` naming the [`scan::ScanOps`] impl of the
+/// active kernel, selected once per call so that dispatch and vector
+/// constants hoist out of the kernel's per-item loop. The Sse2 tier runs
+/// inline SSE2, and the Avx2 tier the same plus its out-of-line block
+/// classifier (scan-level rationale on [`scan::SimdOps`]).
+macro_rules! with_active_ops {
+    ($ops:ident => $body:expr) => {
+        match scan::active_kernel() {
+            ScanKernel::Scalar => {
+                type $ops = scan::ScalarOps;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            ScanKernel::Sse2 => {
+                type $ops = scan::SimdOps;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            ScanKernel::Avx2 => {
+                type $ops = scan::Avx2Ops;
+                $body
+            }
+            _ => {
+                type $ops = scan::SwarOps;
+                $body
+            }
+        }
+    };
 }
 
 /// Streaming tokenizer over any [`Read`].
@@ -164,6 +218,8 @@ pub struct XmlLexer<R: Read, T: BorrowMut<TagInterner>> {
     bytes_skipped: u64,
     /// Dead children the child search consumed whole.
     children_skipped: u64,
+    /// The part of `bytes_skipped` the raw skip's block mode consumed.
+    block_skipped: u64,
     eof: bool,
     /// Rewind checkpoint (≤ `pos`): the buffer index of the current
     /// construct's start. [`Self::fill`] preserves `buf[ckpt..len]`
@@ -209,6 +265,7 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             name_buf: Vec::new(),
             bytes_skipped: 0,
             children_skipped: 0,
+            block_skipped: 0,
             eof: false,
             ckpt: 0,
             ckpt_text: 0,
@@ -248,6 +305,13 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// [`SearchScope::Children`], open tag to close, without an event.
     pub fn children_skipped(&self) -> u64 {
         self.children_skipped
+    }
+
+    /// The bytes of raw skips (dead subtrees, and the child search's dead
+    /// children) that block mode stepped over 64 at a time (module docs,
+    /// "Skip mode"), a part of [`Self::bytes_skipped`].
+    pub fn block_skipped_bytes(&self) -> u64 {
+        self.block_skipped
     }
 
     /// Marks the current position as a rewind checkpoint: everything
@@ -969,6 +1033,18 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// in the module docs; structural errors (unbalanced nesting at EOF,
     /// a mismatched close of the subtree root itself) still surface.
     pub fn skip_subtree(&mut self) -> Result<u64> {
+        self.skip_subtree_in::<true>()
+    }
+
+    /// [`Self::skip_subtree`] with the raw skip's block mode off: the
+    /// item-by-item reference block mode must agree with.
+    #[cfg(test)]
+    fn skip_subtree_by_items(&mut self) -> Result<u64> {
+        self.skip_subtree_in::<false>()
+    }
+
+    /// [`Self::skip_subtree`], with block mode on when `BLOCKS`.
+    fn skip_subtree_in<const BLOCKS: bool>(&mut self) -> Result<u64> {
         let (mut depth, start) = match self.skip.take() {
             // Resuming a skip interrupted by WouldBlock: position and
             // depth are back at the last item boundary.
@@ -1002,7 +1078,7 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             }
         };
         loop {
-            match self.skip_one(&mut depth, start) {
+            match self.skip_one::<BLOCKS>(&mut depth, start) {
                 Ok(Some(skipped)) => return Ok(skipped),
                 Ok(None) => {}
                 Err(e) => {
@@ -1023,25 +1099,17 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
     /// been consumed. A `WouldBlock` read restores `depth` and the
     /// position to the in-flight item's boundary before propagating, so
     /// the pass retries verbatim.
-    fn skip_one(&mut self, depth: &mut usize, start: u64) -> Result<Option<u64>> {
+    fn skip_one<const BLOCKS: bool>(
+        &mut self,
+        depth: &mut usize,
+        start: u64,
+    ) -> Result<Option<u64>> {
         // Fast path: drive the state machine over the buffered window
         // with a register-resident cursor and no helper calls (see
-        // [`skip_fast`]). The kernel is selected once per window so
-        // dispatch and vector constants hoist out of the per-item
-        // loop; the Sse2 and Avx2 tiers share the inline-SSE2 impl
-        // (scan-level rationale on [`scan::SimdOps`]).
-        let outcome = match scan::active_kernel() {
-            ScanKernel::Scalar => {
-                skip_fast::<scan::ScalarOps>(&self.buf, self.pos, self.len, depth)
-            }
-            ScanKernel::Swar => skip_fast::<scan::SwarOps>(&self.buf, self.pos, self.len, depth),
-            #[cfg(target_arch = "x86_64")]
-            ScanKernel::Sse2 | ScanKernel::Avx2 => {
-                skip_fast::<scan::SimdOps>(&self.buf, self.pos, self.len, depth)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => skip_fast::<scan::SwarOps>(&self.buf, self.pos, self.len, depth),
-        };
+        // [`skip_fast`]).
+        let (buf, pos, end) = (&self.buf, self.pos, self.len);
+        let blocked = &mut self.block_skipped;
+        let outcome = with_active_ops!(K => skip_fast::<K, BLOCKS>(buf, pos, end, depth, blocked));
         match outcome {
             SkipFast::Drained => self.pos = self.len,
             SkipFast::Rewind(lt) => self.pos = lt,
@@ -1269,20 +1337,9 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
         }
         let (buf, pos, end, tags) = (&self.buf, self.pos, self.len, self.tags.borrow());
         let stack = &mut self.scan_stack;
-        let stop = match scan::active_kernel() {
-            ScanKernel::Scalar => {
-                search_fast::<scan::ScalarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
-            }
-            ScanKernel::Swar => {
-                search_fast::<scan::SwarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
-            }
-            #[cfg(target_arch = "x86_64")]
-            ScanKernel::Sse2 | ScanKernel::Avx2 => {
-                search_fast::<scan::SimdOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => search_fast::<scan::SwarOps, S, CHILDREN>(buf, pos, end, tags, exits, stack, sink),
-        };
+        let stop = with_active_ops!(K => search_fast::<K, S, CHILDREN>(
+            buf, pos, end, tags, exits, stack, sink
+        ));
         for k in 0..self.scan_stack.len() {
             let (start, end) = self.scan_stack[k];
             let id = self
@@ -1302,6 +1359,7 @@ impl<R: Read, T: BorrowMut<TagInterner>> XmlLexer<R, T> {
             self.bytes_skipped += (stop.at - pos) as u64;
         }
         self.children_skipped += stop.dead;
+        self.block_skipped += stop.blocked;
         if let Some(depth) = stop.cut {
             // The cut dead child's `Open` is queued: its body continues
             // as a raw skip, resumed where the kernel left it.
@@ -1335,6 +1393,9 @@ struct SearchStop {
     cut: Option<usize>,
     /// Children scope: dead children consumed whole.
     dead: u64,
+    /// Children scope: the bytes of dead children's bodies the raw skip's
+    /// block mode consumed.
+    blocked: u64,
 }
 
 /// Where [`search_fast`] puts the items it consumes: one kernel,
@@ -1430,6 +1491,7 @@ fn search_fast<K: scan::ScanOps, S: ScanSink, const CHILDREN: bool>(
     // Copy: `buf[span..i]` is consumed and not yet appended.
     let mut span = pos;
     let mut dead = 0;
+    let mut blocked = 0;
     let mut i = pos;
     let (at, cut) = loop {
         // Character data up to the next item: consumed only when it is
@@ -1513,22 +1575,24 @@ fn search_fast<K: scan::ScanOps, S: ScanSink, const CHILDREN: bool>(
                     // A dead child: raw-skip its body, then take its own
                     // close only as `</x>` exactly.
                     let mut depth = 0;
-                    let (at, depth) = match skip_fast::<K>(buf, name_end + 1, end, &mut depth) {
-                        SkipFast::RootClose(close) => {
-                            let close_end = close + K::name_run_len(tail(close, end));
-                            if close_end < end
-                                && byte(close_end) == b'>'
-                                && tail(close, close_end) == tail(name, name_end)
-                            {
-                                i = close_end + 1;
-                                dead += 1;
-                                continue;
+                    let body = name_end + 1;
+                    let (at, depth) =
+                        match skip_fast::<K, true>(buf, body, end, &mut depth, &mut blocked) {
+                            SkipFast::RootClose(close) => {
+                                let close_end = close + K::name_run_len(tail(close, end));
+                                if close_end < end
+                                    && byte(close_end) == b'>'
+                                    && tail(close, close_end) == tail(name, name_end)
+                                {
+                                    i = close_end + 1;
+                                    dead += 1;
+                                    continue;
+                                }
+                                (close - 2, 0)
                             }
-                            (close - 2, 0)
-                        }
-                        SkipFast::Drained => (end, depth),
-                        SkipFast::Rewind(at) => (at, depth),
-                    };
+                            SkipFast::Drained => (end, depth),
+                            SkipFast::Rewind(at) => (at, depth),
+                        };
                     stack.push((name, name_end));
                     break (at, Some(depth));
                 } else {
@@ -1541,10 +1605,16 @@ fn search_fast<K: scan::ScanOps, S: ScanSink, const CHILDREN: bool>(
     if S::COPY {
         sink.append(tail(span, at));
     }
-    SearchStop { at, cut, dead }
+    SearchStop {
+        at,
+        cut,
+        dead,
+        blocked,
+    }
 }
 
 /// Outcome of one [`skip_fast`] pass over the buffered window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SkipFast {
     /// Window exhausted scanning character data: refill and continue.
     Drained,
@@ -1564,16 +1634,57 @@ enum SkipFast {
 /// mutated until an item resolves entirely within the window, so the
 /// caller can rewind to an unresolved item's '<' without state repair.
 ///
+/// With `BLOCKS` (every product caller; tests also run it without, as
+/// the reference) it first tries block mode at item boundaries (module
+/// docs, "Skip mode"): [`step_block`] takes the next 64 bytes at once
+/// when their tags are all plain, and the bytes so consumed are added to
+/// `blocked`. A block that is not taken goes item by item, and each
+/// failed one doubles the distance to the next try, up to
+/// [`BLOCK_GAP_MAX`].
+///
 /// Every index is bounded by `end` before use; `buf` is cut to `..end`
 /// up front, so an index past the window would panic, not read stale
 /// bytes.
 #[inline]
-fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut usize) -> SkipFast {
+fn skip_fast<K: scan::ScanOps, const BLOCKS: bool>(
+    buf: &[u8],
+    pos: usize,
+    end: usize,
+    depth: &mut usize,
+    blocked: &mut u64,
+) -> SkipFast {
     let buf = &buf[..end];
     let tail = |lo: usize, hi: usize| &buf[lo..hi];
     let byte = |at: usize| buf[at];
     let mut i = pos;
+    // Block mode: the next index to try a block at, and the distance to
+    // the try after a block that is not taken.
+    let mut next_try = pos;
+    let mut gap = BLOCK;
     loop {
+        if BLOCKS && i >= next_try && end - i >= BLOCK {
+            let block = buf[i..i + BLOCK].try_into().expect("one block");
+            match step_block(K::block_classes(block), *depth) {
+                BlockStep::Stepped { len, depth: d } => {
+                    *depth = d;
+                    *blocked += len as u64;
+                    i += len;
+                    next_try = i;
+                    gap = BLOCK;
+                    continue;
+                }
+                BlockStep::RootClose { lt } => {
+                    *depth = 0;
+                    *blocked += lt as u64;
+                    return SkipFast::RootClose(i + lt + 2);
+                }
+                BlockStep::Text => next_try = i + gap,
+                BlockStep::Failed => {
+                    next_try = i + gap;
+                    gap = (2 * gap).min(BLOCK_GAP_MAX);
+                }
+            }
+        }
         // Adjacent markup ("</a><b>") is the common case in dense
         // regions: a one-byte check there skips the whole find call.
         let lt = if i < end && byte(i) == b'<' {
@@ -1696,6 +1807,103 @@ fn skip_fast<K: scan::ScanOps>(buf: &[u8], pos: usize, end: usize, depth: &mut u
                 }
             }
         }
+    }
+}
+
+/// The bytes block mode classifies at once.
+const BLOCK: usize = 64;
+
+/// The longest distance block mode backs off to after failed blocks.
+const BLOCK_GAP_MAX: usize = 4096;
+
+/// What [`step_block`] made of one block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BlockStep {
+    /// The first `len` bytes (one or more whole tags) are consumed, and
+    /// the nesting depth after them is `depth`.
+    Stepped { len: usize, depth: usize },
+    /// The subtree root's own close tag starts at byte `lt`: everything
+    /// before it is consumed, at depth 0.
+    RootClose { lt: usize },
+    /// No whole tag in the block: the item loop takes it.
+    Text,
+    /// A tag the masks cannot settle: the item loop takes the block.
+    Failed,
+}
+
+/// Block mode of the raw skip (module docs, "Skip mode"): the item loop
+/// of [`skip_fast`] over one 64-byte block that starts at an item
+/// boundary at nesting depth `depth`, computed from its byte classes.
+///
+/// A block is *plain* when, after cutting it at the `<` of a tag the
+/// block end cuts, `gt − lt` keeps every `<` bit without a borrow (each
+/// `<` has a `>` before the next `<`, so the tags are `[<, first >]`
+/// intervals), no tag is `<!`, `<?` or `<>`, and no quote lies inside a
+/// tag. The item loop then consumes exactly these intervals: a close
+/// tag's first `>` ends it, and an open tag's first `>` ends it because
+/// no quote precedes that `>`. So a close is a `<` before `/`, a
+/// self-closing tag an open tag whose `>` follows `/`, and the depth
+/// moves by the opens minus the closes, unless a close finds depth 0
+/// before it: that is the root's own, and the block ends at its `<`.
+#[inline]
+fn step_block(c: BlockClasses, depth: usize) -> BlockStep {
+    let BlockClasses {
+        mut lt,
+        mut gt,
+        slash,
+        bang,
+        quote,
+    } = c;
+    if lt == 0 {
+        return BlockStep::Text;
+    }
+    let mut len = BLOCK;
+    let last = lt.ilog2();
+    if gt >> last == 0 {
+        // The last tag is cut by the block end: the block ends at its '<'.
+        len = last as usize;
+        let before = (1u64 << last) - 1;
+        lt &= before;
+        gt &= before;
+        if lt == 0 {
+            return BlockStep::Text;
+        }
+    }
+    // Each '<' starts a borrow that the first '>' above it ends; a '<'
+    // reached by a running borrow is cleared.
+    let (spans, borrow) = gt.overflowing_sub(lt);
+    if borrow || spans & lt != lt {
+        return BlockStep::Failed;
+    }
+    // `spans` is every tag's `[<, >)` plus the stray '>' of text.
+    let ends = gt & !spans;
+    let inside = spans & !gt;
+    if (lt << 1) & (bang | gt) != 0 || quote & inside != 0 {
+        return BlockStep::Failed;
+    }
+    let closes = lt & (slash >> 1);
+    // A close's borrow ends at its own '>', which it clears.
+    let open_ends = ends & ends.wrapping_sub(closes);
+    let opens = open_ends & !(slash << 1);
+    let n_closes = closes.count_ones() as usize;
+    if depth < n_closes {
+        // A close may meet depth 0: find the first that does. An open
+        // counts at its '>', which precedes the next tag.
+        let mut rest = closes;
+        while rest != 0 {
+            let at = rest.trailing_zeros();
+            let below = (1u64 << at) - 1;
+            if depth + (opens & below).count_ones() as usize
+                == (closes & below).count_ones() as usize
+            {
+                return BlockStep::RootClose { lt: at as usize };
+            }
+            rest &= rest - 1;
+        }
+    }
+    BlockStep::Stepped {
+        len,
+        depth: depth + opens.count_ones() as usize - n_closes,
     }
 }
 
@@ -2717,5 +2925,266 @@ mod tests {
             shown,
             vec!["<a>", "<a1>", "\"v\"", "</a1>", "\"text\"", "<b>", "</b>", "\"more\"", "</a>"]
         );
+    }
+
+    // ------------------------------------------------------------------
+    // Block mode of the raw skip
+    // ------------------------------------------------------------------
+
+    /// Markup whose every tag block mode must take as the item loop
+    /// does, or leave to it: cut tags, `<`, `>` and `/` where a tag does
+    /// not expect them, quotes, comments, CDATA and PIs holding tags, and
+    /// ROADMAP item 9's two malformed dead subtrees (the dead element is
+    /// `dead` there, `k` elsewhere).
+    const BLOCK_CASES: &[&[u8]] = &[
+        b"<r><dead><p>a&bogus;b</p><z>\xff</z></dead><name>n</name></r>",
+        b"<r><dead><p>a</q></dead><name>n</name></r>",
+        b"<r><k><a<b>x</a></k><after/></r>",
+        b"<r><k><>x</k><after/></r>",
+        b"<r><k><a>x</></k><after/></r>",
+        b"<r><k>a/>b<c>d/></c>/></k><after/></r>",
+        b"<r><k><a x=\"1>2\" y='>'>t</a><b z=\"/>\"/></k><after/></r>",
+        b"<r><k><!--<a>--></k><after/></r>",
+        b"<r><k><a><![CDATA[</a>]]></a></k><after/></r>",
+        b"<r><k><?pi <a> ?><b/></k><after/></r>",
+        b"<r><k><a/><b /><c></c></k ><after/></r>",
+        b"<r><k><a>\xc3\xa9\xe2\x80\x94</a></k><after/></r>",
+        b"<r><k><a></b></c></k><after/></r>",
+        b"<r><k></k></r>",
+        b"<r><k>",
+        b"<r><k><a>",
+    ];
+
+    /// Plain markup around a case, so that its bytes fall in a block.
+    const PLAIN: &str = "<p>ab</p><q><s>cd</s></q><t/>";
+
+    /// The next draw below `n` of a xorshift generator.
+    fn draw(rng: &mut u64, n: u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng % n
+    }
+
+    /// A seeded random document under `<r>`: nested elements (some named
+    /// `k`, whose subtrees the checks skip), attributes with `>` and `/>`
+    /// in their values, bachelor tags, text with `/`, `>`, `!`, `?` and
+    /// non-ASCII, comments, CDATA sections and PIs holding markup.
+    fn nested_doc(seed: u64) -> Vec<u8> {
+        fn node(rng: &mut u64, depth: usize, out: &mut String) {
+            let name = ["a", "b", "k", "x"][draw(rng, 4) as usize];
+            out.push('<');
+            out.push_str(name);
+            match draw(rng, 8) {
+                0 => out.push_str(" v=\"1>2\""),
+                1 => out.push_str(" w='/>'"),
+                _ => {}
+            }
+            if draw(rng, 6) == 0 {
+                out.push_str("/>");
+                return;
+            }
+            out.push('>');
+            let children = if depth < 5 { draw(rng, 5) } else { 0 };
+            for _ in 0..children {
+                match draw(rng, 12) {
+                    0 => out.push_str("<!--<a>-->"),
+                    1 => out.push_str("<![CDATA[</a>]]>"),
+                    2 => out.push_str("<?p </a>?>"),
+                    3..=5 => out.push_str(
+                        ["t", "a/>b", "x > y", "!?", "\u{e9}", "  "][draw(rng, 6) as usize],
+                    ),
+                    _ => node(rng, depth + 1, out),
+                }
+            }
+            out.push_str("</");
+            out.push_str(name);
+            out.push('>');
+        }
+        let mut rng = seed | 1;
+        let mut out = String::from("<r>");
+        for _ in 0..4 {
+            node(&mut rng, 0, &mut out);
+        }
+        out.push_str("</r>");
+        out.into_bytes()
+    }
+
+    /// `doc` with one to three bytes replaced by, inserted as or deleted
+    /// for a structural byte: malformed more often than not.
+    fn mutated(doc: &[u8], seed: u64) -> Vec<u8> {
+        let rng = &mut (seed | 1);
+        let mut doc = doc.to_vec();
+        for _ in 0..1 + draw(rng, 3) {
+            let at = draw(rng, doc.len() as u64) as usize;
+            let b = b"<>/!?\"'"[draw(rng, 7) as usize];
+            match draw(rng, 3) {
+                0 => doc[at] = b,
+                1 => doc.insert(at, b),
+                _ => {
+                    doc.remove(at);
+                }
+            }
+        }
+        doc
+    }
+
+    /// Every case of [`BLOCK_CASES`] and [`nested_doc`], and for the
+    /// kernel check also the root close at every offset of a block
+    /// entered at depths 0 to 3.
+    fn block_corpus() -> Vec<Vec<u8>> {
+        let cases = SKIP_CORPUS.iter().map(|case| case.as_bytes());
+        let mut corpus: Vec<Vec<u8>> = cases
+            .chain(BLOCK_CASES.iter().copied())
+            .map(|case| [PLAIN.repeat(3).as_bytes(), case].concat())
+            .collect();
+        corpus.extend((1..=12).map(nested_doc));
+        corpus
+    }
+
+    /// One [`skip_fast`] pass over `buf[pos..end]` from `depth`, through
+    /// the active kernel, with block mode on or off: the outcome, the
+    /// depth it leaves and the bytes block mode took.
+    fn skip_pass<const BLOCKS: bool>(
+        buf: &[u8],
+        pos: usize,
+        end: usize,
+        depth: usize,
+    ) -> (SkipFast, usize, u64) {
+        let (mut depth, mut blocked) = (depth, 0);
+        let outcome =
+            with_active_ops!(K => skip_fast::<K, BLOCKS>(buf, pos, end, &mut depth, &mut blocked));
+        (outcome, depth, blocked)
+    }
+
+    /// Asserts that a raw skip of `body` gives the same outcome and depth
+    /// with block mode as without, from each `starts` offset and every
+    /// depth 0 to 3, at window sizes 1 to 130 and a whole buffer. Returns
+    /// the bytes block mode took.
+    fn assert_block_parity(body: &[u8], starts: impl Iterator<Item = usize>) -> u64 {
+        let mut blocked = 0;
+        for pos in starts.take_while(|&p| p < body.len()) {
+            for depth in 0..=3 {
+                for window in (1..=130).chain([BUF_SIZE]) {
+                    let end = body.len().min(pos + window);
+                    let (by_blocks, d1, took) = skip_pass::<true>(body, pos, end, depth);
+                    let (by_items, d2, none) = skip_pass::<false>(body, pos, end, depth);
+                    assert_eq!(
+                        (by_blocks, d1),
+                        (by_items, d2),
+                        "{:?}[{pos}..{end}] from depth {depth}",
+                        String::from_utf8_lossy(body)
+                    );
+                    assert_eq!(none, 0);
+                    blocked += took;
+                }
+            }
+        }
+        blocked
+    }
+
+    /// The kernel with block mode stops where the item loop stops, at the
+    /// same depth and with the same outcome, from every offset of a first
+    /// block and at every window size.
+    #[test]
+    fn block_mode_matches_the_item_loop() {
+        let mut blocked = 0;
+        for body in block_corpus() {
+            blocked += assert_block_parity(&body, 0..BLOCK);
+        }
+        // The root's own close at every offset of a block entered at
+        // depths 0 to 3, after the closes that bring it down to 0 when
+        // they fit before it.
+        for depth in 0..=3 {
+            for at in 0..BLOCK {
+                let lead = if at >= 4 * depth {
+                    format!("{}{}", "</x>".repeat(depth), "y".repeat(at - 4 * depth))
+                } else {
+                    "y".repeat(at)
+                };
+                let body = format!("{lead}</k>{}", PLAIN.repeat(4));
+                blocked += assert_block_parity(body.as_bytes(), 0..1);
+                if at >= 4 * depth {
+                    let (outcome, _, _) = skip_pass::<true>(body.as_bytes(), 0, body.len(), depth);
+                    assert_eq!(outcome, SkipFast::RootClose(at + 2), "{body:?}");
+                }
+            }
+        }
+        assert!(blocked > 0, "block mode never engaged");
+    }
+
+    /// Fuzzed malformed documents: block mode agrees with the item loop
+    /// wherever a skip starts.
+    #[test]
+    fn block_mode_matches_the_item_loop_on_malformed_input() {
+        for seed in 1..=150 {
+            let doc = mutated(&nested_doc(seed), seed.wrapping_mul(0x9e37_79b9));
+            assert_block_parity(&doc, [0, 1, 7, 30, 63].into_iter());
+        }
+    }
+
+    /// Every token, skip count and error of a document lexed with each
+    /// `k` and `dead` subtree skipped, by blocks or item by item, from a
+    /// reader of `chunk` bytes per read.
+    fn skip_trace(doc: &[u8], chunk: usize, blocks: bool) -> Vec<String> {
+        let mut tags = TagInterner::new();
+        let dead = [tags.intern("k"), tags.intern("dead")];
+        let reader = ChunkedReader { data: doc, chunk };
+        let mut lexer = XmlLexer::new(reader, &mut tags);
+        let mut trace = Vec::new();
+        loop {
+            let t = match lexer.next_token() {
+                Ok(Some(t)) => t,
+                Ok(None) => break,
+                Err(e) => {
+                    trace.push(format!("{e:?}"));
+                    break;
+                }
+            };
+            trace.push(t.display(lexer.tags()).to_string());
+            if matches!(t, XmlToken::Open(tag) if dead.contains(&tag)) {
+                let skipped = if blocks {
+                    lexer.skip_subtree()
+                } else {
+                    lexer.skip_subtree_by_items()
+                };
+                match skipped {
+                    Ok(n) => trace.push(format!("skipped {n}")),
+                    Err(e) => {
+                        trace.push(format!("{e:?}"));
+                        break;
+                    }
+                }
+            }
+        }
+        trace.push(format!("at {}", lexer.offset()));
+        trace
+    }
+
+    /// Through the lexer, skipping by blocks consumes, counts and fails
+    /// exactly as skipping item by item, at every window size.
+    #[test]
+    fn block_mode_skips_and_fails_like_the_item_loop() {
+        let mut docs = block_corpus();
+        docs.extend((1..=40).map(|seed| mutated(&nested_doc(seed), seed)));
+        for doc in &docs {
+            let reference = skip_trace(doc, BUF_SIZE, false);
+            for chunk in (1..=130).chain([BUF_SIZE]) {
+                assert_eq!(
+                    skip_trace(doc, chunk, true),
+                    reference,
+                    "{:?} in chunks of {chunk}",
+                    String::from_utf8_lossy(doc)
+                );
+            }
+        }
+        // A large dead subtree: most of it goes by blocks.
+        let doc = format!("<r><k>{}</k></r>", PLAIN.repeat(4000));
+        let mut tags = TagInterner::new();
+        let mut lexer = XmlLexer::new(doc.as_bytes(), &mut tags);
+        lexer.next_token().unwrap();
+        lexer.next_token().unwrap();
+        let skipped = lexer.skip_subtree().unwrap();
+        assert!(lexer.block_skipped_bytes() * 10 > skipped * 9);
     }
 }

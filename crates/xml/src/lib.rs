@@ -17,6 +17,8 @@
 //! * [`tree::Document`] — a simple DOM used by the in-memory baseline
 //!   engines and as the reference for document projection (paper Def. 1).
 
+#![deny(unsafe_code)]
+
 pub mod error;
 pub mod lexer;
 pub mod scan;

@@ -1,5 +1,9 @@
 //! Vectorized structural byte scanning for the streaming lexer.
 //!
+//! gcx-xml's one home for `unsafe`: the crate denies it everywhere else,
+//! so every intrinsic the lexer uses lands here, behind a safe function
+//! held to the scalar reference.
+//!
 //! After skip-mode lexing (dead subtrees consumed as raw bytes), the
 //! byte-level scan loops *are* the throughput bound: 66–99 % of XMark
 //! input is consumed looking for the next `<`, the closing quote of an
@@ -16,6 +20,14 @@
 //! * **Scalar** — the reference implementation every other kernel must
 //!   match byte for byte (see `tests/scan_differential.rs`).
 //!
+//! Besides the `find_*`/`name_run_len` searches there is one classifier,
+//! [`ScanOps::block_classes`]: it maps a 64-byte block to one `u64` mask
+//! per structural byte class (`<`, `>`, `/`, `!`|`?`, `"`|`'`), bit `i`
+//! standing for byte `i`, as simdjson's stage one does (Langdale and
+//! Lemire, VLDB J. 2019). The raw skip's block mode (lexer module docs,
+//! "Skip mode") steps the nesting depth over every tag of a block from
+//! these masks alone.
+//!
 //! All primitives are pure functions over `&[u8]` returning indices
 //! *relative to the slice*; chunk-boundary correctness is the caller's
 //! concern (the lexer re-invokes them after every buffer refill, and the
@@ -26,6 +38,8 @@
 //! `GCX_SCAN_KERNEL=scalar|swar|sse2|avx2|auto` forces a specific tier
 //! (requests for an unavailable tier fall back to the best available),
 //! which is how CI exercises the fallback kernels on AVX2 machines.
+
+#![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -303,6 +317,28 @@ pub fn name_run_len_with(k: ScanKernel, hay: &[u8]) -> usize {
     with_kernel!(k, name_run_len(hay))
 }
 
+/// [`ScanOps::block_classes`] through an explicit kernel (differential
+/// tests).
+pub fn block_classes_with(k: ScanKernel, block: &[u8; 64]) -> BlockClasses {
+    with_kernel!(k, block_classes(block))
+}
+
+/// The structural byte classes of one 64-byte block: bit `i` of a mask is
+/// set when byte `i` of the block is in that class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockClasses {
+    /// `<`
+    pub lt: u64,
+    /// `>`
+    pub gt: u64,
+    /// `/`
+    pub slash: u64,
+    /// `!` or `?`
+    pub bang: u64,
+    /// `"` or `'`
+    pub quote: u64,
+}
+
 // ---------------------------------------------------------------------
 // Monomorphizable ops for tight state machines
 // ---------------------------------------------------------------------
@@ -317,6 +353,8 @@ pub trait ScanOps {
     fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize>;
     fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize>;
     fn name_run_len(hay: &[u8]) -> usize;
+    /// The byte classes of `block` (see [`BlockClasses`]).
+    fn block_classes(block: &[u8; 64]) -> BlockClasses;
 }
 
 /// [`ScanOps`] through the scalar reference kernel.
@@ -341,6 +379,11 @@ impl ScanOps for ScalarOps {
     #[inline]
     fn name_run_len(hay: &[u8]) -> usize {
         scalar::name_run_len(hay)
+    }
+
+    #[inline]
+    fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        scalar::block_classes(block)
     }
 }
 
@@ -367,12 +410,17 @@ impl ScanOps for SwarOps {
     fn name_run_len(hay: &[u8]) -> usize {
         swar::name_run_len(hay)
     }
+
+    #[inline]
+    fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        swar::block_classes(block)
+    }
 }
 
-/// [`ScanOps`] through inline SSE2 — used for both the Sse2 and Avx2
-/// tiers: inside a per-item state machine the runs are short, the
-/// out-of-line AVX2 call cannot inline (`#[target_feature]`), and fully
-/// inlined SSE2 with hoisted constants wins.
+/// [`ScanOps`] through inline SSE2, the Sse2 tier. The Avx2 tier's ops
+/// share its searches: inside a per-item state machine the runs are
+/// short, the out-of-line AVX2 call cannot inline (`#[target_feature]`),
+/// and fully inlined SSE2 with hoisted constants wins.
 #[cfg(target_arch = "x86_64")]
 pub struct SimdOps;
 
@@ -401,6 +449,54 @@ impl ScanOps for SimdOps {
         // SAFETY: SSE2 is part of the x86_64 baseline.
         unsafe { sse2::name_run_len(hay) }
     }
+
+    #[inline]
+    fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { sse2::block_classes(block) }
+    }
+}
+
+/// [`ScanOps`] for the Avx2 tier: [`SimdOps`]'s inline SSE2 searches, and
+/// the block classifier as one out-of-line AVX2 call, which 64 bytes of
+/// work amortize.
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct Avx2Ops;
+
+#[cfg(target_arch = "x86_64")]
+impl ScanOps for Avx2Ops {
+    #[inline]
+    fn find_byte(hay: &[u8], b0: u8) -> Option<usize> {
+        SimdOps::find_byte(hay, b0)
+    }
+
+    #[inline]
+    fn find_byte3(hay: &[u8], b0: u8, b1: u8, b2: u8) -> Option<usize> {
+        SimdOps::find_byte3(hay, b0, b1, b2)
+    }
+
+    #[inline]
+    fn find_byte2(hay: &[u8], b0: u8, b1: u8) -> Option<usize> {
+        SimdOps::find_byte2(hay, b0, b1)
+    }
+
+    #[inline]
+    fn name_run_len(hay: &[u8]) -> usize {
+        SimdOps::name_run_len(hay)
+    }
+
+    #[inline]
+    fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        // The lexer picks these ops only for the Avx2 tier, which only a
+        // detection selects; the check (a cached flag) keeps the safe
+        // method sound for any caller.
+        if ScanKernel::Avx2.is_available() {
+            // SAFETY: AVX2 was detected just above.
+            unsafe { avx2::block_classes(block) }
+        } else {
+            SimdOps::block_classes(block)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -408,7 +504,7 @@ impl ScanOps for SimdOps {
 // ---------------------------------------------------------------------
 
 mod scalar {
-    use super::is_name_byte;
+    use super::{is_name_byte, BlockClasses};
 
     #[inline]
     pub fn find_byte(hay: &[u8], b0: u8) -> Option<usize> {
@@ -436,6 +532,23 @@ mod scalar {
             .position(|&b| !is_name_byte(b))
             .unwrap_or(hay.len())
     }
+
+    #[inline]
+    pub fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        let mut c = BlockClasses::default();
+        for (i, &b) in block.iter().enumerate() {
+            let mask = match b {
+                b'<' => &mut c.lt,
+                b'>' => &mut c.gt,
+                b'/' => &mut c.slash,
+                b'!' | b'?' => &mut c.bang,
+                b'"' | b'\'' => &mut c.quote,
+                _ => continue,
+            };
+            *mask |= 1 << i;
+        }
+        c
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -444,7 +557,7 @@ mod scalar {
 // ---------------------------------------------------------------------
 
 mod swar {
-    use super::scalar;
+    use super::{scalar, BlockClasses};
 
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
@@ -581,6 +694,52 @@ mod swar {
         }
         i + scalar::name_run_len(&hay[i..])
     }
+
+    /// The transpose of an 8×8 bit matrix held one row per byte: bit `j`
+    /// of byte `k` moves to bit `k` of byte `j` (three delta swaps,
+    /// Hacker's Delight §7-3).
+    #[inline]
+    fn transpose8(mut x: u64) -> u64 {
+        let mut t = (x ^ (x >> 7)) & 0x00aa_00aa_00aa_00aa;
+        x ^= t ^ (t << 7);
+        t = (x ^ (x >> 14)) & 0x0000_cccc_0000_cccc;
+        x ^= t ^ (t << 14);
+        t = (x ^ (x >> 28)) & 0x0000_0000_f0f0_f0f0;
+        x ^= t ^ (t << 28);
+        x
+    }
+
+    #[inline]
+    pub fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        // Word `k`'s match flags (the high bit of each byte) go to bit
+        // `k` of their byte, so that byte `j` of a class's word holds
+        // bytes `j`, `8 + j`, … of the block; the transpose then puts
+        // block byte `8k + j` at bit `8k + j`.
+        let mut m = [0u64; 5];
+        for k in 0..8 {
+            let w = load(block, 8 * k);
+            // [`zero_mask_exact`] of `w ^ splat(t)` for ASCII targets, with
+            // what does not depend on `t` computed once: a byte is `t`
+            // when its low seven bits are (the high bit of `differs(t)`
+            // clear) and its own high bit is clear. A union of targets
+            // ANDs their `differs`.
+            let low = w & !HI;
+            let differs = |t: u8| (low ^ splat(t)).wrapping_add(!HI);
+            let equal = |d: u64| (!(d | w) & HI) >> (7 - k);
+            m[0] |= equal(differs(b'<'));
+            m[1] |= equal(differs(b'>'));
+            m[2] |= equal(differs(b'/'));
+            m[3] |= equal(differs(b'!') & differs(b'?'));
+            m[4] |= equal(differs(b'"') & differs(b'\''));
+        }
+        BlockClasses {
+            lt: transpose8(m[0]),
+            gt: transpose8(m[1]),
+            slash: transpose8(m[2]),
+            bang: transpose8(m[3]),
+            quote: transpose8(m[4]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -591,7 +750,7 @@ mod swar {
 
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::scalar;
+    use super::{scalar, BlockClasses};
     use std::arch::x86_64::*;
 
     #[inline]
@@ -717,6 +876,25 @@ mod sse2 {
         }
         i + scalar::name_run_len(&hay[i..])
     }
+
+    /// # Safety
+    ///
+    /// None beyond the x86_64 baseline, which includes SSE2.
+    #[inline]
+    pub unsafe fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        let mut c = BlockClasses::default();
+        for k in 0..4 {
+            let v = load(block, 16 * k);
+            let at = 16 * k;
+            let mask = |targets: &[u8]| u64::from(eq_any_mask(v, targets)) << at;
+            c.lt |= mask(b"<");
+            c.gt |= mask(b">");
+            c.slash |= mask(b"/");
+            c.bang |= mask(b"!?");
+            c.quote |= mask(b"\"'");
+        }
+        c
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -725,7 +903,7 @@ mod sse2 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::sse2;
+    use super::{sse2, BlockClasses};
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -821,6 +999,32 @@ mod avx2 {
             i += 32;
         }
         i + sse2::name_run_len(&hay[i..])
+    }
+
+    /// The 64-bit mask of the bytes equal to any of `targets` in the
+    /// block `lo ++ hi`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn eq_any_mask64(lo: __m256i, hi: __m256i, targets: &[u8]) -> u64 {
+        u64::from(eq_any_mask(lo, targets)) | u64::from(eq_any_mask(hi, targets)) << 32
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn block_classes(block: &[u8; 64]) -> BlockClasses {
+        let (lo, hi) = (load(block, 0), load(block, 32));
+        BlockClasses {
+            lt: eq_any_mask64(lo, hi, b"<"),
+            gt: eq_any_mask64(lo, hi, b">"),
+            slash: eq_any_mask64(lo, hi, b"/"),
+            bang: eq_any_mask64(lo, hi, b"!?"),
+            quote: eq_any_mask64(lo, hi, b"\"'"),
+        }
     }
 }
 

@@ -1,8 +1,9 @@
 //! Differential tests for the vectorized scanning module: every kernel
 //! tier (scalar / SWAR / SSE2 / AVX2) must be byte-identical to the
-//! scalar reference on adversarial inputs, and the full lexer must
-//! produce identical token streams under every forced kernel × chunk
-//! size combination — including chunk-boundary straddles.
+//! scalar reference on adversarial inputs, for the `find_*` searches and
+//! the block classifier alike, and the full lexer must produce identical
+//! token streams under every forced kernel × chunk size combination —
+//! including chunk-boundary straddles.
 
 use gcx_xml::scan::{self, ScanKernel};
 use gcx_xml::{TagId, TagInterner, XmlError, XmlEvent, XmlLexer, XmlWriter};
@@ -167,6 +168,75 @@ fn random_haystacks() {
         let len = (rng.next_u64() % 300) as usize;
         let hay: Vec<u8> = (0..len).map(|_| rng.byte_from(alphabet)).collect();
         assert_kernels_agree(&hay, "random");
+    }
+}
+
+/// Asserts every available kernel's block classifier agrees with the
+/// scalar reference on `block`.
+fn assert_block_classes_agree(block: &[u8], ctx: &str) {
+    let block: &[u8; 64] = block.try_into().expect("a 64-byte block");
+    let reference = scan::block_classes_with(ScanKernel::Scalar, block);
+    for k in ScanKernel::available() {
+        assert_eq!(
+            scan::block_classes_with(k, block),
+            reference,
+            "block_classes {k:?} {ctx} block={block:?}"
+        );
+    }
+}
+
+/// Each class byte, and non-ASCII bytes, alone at every position of a
+/// filler block and of a block full of another class byte — so every
+/// lane of every word and vector is probed, and no class leaks into a
+/// neighbour's mask.
+#[test]
+fn block_classes_byte_at_every_position() {
+    let probes = [
+        b'<', b'>', b'/', b'!', b'?', b'"', b'\'', 0x80, 0xbc, 0xc3, 0xff, 0x3b, 0x3d,
+    ];
+    for filler in [b'a', b'<', b'"', 0x00, 0xff] {
+        assert_block_classes_agree(&[filler; 64], "filler");
+        for pos in 0..64 {
+            for probe in probes {
+                let mut block = [filler; 64];
+                block[pos] = probe;
+                assert_block_classes_agree(&block, "single-byte");
+            }
+        }
+    }
+    // The reference itself, on the bit order the lexer relies on.
+    let mut block = [b'a'; 64];
+    block[0] = b'<';
+    block[63] = b'>';
+    block[5] = b'?';
+    block[6] = b'\'';
+    let c = scan::block_classes_with(ScanKernel::Scalar, &block);
+    assert_eq!(
+        (c.lt, c.gt, c.bang, c.quote, c.slash),
+        (1, 1 << 63, 1 << 5, 1 << 6, 0)
+    );
+}
+
+/// Random blocks from the structural alphabet plus non-ASCII bytes.
+#[test]
+fn block_classes_random_blocks() {
+    let mut rng = Rng(0x0bad_cafe_1234_5678);
+    let alphabet = b"<>/!?\"'ab =\n\x80\xc3\xff\x3b\x3d";
+    for _ in 0..3000 {
+        let block: Vec<u8> = (0..64).map(|_| rng.byte_from(alphabet)).collect();
+        assert_block_classes_agree(&block, "random");
+    }
+}
+
+/// Every 64-byte window of a 4 KiB buffer: unaligned loads at every
+/// offset must classify alike.
+#[test]
+fn block_classes_unaligned_slices() {
+    let mut rng = Rng(0x5eed_0fb1_0c00_0001);
+    let alphabet = b"aaaaaaaabcd <>/!?\"'\n\xc3\xa9";
+    let buf: Vec<u8> = (0..4096).map(|_| rng.byte_from(alphabet)).collect();
+    for off in 0..=buf.len() - 64 {
+        assert_block_classes_agree(&buf[off..off + 64], "unaligned");
     }
 }
 

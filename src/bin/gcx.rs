@@ -608,6 +608,7 @@ fn run() -> Result<(), String> {
         eprintln!("tokens skipped  : {}", report.tokens_skipped);
         eprintln!("bytes skipped   : {}", report.bytes_skipped);
         eprintln!("children skipped: {}", report.children_skipped);
+        eprintln!("block skipped   : {}", report.block_skipped);
         eprintln!("verdicts reused : {}", report.verdicts_reused);
         if let Some(ok) = report.safety {
             eprintln!(
